@@ -285,7 +285,7 @@ def _cmd_verify(args, cfg):
     )
     _check(
         f"constituent dimensions stable over primes {report.primes}",
-        True,  # exponent_report raises otherwise
+        report.stable,
         failures,
     )
     _check(

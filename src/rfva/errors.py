@@ -49,6 +49,14 @@ class InconclusiveSplit(RfvaError):
     """The randomized rational splitting could not certify irreducibility."""
 
 
+class NotAPartition(RfvaError):
+    """Computed conjugacy classes do not partition the group; indicates a bug."""
+
+
+class NotAClassFunction(RfvaError):
+    """The trace is not constant on a conjugacy class; indicates a bug."""
+
+
 class LengthMismatch(RfvaError):
     pass
 

@@ -4,14 +4,28 @@ A Rep materializes the multiplicative closure of its generators by a
 deterministic breadth-first search, so element and conjugacy-class ordering
 are reproducible across runs (character tables reference classes through
 generator words resolved against this ordering).
+
+Each Rep builds its group tables once, on first use, and keeps them in a
+private cache that is not part of its value: the element index, the inverse
+of every element and the conjugacy classes. Building them costs
+O(|H|*#gens) matrix products and table lookups:
+
+* the right-multiplication table holds the index of e*g for every element e
+  and generator g;
+* inverses follow the breadth-first tree from the identity: e = e'g gives
+  e^-1 = g^-1 e'^-1, so only the generators are inverted (by adjugate, in
+  Rep.inverse);
+* each class is the orbit of an element under y -> g^-1 y g for the
+  generators g alone, found by lookups in the two tables above.
+
+Soundness checks raise typed errors, so they also run under python -O.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
-from .errors import NotFinite, NotInvertible
+from .errors import NotAClassFunction, NotAPartition, NotFinite, NotInvertible
 from .exactalg import IntMatrix, adjugate, det
 
 DEFAULT_ELEMENT_BOUND = 20_000
@@ -24,15 +38,32 @@ class Rep:
     degree: int
     generators: tuple[IntMatrix, ...]
     elements: tuple[IntMatrix, ...]
+    # Hash and group tables, filled on first use; see _tables.
+    _cache: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
+
+    def __hash__(self) -> int:
+        h = self._cache.get("hash")
+        if h is None:
+            h = self._cache["hash"] = hash((self.degree, self.generators, self.elements))
+        return h
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    @property
+    def inverse_indices(self) -> tuple[int, ...]:
+        """Element index of the inverse of each element, in element order."""
+        return _tables(self).inverse
+
     def element_index(self, m: IntMatrix) -> int:
-        return _index_of(self)[m]
+        return _tables(self).index[m]
 
     def inverse(self, m: IntMatrix) -> IntMatrix:
+        """Inverse of a matrix of determinant +-1, by adjugate. Inverses of
+        group elements are cheaper by index: see inverse_indices."""
         d = det(m)
         return adjugate(m) if d == 1 else -adjugate(m)
 
@@ -42,11 +73,6 @@ class Rep:
         for g in word:
             acc = acc * self.generators[g]
         return acc
-
-
-@lru_cache(maxsize=None)
-def _index_of(rep: Rep) -> dict[IntMatrix, int]:
-    return {m: i for i, m in enumerate(rep.elements)}
 
 
 @dataclass(frozen=True)
@@ -120,34 +146,91 @@ def close_group(generators, element_bound: int = DEFAULT_ELEMENT_BOUND) -> Rep:
     return Rep(degree=degree, generators=gens, elements=tuple(elements))
 
 
-def conjugacy_classes(rep: Rep) -> ConjClasses:
-    """Classes ordered by their first-discovered member in BFS element order."""
-    index = _index_of(rep)
-    assigned = [False] * rep.order
+@dataclass(frozen=True)
+class _Tables:
+    index: dict[IntMatrix, int]
+    inverse: tuple[int, ...]
+    classes: ConjClasses
+
+
+def _tables(rep: Rep) -> _Tables:
+    tables = rep._cache.get("tables")
+    if tables is None:
+        tables = rep._cache["tables"] = _build_tables(rep)
+    return tables
+
+
+def _build_tables(rep: Rep) -> _Tables:
+    elements = rep.elements
+    index = {m: i for i, m in enumerate(elements)}
+    # right[i][g] is the index of elements[i] * generators[g]
+    right = [[index[e * g] for g in rep.generators] for e in elements]
+    gen_inverses = [rep.inverse(g) for g in rep.generators]
+    start = index[IntMatrix.identity(rep.degree)]
+    inverse = [None] * len(elements)
+    inverse[start] = start
+    queue = [start]
+    for i in queue:
+        for g_inv, j in zip(gen_inverses, right[i]):
+            if inverse[j] is None:
+                inverse[j] = index[g_inv * elements[inverse[i]]]
+                queue.append(j)
+    inverse = tuple(inverse)
+    classes = _class_orbits(right, inverse)
+    _check_partition(classes, len(elements))
+    return _Tables(index=index, inverse=inverse, classes=classes)
+
+
+def _class_orbits(right, inverse) -> ConjClasses:
+    """Orbits of y -> g^-1 y g over the generators g, by index lookup.
+
+    With z = y g, g^-1 y g is the inverse of z^-1 g. Classes are ordered by
+    their first member in element order and their members sorted.
+    """
+    assigned = [False] * len(right)
     reps = []
     members = []
-    inverses = [rep.inverse(g) for g in rep.elements]
-    for i, x in enumerate(rep.elements):
+    for i in range(len(right)):
         if assigned[i]:
             continue
-        orbit = sorted({index[g * x * ginv] for g, ginv in zip(rep.elements, inverses)})
-        for j in orbit:
-            assigned[j] = True
+        assigned[i] = True
+        orbit = [i]
+        for y in orbit:
+            for g, z in enumerate(right[y]):
+                c = inverse[right[inverse[z]][g]]
+                if not assigned[c]:
+                    assigned[c] = True
+                    orbit.append(c)
         reps.append(i)
-        members.append(tuple(orbit))
-    assert sum(len(m) for m in members) == rep.order
-    assert all(rep.order % len(m) == 0 for m in members)
+        members.append(tuple(sorted(orbit)))
     return ConjClasses(representatives=tuple(reps), members=tuple(members))
 
 
+def _check_partition(classes: ConjClasses, order: int) -> None:
+    covered = sorted(i for m in classes.members for i in m)
+    if covered != list(range(order)):
+        raise NotAPartition("conjugacy classes do not partition the group")
+    bad = [len(m) for m in classes.members if order % len(m)]
+    if bad:
+        raise NotAPartition(f"class sizes {bad} do not divide |H| = {order}")
+
+
+def conjugacy_classes(rep: Rep) -> ConjClasses:
+    """Classes ordered by their first-discovered member in BFS element order."""
+    return _tables(rep).classes
+
+
 def character_of_rep(rep: Rep, classes: ConjClasses | None = None) -> ClassFunction:
-    """Trace per conjugacy class; constancy on each class is asserted."""
+    """Trace per conjugacy class; NotAClassFunction unless constant on each class."""
     if classes is None:
         classes = conjugacy_classes(rep)
     values = []
     for member_ids in classes.members:
         traces = {rep.elements[i].trace() for i in member_ids}
-        assert len(traces) == 1, "trace must be constant on a conjugacy class"
+        if len(traces) != 1:
+            raise NotAClassFunction(
+                f"trace takes values {sorted(traces)} on one conjugacy class"
+            )
         values.append(traces.pop())
     return ClassFunction(values=tuple(values))
 

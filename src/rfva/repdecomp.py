@@ -333,7 +333,7 @@ class _ModuleSplitter:
         proj0 = _mat_mul(_mat_mul(t_mat, e_proj, p), t_inv, p)
         # average over the group
         r_elements = self.restricted_elements(basis)
-        inv_index = _inverse_index(self.rep)
+        inv_index = self.rep.inverse_indices
         acc = [[_fval(0, p)] * d for _ in range(d)]
         for idx, r_h in enumerate(r_elements):
             r_hinv = r_elements[inv_index[idx]]
@@ -436,14 +436,6 @@ def _rank(rows, p):
     return len(rows) - len(_kernel([list(col) for col in zip(*rows)], p))
 
 
-@lru_cache(maxsize=None)
-def _inverse_index(rep: Rep) -> tuple[int, ...]:
-    out = []
-    for e in rep.elements:
-        out.append(rep.element_index(rep.inverse(e)))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # splitting mod p
 
@@ -540,6 +532,13 @@ class ExponentReport:
     k: int
     primes: tuple[int, ...]
     dimensions: tuple[int, ...]
+    # sorted constituent dimensions at each prime, in primes order
+    dimensions_by_prime: tuple[tuple[int, ...], ...]
+
+    @property
+    def stable(self) -> bool:
+        """True iff every prime gave the same dimension multiset."""
+        return all(d == self.dimensions for d in self.dimensions_by_prime)
 
 
 @lru_cache(maxsize=None)
@@ -564,16 +563,18 @@ def exponent_report(
         raise PrimeSearchFailed(
             f"fewer than {n_primes} primes = 1 mod {rep.order} below {prime_bound}"
         )
-    dims = None
-    for p in primes:
-        cons = split_mod_p(rep, p, seed=seed)
-        if dims is None:
-            dims = cons.dimensions
-        elif cons.dimensions != dims:
-            raise InconsistentSplit(
-                f"dimensions {cons.dimensions} at p={p} disagree with {dims}"
-            )
-    return ExponentReport(k=max(dims), primes=tuple(primes), dimensions=dims)
+    by_prime = tuple(split_mod_p(rep, p, seed=seed).dimensions for p in primes)
+    report = ExponentReport(
+        k=max(by_prime[0]),
+        primes=tuple(primes),
+        dimensions=by_prime[0],
+        dimensions_by_prime=by_prime,
+    )
+    if not report.stable:
+        raise InconsistentSplit(
+            f"dimensions {by_prime} disagree across primes {report.primes}"
+        )
+    return report
 
 
 def exponent_k(rep: Rep, seed: int = DEFAULT_SEED, **kwargs) -> int:

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+from rfva import repdecomp
 from rfva.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, load_rep_file, run
 
 
@@ -53,6 +55,22 @@ def test_verify_lemmas(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "commutant certificate" in out
+
+
+def test_verify_lemmas_compares_dimensions_over_primes(monkeypatch, capsys):
+    real = repdecomp.exponent_report
+
+    def unstable(rep, **kwargs):
+        report = real(rep, **kwargs)
+        dims = report.dimensions_by_prime
+        return dataclasses.replace(
+            report, dimensions_by_prime=dims[:-1] + ((1,) * rep.degree,)
+        )
+
+    monkeypatch.setattr(repdecomp, "exponent_report", unstable)
+    assert run(["verify", "catalog:quaternion_paper"]) == EXIT_COMPUTE
+    out = capsys.readouterr().out
+    assert "FAIL: constituent dimensions stable over primes (17, 41, 73)" in out
 
 
 def test_verify_lowerbound(capsys):

@@ -1,14 +1,71 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from rfva.catalog import catalog_rep
 from rfva.errors import NotFinite, NotInvertible, UnknownName
 from rfva.exactalg import IntMatrix, det
 from rfva.grouprep import (
+    ConjClasses,
     character_of_rep,
     close_group,
     conjugacy_classes,
     validate_rep,
 )
+from rfva.repdecomp import exponent_report
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+ORACLE_CATALOG = (
+    "d4_paper",
+    "quaternion_paper",
+    "rot(4)",
+    "trivial(3)",
+    "perm_sym(2)",
+    "perm_sym(3)",
+    "perm_sym(4)",
+    "perm_sym(5)",
+    "std_sym(3)",
+    "std_sym(4)",
+    "std_sym(5)",
+    "product(d4_paper,quaternion_paper)",
+    "product(rot(4),trivial(1))",
+)
+
+
+def _classes_by_all_elements(rep):
+    """Reference: conjugate each element by every group element h (h x h^-1,
+    h^-1 by adjugate); classes in first-member order, members sorted."""
+    index = {m: i for i, m in enumerate(rep.elements)}
+    inverses = [rep.inverse(h) for h in rep.elements]
+    assigned = [False] * rep.order
+    reps, members = [], []
+    for i, x in enumerate(rep.elements):
+        if assigned[i]:
+            continue
+        orbit = sorted({index[h * x * h_inv] for h, h_inv in zip(rep.elements, inverses)})
+        for j in orbit:
+            assigned[j] = True
+        reps.append(i)
+        members.append(tuple(orbit))
+    return ConjClasses(representatives=tuple(reps), members=tuple(members))
+
+
+def _unimodular_pair(m, rng, ops=3):
+    """(Q, Q^-1) for Q a product of elementary +-1 row additions."""
+    q = [[int(i == j) for j in range(m)] for i in range(m)]
+    q_inv = [row[:] for row in q]
+    for _ in range(ops if m > 1 else 0):
+        i, j = rng.sample(range(m), 2)
+        s = rng.choice((1, -1))
+        q[i] = [a + s * b for a, b in zip(q[i], q[j])]
+        for row in q_inv:
+            row[j] -= s * row[i]
+    return IntMatrix.from_rows(q), IntMatrix.from_rows(q_inv)
 
 
 def test_d4_closure_order():
@@ -107,3 +164,88 @@ def test_product_rep():
     rep = catalog_rep("product(rot(4),trivial(1))")
     assert rep.degree == 3
     assert rep.order == 4
+
+
+@pytest.mark.parametrize("name", ORACLE_CATALOG)
+def test_classes_match_all_elements_oracle(name):
+    rep = catalog_rep(name)
+    assert conjugacy_classes(rep) == _classes_by_all_elements(rep)
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("name", ("d4_paper", "quaternion_paper", "perm_sym(4)", "std_sym(4)"))
+def test_classes_match_oracle_on_conjugates(name, seed):
+    gens = catalog_rep(name).generators
+    q, q_inv = _unimodular_pair(gens[0].rows, random.Random(f"{name}:{seed}"))
+    assert q * q_inv == IntMatrix.identity(q.rows)
+    rep = close_group([q_inv * g * q for g in gens])
+    classes = conjugacy_classes(rep)
+    assert classes == _classes_by_all_elements(rep)
+    assert character_of_rep(rep, classes) == character_of_rep(catalog_rep(name))
+
+
+def test_inverse_table_perm_sym5():
+    rep = catalog_rep("perm_sym(5)")
+    ident = IntMatrix.identity(5)
+    for i, e in enumerate(rep.elements):
+        inverse = rep.elements[rep.inverse_indices[i]]
+        assert e * inverse == ident
+        assert inverse == rep.inverse(e)
+        assert rep.inverse_indices[rep.inverse_indices[i]] == i
+
+
+def test_used_rep_equals_fresh_closure_and_hits_cache():
+    used = catalog_rep("perm_sym(4)")
+    conjugacy_classes(used)
+    report = exponent_report(used)
+    fresh = close_group(used.generators)
+    assert fresh is not used
+    assert fresh == used and hash(fresh) == hash(used)
+    assert repr(fresh) == repr(used) and "_cache" not in repr(used)
+    hits = exponent_report.cache_info().hits
+    assert exponent_report(fresh) is report
+    assert exponent_report.cache_info().hits == hits + 1
+
+
+OPTIMIZED_CHECKS = """
+import sys
+import rfva.grouprep as gr
+from rfva.catalog import catalog_rep
+from rfva.errors import NotAClassFunction, NotAPartition
+
+print("optimize", sys.flags.optimize, __debug__)
+
+real = gr._class_orbits
+
+def drop_last_member(right, inverse):
+    c = real(right, inverse)
+    return gr.ConjClasses(c.representatives, c.members[:-1] + (c.members[-1][:-1],))
+
+gr._class_orbits = drop_last_member
+rep = catalog_rep("d4_paper")
+try:
+    gr.conjugacy_classes(rep)
+except NotAPartition:
+    print("partition checked")
+merged = gr.ConjClasses(representatives=(0,), members=(tuple(range(rep.order)),))
+try:
+    gr.character_of_rep(rep, merged)
+except NotAClassFunction:
+    print("class function checked")
+"""
+
+
+def test_soundness_checks_run_under_python_O():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines() == [
+        "optimize 1 False",
+        "partition checked",
+        "class function checked",
+    ]

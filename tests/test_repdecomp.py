@@ -125,6 +125,12 @@ def test_exponent_uses_three_smallest_primes():
     assert exponent_report(catalog_rep("rot(4)")).primes == (5, 13, 17)
 
 
+def test_exponent_report_keeps_dimensions_per_prime():
+    report = exponent_report(Q8)
+    assert report.dimensions_by_prime == ((2, 2),) * 3
+    assert report.stable
+
+
 # --- rational splitting ------------------------------------------------------
 
 
