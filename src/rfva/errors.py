@@ -57,6 +57,14 @@ class NotAClassFunction(RfvaError):
     """The trace is not constant on a conjugacy class; indicates a bug."""
 
 
+class UnsoundWitness(RfvaError):
+    """A constructed witness lattice fails its own check; indicates a bug."""
+
+
+class UnsoundCommutant(RfvaError):
+    """A computed commutant basis matrix does not commute; indicates a bug."""
+
+
 class LengthMismatch(RfvaError):
     pass
 
@@ -94,11 +102,17 @@ class ZeroVector(RfvaError):
 
 
 class BudgetExceeded(RfvaError):
-    """Enumeration budget ran out; carries the best upper bound found so far."""
+    """Enumeration budget ran out.
 
-    def __init__(self, message, upper_bound=None):
+    Carries the best upper bound found so far, the index budget, and how many
+    family lattices were tested before it ran out.
+    """
+
+    def __init__(self, message, upper_bound=None, index_budget=None, lattices_scanned=None):
         super().__init__(message)
         self.upper_bound = upper_bound
+        self.index_budget = index_budget
+        self.lattices_scanned = lattices_scanned
 
 
 class InsufficientData(RfvaError):

@@ -12,6 +12,7 @@ operation ever rounds.  Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -652,9 +653,7 @@ def saturate(vectors) -> IntMatrix:
     # clear denominators columnwise; N has null vectors as columns
     cleared = []
     for u in null:
-        den = 1
-        for x in u:
-            den = den * x.denominator // _gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in u))
         cleared.append(tuple(int(x * den) for x in u))
     ncols = IntMatrix.from_rows(list(zip(*cleared)))  # n x q
     rows = integer_row_kernel(ncols)
@@ -662,12 +661,6 @@ def saturate(vectors) -> IntMatrix:
     # pivot columns for a deterministic representative
     basis = _reduce_rect_basis([list(r) for r in rows])
     return IntMatrix.from_rows(basis)
-
-
-def _gcd(a: int, b: int) -> int:
-    import math
-
-    return math.gcd(a, b)
 
 
 def _reduce_rect_basis(rows: list[list[int]]) -> list[list[int]]:

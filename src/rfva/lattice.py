@@ -9,11 +9,21 @@ Families:
 
 Enumeration order is fixed (index, then lexicographic basis) so divisibility
 minima are reproducible.
+
+Each FamilySpec enumerates its family once.  enumerate_family serves every
+call on one spec from a cached, index-ordered prefix of the family: for nu and
+inv, one prefix per rank m that grows one whole index at a time, and only as
+far as a caller asks; for com, one list per index budget.  The cache lives as
+long as the spec does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import sys
+from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterator
 
 import sympy
 
@@ -22,6 +32,7 @@ from .errors import (
     PrimeSearchFailed,
     SingularMatrix,
     UnknownName,
+    UnsoundWitness,
     ZeroVector,
 )
 from .exactalg import IntMatrix, Lattice, det, hnf, row_echelon_transform
@@ -40,6 +51,11 @@ class FamilySpec:
     kind: str  # "nu" | "inv" | "com"
     rep: Rep | None = None
     coefficient_box: int = DEFAULT_COEFFICIENT_BOX
+    # Enumerated lattices, filled on first use: rank m -> _Prefix for nu and
+    # inv, index budget -> list for com; see enumerate_family.
+    _cache: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
@@ -167,19 +183,66 @@ def commutant_image_lattices(rep: Rep, box: int, max_index: int):
     return found
 
 
+def _sublattice_count(m: int, n: int) -> int:
+    """Number of sublattices of Z^m of index n: column j of an HNF basis has
+    j entries reduced modulo diag[j]."""
+    return sum(
+        math.prod(d**j for j, d in enumerate(diag)) for diag in _diagonals(m, n)
+    )
+
+
+@dataclass
+class _Prefix:
+    """A nu or inv family's lattices of index <= done, in enumeration order,
+    and the stream of all sublattices of Z^m the next index is read from."""
+
+    source: Iterator[Lattice]
+    done: int = 0
+    lattices: list = field(default_factory=list)
+
+
 def enumerate_family(spec: FamilySpec, m: int, max_index: int):
-    """Stream the family's lattices of index <= max_index, index-ordered."""
-    if spec.kind == "nu":
-        yield from enumerate_sublattices(m, max_index)
-        return
-    if spec.rep is not None and spec.rep.degree != m:
+    """Stream the family's lattices of index <= max_index, index-ordered.
+
+    Every call on one spec reads the spec's cached prefix of the family and
+    grows it by whole indices only as far as the caller consumes, so each
+    lattice is enumerated (and, for inv, tested for invariance) once per spec.
+    """
+    if spec.kind != "nu" and spec.rep.degree != m:
         raise DimensionMismatch("family representation degree does not match m")
-    if spec.kind == "inv":
-        for lat in enumerate_sublattices(m, max_index):
-            if is_invariant_lattice(lat, spec.rep):
-                yield lat
+    if spec.kind == "com":
+        lats = spec._cache.get(max_index)
+        if lats is None:
+            lats = spec._cache[max_index] = commutant_image_lattices(
+                spec.rep, spec.coefficient_box, max_index
+            )
+        yield from lats
         return
-    yield from commutant_image_lattices(spec.rep, spec.coefficient_box, max_index)
+    i = 0
+    while True:
+        prefix = spec._cache.get(m)
+        if prefix is None:
+            prefix = spec._cache[m] = _Prefix(enumerate_sublattices(m, sys.maxsize))
+        lats = prefix.lattices
+        while i < len(lats) and lats[i].index <= max_index:
+            yield lats[i]
+            i += 1
+        if i < len(lats) or prefix.done >= max_index:
+            return
+        # Grow by exactly the next index, drawing its sublattices from source.
+        n = prefix.done + 1
+        try:
+            batch = [
+                lat
+                for lat in islice(prefix.source, _sublattice_count(m, n))
+                if spec.kind == "nu" or is_invariant_lattice(lat, spec.rep)
+            ]
+        except BaseException:
+            # The source may have lost part of the batch: start this m afresh.
+            spec._cache.pop(m, None)
+            raise
+        lats.extend(batch)
+        prefix.done = n
 
 
 def upper_bound_witness(
@@ -224,7 +287,8 @@ def upper_bound_witness(
         if any(c != 0 for c in block):
             if chosen is None or dim < subspaces[chosen][0]:
                 chosen = si
-    assert chosen is not None, "v is nonzero mod p by choice of p"
+    if chosen is None:
+        raise UnsoundWitness(f"v is zero mod the chosen prime {p}")
     dim = subspaces[chosen][0]
     stack = [
         list(vec)
@@ -236,7 +300,10 @@ def upper_bound_witness(
     h, _ = row_echelon_transform(IntMatrix.from_rows(stack))
     square = [r for r in h if any(x != 0 for x in r)]
     lat = hnf(IntMatrix.from_rows(square))
-    assert lat.index == p**dim
-    assert not lat.contains(v)
-    assert is_invariant_lattice(lat, rep)
+    if lat.index != p**dim:
+        raise UnsoundWitness(f"witness index {lat.index} is not {p}^{dim}")
+    if lat.contains(v):
+        raise UnsoundWitness("witness lattice contains the vector")
+    if not is_invariant_lattice(lat, rep):
+        raise UnsoundWitness("witness lattice is not invariant")
     return Witness(lattice=lat, prime=p, dimension=dim, vector=v)

@@ -17,6 +17,7 @@ failure mode is a clean InconclusiveSplit, never a silently wrong split.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +40,7 @@ from .errors import (
     RfvaError,
     SingularMatrix,
     UnresolvedClassWord,
+    UnsoundCommutant,
 )
 from .exactalg import (
     FpMatrix,
@@ -234,7 +236,8 @@ def commutant_basis(rep: Rep, p: int | None = None) -> CommutantBasis:
             for i in range(zbasis.rows)
         )
         for b in mats:
-            assert all(b * g == g * b for g in rep.generators)
+            if any(b * g != g * b for g in rep.generators):
+                raise UnsoundCommutant("a commutant basis matrix does not commute")
         return CommutantBasis(field="Q", matrices=mats)
     vecs = kernel_fp([[x % p for x in r] for r in rows], p)
     mats = tuple(
@@ -375,10 +378,7 @@ class _ModuleSplitter:
         """Scale a rational matrix to an integer one (reducibility-preserving)."""
         if self.p is not None:
             return z
-        denom = 1
-        for row in z:
-            for x in row:
-                denom = denom * x.denominator // _gcd_int(denom, x.denominator)
+        denom = math.lcm(*(x.denominator for row in z for x in row))
         return [[x * denom for x in row] for row in z]
 
     def factor_minpoly(self, z):
@@ -646,10 +646,7 @@ def q_split(rep: Rep, seed: int = DEFAULT_SEED) -> QSplit:
         offset += d
         proj = _mat_mul(_mat_mul(s_mat, e_mat, None), s_inv, None)
         # the projection commutes with the action, so P(Z^m) is H-invariant
-        denom = 1
-        for row in proj:
-            for x in row:
-                denom = denom * x.denominator // _gcd_int(denom, x.denominator)
+        denom = math.lcm(*(x.denominator for row in proj for x in row))
         int_rows = [[int(proj[i][j] * denom) for i in range(m)] for j in range(m)]
         h, _ = row_echelon_transform(IntMatrix.from_rows(int_rows))
         num_rows = [r for r in h if any(x != 0 for x in r)]
@@ -682,12 +679,6 @@ def q_split(rep: Rep, seed: int = DEFAULT_SEED) -> QSplit:
             )
         )
     return QSplit(components=tuple(components))
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # ---------------------------------------------------------------------------

@@ -72,16 +72,26 @@ def _scalar_upper_bound(v):
 
 
 def divisibility(v, spec: FamilySpec, index_budget: int = DEFAULT_INDEX_BUDGET) -> int:
-    """min{ index(N) : N in the family, v not in N }, early exit in index order."""
+    """min{ index(N) : N in the family, v not in N }, early exit in index order.
+
+    The family is read from the spec's cached, index-ordered prefix (see
+    enumerate_family): each FamilySpec enumerates its family once, the prefix
+    grows by whole indices as vectors need it, and it lives as long as the
+    spec, so an RF scan should pass one spec to every call.
+    """
     v = tuple(int(x) for x in v)
     if all(x == 0 for x in v):
         raise ZeroVector("divisibility of the zero vector is infinite by convention")
+    scanned = 0
     for lat in enumerate_family(spec, len(v), index_budget):
         if not lat.contains(v):
             return lat.index
+        scanned += 1
     raise BudgetExceeded(
         f"no omitting lattice of index <= {index_budget}",
         upper_bound=_scalar_upper_bound(v),
+        index_budget=index_budget,
+        lattices_scanned=scanned,
     )
 
 
@@ -113,6 +123,9 @@ def rf_profile(
     radii=None,
 ) -> RFProfile:
     """Exact RF over l1-balls, using D(v) = D(-v) to halve the scan.
+
+    Every D(v) reads the one cached family prefix of spec, so the family is
+    enumerated once for the whole scan.
 
     On BudgetExceeded the profile computed so far is returned with
     partial=True.

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 import sympy
 
+import rfva.lattice as lattice_mod
 from rfva.catalog import catalog_matrix, catalog_rep
 from rfva.errors import DimensionMismatch, SingularMatrix, ZeroVector
 from rfva.exactalg import IntMatrix
@@ -18,6 +23,9 @@ from rfva.lattice import (
     upper_bound_witness,
 )
 from rfva.repdecomp import exponent_k
+from rfva.rfgrowth import rf_profile
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_lattice_from_matrix_examples():
@@ -136,3 +144,146 @@ def test_witness_soundness_sampled():
             assert w.dimension <= k
             assert not w.lattice.contains(v)
             assert is_invariant_lattice(w.lattice, rep)
+
+
+def _oracle(spec, m, budget):
+    """The family at one budget, enumerated without any cache."""
+    if spec.kind == "com":
+        return commutant_image_lattices(spec.rep, spec.coefficient_box, budget)
+    return [
+        lat
+        for lat in enumerate_sublattices(m, budget)
+        if spec.kind == "nu" or is_invariant_lattice(lat, spec.rep)
+    ]
+
+
+SHARED_PREFIX_CASES = [
+    ("nu", None, 1, (3, 12, 5)),
+    ("nu", None, 2, (3, 12, 5)),
+    ("nu", None, 3, (3, 12, 5)),
+    ("inv", "rot(4)", 2, (3, 30, 7)),
+    ("inv", "d4_paper", 3, (4, 16, 9)),
+    ("inv", "quaternion_paper", 4, (2, 8, 4)),
+    ("com", "quaternion_paper", 4, (9, 100, 36)),
+]
+
+
+@pytest.mark.parametrize("kind,name,m,budgets", SHARED_PREFIX_CASES)
+def test_shared_prefix_matches_fresh_spec(kind, name, m, budgets):
+    rep = catalog_rep(name) if name else None
+    spec = FamilySpec(kind, rep=rep)
+    # an abandoned stream, as divisibility leaves behind on early exit
+    next(enumerate_family(spec, m, budgets[1]))
+    for budget in budgets:
+        got = list(enumerate_family(spec, m, budget))
+        assert got == list(enumerate_family(FamilySpec(kind, rep=rep), m, budget))
+        assert got == _oracle(spec, m, budget)
+        assert [lat.index for lat in got] == sorted(lat.index for lat in got)
+
+
+def test_interleaved_streams_share_one_prefix():
+    rep = catalog_rep("d4_paper")
+    spec = FamilySpec("inv", rep)
+    small, large = enumerate_family(spec, 3, 6), enumerate_family(spec, 3, 12)
+    got_small, got_large = [], []
+    for a, b in zip(small, large):
+        got_small.append(a)
+        got_large.append(b)
+    got_small += list(small)
+    got_large += list(large)
+    assert got_small == _oracle(spec, 3, 6)
+    assert got_large == _oracle(spec, 3, 12)
+
+
+def test_inv_prefix_tests_each_sublattice_once(monkeypatch):
+    calls = []
+
+    def counting(lat, rep):
+        calls.append(lat.index)
+        return is_invariant_lattice(lat, rep)
+
+    monkeypatch.setattr(lattice_mod, "is_invariant_lattice", counting)
+    prof = rf_profile(FamilySpec("inv", catalog_rep("d4_paper")), 3, 12)
+    assert prof.values[-1] == 25
+    # every sublattice up to the largest D needed, tested once, and no index beyond
+    assert sorted(calls) == [lat.index for lat in enumerate_sublattices(3, 25)]
+
+
+def test_used_spec_equals_fresh_spec():
+    rep = catalog_rep("quaternion_paper")
+    for kind in ("nu", "inv", "com"):
+        used = FamilySpec(kind, rep=rep)
+        list(enumerate_family(used, 4, 6))
+        assert used._cache
+        fresh = FamilySpec(kind, rep=rep)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) and "_cache" not in repr(used)
+
+
+def test_family_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        list(enumerate_family(FamilySpec("inv", catalog_rep("rot(4)")), 3, 4))
+
+
+OPTIMIZED_CHECKS = """
+import sys
+import rfva.lattice as lat
+import rfva.repdecomp as rd
+from rfva.catalog import catalog_rep
+from rfva.errors import UnsoundCommutant, UnsoundWitness
+from rfva.exactalg import IntMatrix, hnf
+
+print("optimize", sys.flags.optimize, __debug__)
+
+def witness_from(rows, name):
+    lat.hnf = lambda _: hnf(IntMatrix.from_rows(rows))
+    try:
+        lat.upper_bound_witness(catalog_rep(name), (1, 0))
+    except UnsoundWitness as exc:
+        print("witness checked:", exc)
+
+witness_from([[1, 0], [0, 1]], "rot(4)")
+witness_from([[1, 0], [0, 2]], "trivial(2)")
+witness_from([[5, 0], [0, 1]], "rot(4)")
+rd.saturate = lambda vecs: IntMatrix.from_rows([[1] + [0] * 8])
+try:
+    rd.commutant_basis(catalog_rep("d4_paper"))
+except UnsoundCommutant:
+    print("commutant checked")
+"""
+
+
+def test_soundness_checks_run_under_python_O():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines() == [
+        "optimize 1 False",
+        "witness checked: witness index 1 is not 5^1",
+        "witness checked: witness lattice contains the vector",
+        "witness checked: witness lattice is not invariant",
+        "commutant checked",
+    ]
+
+
+def test_prefix_recovers_from_an_interrupted_batch(monkeypatch):
+    rep = catalog_rep("d4_paper")
+    spec = FamilySpec("inv", rep)
+    list(enumerate_family(spec, 3, 3))
+    calls = []
+
+    def interrupted(lat, rep):
+        calls.append(lat)
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return is_invariant_lattice(lat, rep)
+
+    monkeypatch.setattr(lattice_mod, "is_invariant_lattice", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        list(enumerate_family(spec, 3, 8))
+    assert list(enumerate_family(spec, 3, 8)) == _oracle(spec, 3, 8)

@@ -44,6 +44,18 @@ def test_divisibility_budget_exceeded_carries_bound():
     with pytest.raises(BudgetExceeded) as exc:
         divisibility((1,), NU, index_budget=1)
     assert exc.value.upper_bound == 2
+    assert exc.value.index_budget == 1
+    assert exc.value.lattices_scanned == 1
+
+
+def test_budget_exceeded_counts_lattices_scanned():
+    # rot(4)-invariant lattices of index <= 4: Z^2, the parity lattice and 2Z^2,
+    # all of which contain (2, 2)
+    with pytest.raises(BudgetExceeded) as exc:
+        divisibility((2, 2), FamilySpec("inv", catalog_rep("rot(4)")), index_budget=4)
+    assert exc.value.index_budget == 4
+    assert exc.value.lattices_scanned == 3
+    assert exc.value.upper_bound == 9
 
 
 def test_divisibility_symmetry():
@@ -121,6 +133,13 @@ def test_rf_profile_monotone_and_witnessed():
     for (vec, d), value in zip(prof.witnesses, prof.values):
         assert d == value
         assert divisibility(vec, prof.spec) == d
+
+
+def test_rf_profile_d4_invariant_family():
+    prof = rf_profile(FamilySpec("inv", catalog_rep("d4_paper")), 3, 12)
+    assert prof.values == (2, 8, 8, 9, 9, 9, 9, 9, 9, 9, 9, 25)
+    assert prof.witnesses[-1] == ((0, 12, 0), 25)
+    assert not prof.partial
 
 
 def test_rf_profile_rot4_radius_one():
