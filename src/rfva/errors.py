@@ -65,6 +65,14 @@ class UnsoundCommutant(RfvaError):
     """A computed commutant basis matrix does not commute; indicates a bug."""
 
 
+class UnsoundSplit(RfvaError):
+    """A splitting step fails its own check; indicates a bug."""
+
+
+class InexactDivision(RfvaError):
+    """An integer division that must be exact left a remainder; indicates a bug."""
+
+
 class LengthMismatch(RfvaError):
     pass
 

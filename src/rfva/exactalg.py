@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from sympy import ZZ
+from sympy.polys.factortools import dup_factor_list
 from sympy.polys.galoistools import gf_factor
 
-from .errors import DimensionMismatch, NotAPower, SingularMatrix
+from .errors import DimensionMismatch, InexactDivision, NotAPower, SingularMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +398,8 @@ def _faddeev_leverrier(m: IntMatrix) -> tuple[list[int], IntMatrix]:
     horner = IntMatrix.identity(n)  # accumulates M^(k-1) + c_1 M^(k-2) + ...
     for k in range(1, n + 1):
         ck = -mk.trace()
-        assert ck % k == 0
+        if ck % k != 0:
+            raise InexactDivision(f"charpoly step {k}: {ck} is not divisible by {k}")
         ck //= k
         coeffs_desc.append(ck)
         if k < n:
@@ -601,20 +603,25 @@ def factor_over_integers(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
 
     Returns (content, factors) with content * prod(g^e) == f exactly.
     """
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(c * x**i for i, c in enumerate(f.coeffs))
-    content, factors = sympy.Poly(expr, x, domain="ZZ").factor_list()
-    out = []
-    for poly, mult in factors:
-        cs = poly.all_coeffs()  # descending
-        out.append((IntPoly(tuple(int(c) for c in reversed(cs))), int(mult)))
+    content, factors = dup_factor_list([ZZ(c) for c in reversed(f.coeffs)], ZZ)
+    out = [
+        (IntPoly(tuple(int(c) for c in reversed(desc))), int(mult))
+        for desc, mult in factors
+    ]
     return int(content), out
 
 
 def poly_kth_root(f: IntPoly, k: int) -> IntPoly:
-    """Monic g with g^k == f, via unique factorization; NotAPower otherwise."""
+    """Monic g in Z[x] with g^k == f; NotAPower if there is none.
+
+    Works on the reversal f~(t) = t^n f(1/t), a power series with constant
+    term 1. Its k-th root h = f~^(1/k) satisfies f~ h' = (1/k) f~' h, which
+    gives h_0 = 1 and
+        h_j = (1/j) * sum_{i=1..j} (i(k+1)/k - j) * f~_i * h_(j-i).
+    If g exists, h_0..h_(n/k) are the coefficients of g reversed, so each is
+    an integer; a monic k-th root in Z[x] is unique (Gauss's lemma), and
+    g^k == f is confirmed exactly before g is returned.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     if not f.is_monic():
@@ -623,12 +630,19 @@ def poly_kth_root(f: IntPoly, k: int) -> IntPoly:
         raise NotAPower(f"degree {f.degree} not divisible by {k}")
     if k == 1:
         return f
-    content, factors = factor_over_integers(f)
-    if content != 1 or any(mult % k != 0 for _, mult in factors):
+    rev = f.coeffs[::-1]  # rev[i] is the coefficient of t^i in f~
+    e = f.degree // k
+    h = [1]
+    for j in range(1, e + 1):
+        num = sum(
+            (i * (k + 1) - j * k) * rev[i] * h[j - i] for i in range(1, j + 1)
+        )
+        if num % (j * k) != 0:
+            raise NotAPower("polynomial is not a perfect k-th power")
+        h.append(num // (j * k))
+    g = IntPoly(tuple(reversed(h)))
+    if g.pow(k) != f:
         raise NotAPower("polynomial is not a perfect k-th power")
-    g = IntPoly((1,))
-    for poly, mult in factors:
-        g = g * poly.pow(mult // k)
     return g
 
 

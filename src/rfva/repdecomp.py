@@ -30,6 +30,7 @@ from .errors import (
     CertificateFailed,
     InconclusiveSplit,
     InconsistentSplit,
+    InexactDivision,
     LengthMismatch,
     NotAPower,
     NotCommuting,
@@ -41,6 +42,7 @@ from .errors import (
     SingularMatrix,
     UnresolvedClassWord,
     UnsoundCommutant,
+    UnsoundSplit,
 )
 from .exactalg import (
     FpMatrix,
@@ -220,8 +222,12 @@ def _commutation_system(generators, m):
     return rows
 
 
+@lru_cache(maxsize=None)
 def commutant_basis(rep: Rep, p: int | None = None) -> CommutantBasis:
-    """Solve the commutation system for all generators over Q or F_p."""
+    """Solve the commutation system for all generators over Q or F_p.
+
+    Memoized like q_split and exponent_report: the result is immutable.
+    """
     m = rep.degree
     rows = _commutation_system(rep.generators, m)
     if p is None:
@@ -257,7 +263,9 @@ class _ModuleSplitter:
     Subspaces are tracked by bases of ambient vectors.  Splitting elements are
     drawn from the commutant of the restricted action; proper invariant
     subspaces obtained from polynomial kernels are completed to direct-sum
-    decompositions by averaging a projection over the (finite) group.
+    decompositions by averaging a projection over the (finite) group; the
+    average is summed in ambient integer coordinates and restricted to the
+    subspace once (see invariant_complement).
     """
 
     def __init__(self, rep: Rep, p: int | None, rng: random.Random):
@@ -281,12 +289,6 @@ class _ModuleSplitter:
         if self.p is not None:
             gens = tuple(FpMatrix.from_int(g, self.p) for g in gens)
         return [self.restrict(g, basis) for g in gens]
-
-    def restricted_elements(self, basis):
-        els = self.rep.elements
-        if self.p is not None:
-            els = tuple(FpMatrix.from_int(e, self.p) for e in els)
-        return [self.restrict(e, basis) for e in els]
 
     def restricted_commutant(self, r_gens, d):
         rows = []
@@ -318,7 +320,18 @@ class _ModuleSplitter:
         return out
 
     def invariant_complement(self, basis, w_coords):
-        """Invariant complement of span(w_coords) inside span(basis)."""
+        """Invariant complement of span(w_coords) inside span(basis).
+
+        proj0 projects onto W along a coordinate extension of w_coords; its
+        group average pbar = (1/|H|) sum_h R(h) proj0 R(h^-1), with R(h) the
+        action of h in basis coordinates, is an invariant projection onto W
+        (Maschke), and its kernel is the complement.  The sum is taken in
+        ambient coordinates instead: with B the m x d matrix whose columns are
+        the basis and B+ a left inverse of B, invariance of V = span(B) gives
+        h B = B R(h), so B+ (h M h^-1) B = R(h) proj0 R(h^-1) for
+        M = B proj0 B+.  Hence pbar = B+ S B / |H| with S = sum_h h M h^-1,
+        and S is summed in plain integers once M is cleared to M_int / D.
+        """
         p = self.p
         d = len(basis)
         e = len(w_coords)
@@ -334,21 +347,26 @@ class _ModuleSplitter:
         e_proj = [[_fval(1 if (i == j and i < e) else 0, p) for j in range(d)] for i in range(d)]
         t_inv = _mat_inverse(t_mat, p)
         proj0 = _mat_mul(_mat_mul(t_mat, e_proj, p), t_inv, p)
-        # average over the group
-        r_elements = self.restricted_elements(basis)
-        inv_index = self.rep.inverse_indices
-        acc = [[_fval(0, p)] * d for _ in range(d)]
-        for idx, r_h in enumerate(r_elements):
-            r_hinv = r_elements[inv_index[idx]]
-            acc = _mat_add(acc, _mat_mul(_mat_mul(r_h, proj0, p), r_hinv, p), p)
-        scale = (
-            Fraction(1, self.rep.order)
-            if p is None
-            else pow(self.rep.order % p, p - 2, p)
-        )
-        pbar = _mat_scale(acc, scale, p)
+        # B+ solves B^T X = I with free unknowns 0: the inverse of d
+        # independent rows of B, placed in their columns
+        b_t = [[_fval(x, p) for x in v] for v in basis]
+        b_plus = _solve_columns(b_t, _identity(d, p), p)
+        b_mat = [list(row) for row in zip(*b_t)]
+        m_mat = _mat_mul(_mat_mul(b_mat, proj0, p), b_plus, p)
+        if p is None:
+            denom = math.lcm(*(x.denominator for row in m_mat for x in row))
+            m_int = [[int(x * denom) for x in row] for row in m_mat]
+            scale = Fraction(1, denom * self.rep.order)
+        else:
+            m_int = m_mat
+            scale = pow(self.rep.order % p, p - 2, p)
+        s_mat = _conjugation_sum(self.rep, m_int)  # reduced mod p by _mat_mul
+        pbar = _mat_scale(_mat_mul(_mat_mul(b_plus, s_mat, p), b_mat, p), scale, p)
         comp_coords = _kernel(pbar, p)
-        assert len(comp_coords) == d - e
+        if len(comp_coords) != d - e:
+            raise UnsoundSplit(
+                f"averaged projection has kernel dimension {len(comp_coords)}, not {d - e}"
+            )
         return comp_coords
 
     # -- splitting element candidates
@@ -384,9 +402,11 @@ class _ModuleSplitter:
     def factor_minpoly(self, z):
         coeffs = _matrix_minpoly(z, self.p)
         if self.p is None:
-            assert all(x.denominator == 1 for x in coeffs), "restricted minpoly is integral"
+            if any(x.denominator != 1 for x in coeffs):
+                raise UnsoundSplit("minimal polynomial of an integer matrix is not integral")
             content, factors = factor_over_integers(IntPoly(tuple(int(x) for x in coeffs)))
-            assert content == 1
+            if content != 1:
+                raise UnsoundSplit(f"monic minimal polynomial has content {content}")
             return [(f.coeffs, mult) for f, mult in factors]
         return factor_over_prime_field(tuple(coeffs), self.p)
 
@@ -427,6 +447,16 @@ class _ModuleSplitter:
         raise InconclusiveSplit(
             "could not split or certify irreducibility within the retry budget"
         )
+
+
+def _conjugation_sum(rep: Rep, m_int):
+    """sum_h h * M * h^-1 over the group, for an integer matrix M."""
+    els = rep.elements
+    acc = [[0] * len(m_int) for _ in m_int]
+    for h, h_inv in zip(els, rep.inverse_indices):
+        term = _mat_mul(_mat_mul(h.entries, m_int, None), els[h_inv].entries, None)
+        acc = _mat_add(acc, term, None)
+    return acc
 
 
 def _rank(rows, p):
@@ -860,7 +890,8 @@ def commutant_certificate(rep: Rep, b: IntMatrix, seed: int = DEFAULT_SEED) -> C
     checks = []
     checks.append(("det_is_x_pow_k", d == x**k))
     checks.append(("b_times_m", b * m_mat == ident.scale(-a0)))
-    assert x**k % a0 == 0
+    if x**k % a0 != 0:
+        raise InexactDivision(f"x^k = {x**k} is not divisible by f(0) = {a0}")
     checks.append(("adjugate", adjugate(b) == m_mat.scale(-(x**k // a0))))
     lat = hnf(b.transpose())
     x_units = all(

@@ -204,6 +204,64 @@ def test_poly_kth_root_rejects_non_powers():
         poly_kth_root(IntPoly((2, 3, 0, 0, 1)), 2)
 
 
+def _sympy_factor_list(f):
+    """Reference: sympy's factorization of the polynomial as an expression."""
+    x = sympy.Symbol("x")
+    expr = sum(c * x**i for i, c in enumerate(f.coeffs))
+    content, factors = sympy.Poly(expr, x, domain="ZZ").factor_list()
+    return int(content), [
+        (IntPoly(tuple(int(c) for c in reversed(g.all_coeffs()))), int(mult))
+        for g, mult in factors
+    ]
+
+
+def _kth_root_by_factoring(f, k):
+    """Reference: the monic k-th root read off the factorization over Z."""
+    if f.degree % k != 0:
+        raise NotAPower("degree")
+    content, factors = _sympy_factor_list(f)
+    if content != 1 or any(mult % k != 0 for _, mult in factors):
+        raise NotAPower("factorization")
+    g = IntPoly((1,))
+    for poly, mult in factors:
+        g = g * poly.pow(mult // k)
+    return g
+
+
+def _random_monic(rng, degree):
+    return IntPoly(tuple(rng.randint(-5, 5) for _ in range(degree)) + (1,))
+
+
+def test_factor_over_integers_matches_sympy_expression_oracle():
+    rng = random.Random(0)
+    for _ in range(60):
+        f = IntPoly((rng.choice((1, -2, 3)),))
+        for _ in range(rng.randint(1, 3)):
+            f = f * _random_monic(rng, rng.randint(0, 3)).pow(rng.randint(1, 2))
+        assert factor_over_integers(f) == _sympy_factor_list(f)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_poly_kth_root_matches_factoring_oracle(k):
+    rng = random.Random(k)
+    for _ in range(25):
+        g = _random_monic(rng, rng.randint(0, 4))
+        f = g.pow(k)
+        assert poly_kth_root(f, k) == _kth_root_by_factoring(f, k) == g
+        if k > 1 and g.degree > 0:
+            not_power = IntPoly((f.coeffs[0] + 1,) + f.coeffs[1:])
+            for root in (poly_kth_root, _kth_root_by_factoring):
+                with pytest.raises(NotAPower):
+                    root(not_power, k)
+
+
+def test_poly_kth_root_checks_integral_candidates():
+    # the series gives the integral candidate x + 1, whose square is x^2+2x+1
+    for root in (poly_kth_root, _kth_root_by_factoring):
+        with pytest.raises(NotAPower):
+            root(IntPoly((2, 2, 1)), 2)
+
+
 def test_factor_over_prime_field():
     # X^2 + 1 splits mod 5 and is irreducible mod 7
     fs5 = factor_over_prime_field((1, 0, 1), 5)

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rfva.repdecomp as rd
 from rfva.catalog import (
     catalog_character_table,
     catalog_matrix,
@@ -16,7 +21,8 @@ from rfva.errors import (
     SingularMatrix,
     UnresolvedClassWord,
 )
-from rfva.exactalg import IntMatrix, IntPoly, det
+from rfva.exactalg import FpMatrix, IntMatrix, IntPoly, det
+from rfva.grouprep import close_group
 from rfva.repdecomp import (
     CharacterTable,
     commutant_basis,
@@ -30,6 +36,10 @@ from rfva.repdecomp import (
     q_split,
     split_mod_p,
 )
+
+from test_grouprep import ORACLE_CATALOG, _unimodular_pair
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 D4 = catalog_rep("d4_paper")
 Q8 = catalog_rep("quaternion_paper")
@@ -325,3 +335,135 @@ def test_certificate_random_commutant_samples():
         cert = commutant_certificate(Q8, b)
         assert cert.passed and cert.det == cert.x**2
         done += 1
+
+
+# --- the Reynolds average ----------------------------------------------------
+
+
+def _complement_by_restricted_average(splitter, basis, w_coords):
+    """Reference for invariant_complement: restrict every group element to
+    span(basis) by its own linear solve and average R(h) proj0 R(h^-1) in
+    basis coordinates."""
+    p = splitter.p
+    d, e = len(basis), len(w_coords)
+    ext = [[rd._fval(x, p) for x in w] for w in w_coords]
+    for j in range(d):
+        unit = [rd._fval(int(i == j), p) for i in range(d)]
+        if len(ext) < d and rd._rank(ext + [unit], p) == len(ext) + 1:
+            ext.append(unit)
+    t_mat = [list(col) for col in zip(*ext)]
+    e_proj = [[rd._fval(int(i == j < e), p) for j in range(d)] for i in range(d)]
+    proj0 = rd._mat_mul(rd._mat_mul(t_mat, e_proj, p), rd._mat_inverse(t_mat, p), p)
+    elements = splitter.rep.elements
+    if p is not None:
+        elements = [FpMatrix.from_int(h, p) for h in elements]
+    restricted = [splitter.restrict(h, basis) for h in elements]
+    acc = [[rd._fval(0, p)] * d for _ in range(d)]
+    for r_h, h_inv in zip(restricted, splitter.rep.inverse_indices):
+        term = rd._mat_mul(rd._mat_mul(r_h, proj0, p), restricted[h_inv], p)
+        acc = rd._mat_add(acc, term, p)
+    order = splitter.rep.order
+    scale = Fraction(1, order) if p is None else pow(order, p - 2, p)
+    return rd._kernel(rd._mat_scale(acc, scale, p), p)
+
+
+def _assert_complements_match_oracle(monkeypatch, rep):
+    """Split over Q and at each exponent_report prime, checking every
+    invariant_complement call against the restricted-average reference."""
+    primes = exponent_report(rep).primes
+    calls = []
+    real = rd._ModuleSplitter.invariant_complement
+
+    def recording(self, basis, w_coords):
+        comp = real(self, basis, w_coords)
+        calls.append((self, basis, w_coords, comp))
+        return comp
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rd._ModuleSplitter, "invariant_complement", recording)
+        full = [tuple(Fraction(int(i == j)) for i in range(rep.degree)) for j in range(rep.degree)]
+        rd._ModuleSplitter(rep, None, random.Random(0)).split(full)
+        for p in primes:
+            split_mod_p(rep, p)
+    for splitter, basis, w_coords, comp in calls:
+        assert comp == _complement_by_restricted_average(splitter, basis, w_coords)
+    return len(calls)
+
+
+@pytest.mark.parametrize("name", ORACLE_CATALOG)
+def test_invariant_complement_matches_restricted_average(monkeypatch, name):
+    checked = _assert_complements_match_oracle(monkeypatch, catalog_rep(name))
+    # std_sym(n) is absolutely irreducible, so it never needs a complement
+    assert (checked == 0) == name.startswith("std_sym")
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("name", ("d4_paper", "quaternion_paper", "perm_sym(4)", "std_sym(4)"))
+def test_invariant_complement_matches_restricted_average_on_conjugates(
+    monkeypatch, name, seed
+):
+    gens = catalog_rep(name).generators
+    q, q_inv = _unimodular_pair(gens[0].rows, random.Random(f"{name}:{seed}"))
+    _assert_complements_match_oracle(monkeypatch, close_group([q_inv * g * q for g in gens]))
+
+
+OPTIMIZED_CHECKS = """
+import random
+import sys
+from fractions import Fraction
+import rfva.exactalg as ea
+import rfva.repdecomp as rd
+from rfva.catalog import catalog_matrix, catalog_rep
+from rfva.errors import InexactDivision, UnsoundSplit
+
+print("optimize", sys.flags.optimize, __debug__)
+
+def expect(error, label, fn, *args):
+    try:
+        fn(*args)
+    except error as exc:
+        print(label, "checked:", exc)
+
+splitter = rd._ModuleSplitter(catalog_rep("rot(4)"), None, random.Random(0))
+unit = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+# span(e1) is not invariant under rot(4), so no invariant complement exists
+expect(UnsoundSplit, "complement", splitter.invariant_complement, unit, [unit[0]])
+expect(UnsoundSplit, "integral", splitter.factor_minpoly, [[Fraction(1, 2)]])
+real_factor = rd.factor_over_integers
+rd.factor_over_integers = lambda f: (2, real_factor(f)[1])
+expect(UnsoundSplit, "content", splitter.factor_minpoly, [[Fraction(1)]])
+rd.factor_over_integers = real_factor
+
+real_root = rd.poly_kth_root
+rd.exponent_k = lambda rep, seed: 0
+rd.poly_kth_root = lambda f, k: real_root(f, 2)
+expect(
+    InexactDivision,
+    "certificate",
+    rd.commutant_certificate,
+    catalog_rep("quaternion_paper"),
+    catalog_matrix("quaternion_commutant"),
+)
+real_trace = ea.IntMatrix.trace
+ea.IntMatrix.trace = lambda self: real_trace(self) + 1
+expect(InexactDivision, "charpoly", ea.charpoly, ea.IntMatrix.identity(2))
+"""
+
+
+def test_split_and_certificate_checks_run_under_python_O():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines() == [
+        "optimize 1 False",
+        "complement checked: averaged projection has kernel dimension 0, not 1",
+        "integral checked: minimal polynomial of an integer matrix is not integral",
+        "content checked: monic minimal polynomial has content 2",
+        "certificate checked: x^k = 1 is not divisible by f(0) = 6",
+        "charpoly checked: charpoly step 2: 3 is not divisible by 2",
+    ]

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import rfva.repdecomp as rd
 from rfva.catalog import catalog_rep
 from rfva.errors import (
     BudgetExceeded,
@@ -10,6 +11,7 @@ from rfva.errors import (
     NotIrreducible,
     ZeroVector,
 )
+from rfva.grouprep import close_group
 from rfva.lattice import FamilySpec, upper_bound_witness
 from rfva.rfgrowth import (
     chebyshev_psi,
@@ -184,6 +186,25 @@ def test_lower_bound_certificate_quaternion():
     assert report.certificates_passed == report.certificates_total == 30
     assert report.vectors[2] == (6, 0, 0, 0)  # lcm(1,2,3) e_1
     assert report.vectors[0] == (1, 0, 0, 0)  # s = 1 is vacuous
+
+
+@pytest.mark.parametrize("name", ("quaternion_paper", "std_sym(4)"))
+def test_lower_bound_certificate_computes_the_commutant_basis_once(monkeypatch, name):
+    rep = catalog_rep(name)
+    solved = []
+    real = rd._commutation_system
+
+    def counting(generators, m):
+        solved.append(m)
+        return real(generators, m)
+
+    monkeypatch.setattr(rd, "_commutation_system", counting)
+    rd.commutant_basis.cache_clear()
+    lower_bound_certificate(rep, 3, samples=5)
+    assert solved == [rep.degree]
+    # a second certificate on an equal rep reuses the memoized basis
+    lower_bound_certificate(close_group(rep.generators), 2, samples=3, coefficient_box=1)
+    assert solved == [rep.degree]
 
 
 def test_lower_bound_needs_irreducible():
