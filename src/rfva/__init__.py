@@ -25,6 +25,7 @@ from .grouprep import (
     character_of_rep,
     close_group,
     conjugacy_classes,
+    is_abelian_image,
     validate_rep,
 )
 from .lattice import (
@@ -45,7 +46,6 @@ from .repdecomp import (
     exponent_k,
     exponent_report,
     inner_product,
-    is_abelian_image,
     k_from_character_table,
     q_split,
     split_mod_p,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import UnknownName
+from .errors import NotInvariant, UnknownName
 from .exactalg import IntMatrix
 from .grouprep import Rep, close_group
 from .repdecomp import CharacterTable
@@ -71,7 +71,8 @@ def _std_sym_generators(n):
             for s in range(n - 1):
                 acc += img[s]
                 rows[s][t] = acc
-            assert acc + img[n - 1] == 0
+            if acc + img[n - 1] != 0:
+                raise NotInvariant("the sum-zero sublattice is not invariant")
         out.append(IntMatrix.from_rows(rows))
     return tuple(out)
 
@@ -142,6 +143,11 @@ def _block_diag(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     for i in range(k):
         rows.append([0] * n + list(b.row(i)))
     return IntMatrix.from_rows(rows)
+
+
+# Catalog representation -> names of catalog matrices commuting with it, the
+# worked commutant-certificate examples that ship with the representation.
+COMMUTANT_EXAMPLES = {"quaternion_paper": ("quaternion_commutant",)}
 
 
 def catalog_matrix(name: str) -> IntMatrix:

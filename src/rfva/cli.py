@@ -31,6 +31,7 @@ from .grouprep import (
     character_of_rep,
     close_group,
     conjugacy_classes,
+    is_abelian_image,
     validate_rep,
 )
 
@@ -116,9 +117,9 @@ def _resolve_rep(specifier: str, cfg: RunConfig):
             table = catalog.catalog_character_table(name)
         except UnknownName:
             table = None
-        examples = ()
-        if name == "quaternion_paper":
-            examples = (catalog.catalog_matrix("quaternion_commutant"),)
+        examples = tuple(
+            catalog.catalog_matrix(b) for b in catalog.COMMUTANT_EXAMPLES.get(name, ())
+        )
         return rep, table, examples
     if specifier.startswith("z:"):
         m = int(specifier[2:])
@@ -290,7 +291,7 @@ def _cmd_verify(args, cfg):
     )
     _check(
         "abelian image iff k = 1",
-        repdecomp.is_abelian_image(rep) == (report.k == 1),
+        is_abelian_image(rep) == (report.k == 1),
         failures,
     )
     split = repdecomp.q_split(rep, seed=cfg.seed)
@@ -339,9 +340,11 @@ def _dump_rep_file(name: str) -> dict:
         }
     except UnknownName:
         pass
-    if name == "quaternion_paper":
-        b = catalog.catalog_matrix("quaternion_commutant")
-        doc["commutant_examples"] = [[list(r) for r in b.entries]]
+    examples = catalog.COMMUTANT_EXAMPLES.get(name)
+    if examples:
+        doc["commutant_examples"] = [
+            [list(r) for r in catalog.catalog_matrix(b).entries] for b in examples
+        ]
     return doc
 
 

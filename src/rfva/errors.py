@@ -69,6 +69,10 @@ class UnsoundSplit(RfvaError):
     """A splitting step fails its own check; indicates a bug."""
 
 
+class UnsoundMinpoly(RfvaError):
+    """A minimal polynomial fails Cayley-Hamilton or Gauss's lemma; indicates a bug."""
+
+
 class InexactDivision(RfvaError):
     """An integer division that must be exact left a remainder; indicates a bug."""
 

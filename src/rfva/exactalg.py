@@ -16,11 +16,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import ZZ
+from sympy import ZZ, isprime
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.galoistools import gf_factor
 
-from .errors import DimensionMismatch, InexactDivision, NotAPower, SingularMatrix
+from .errors import (
+    DimensionMismatch,
+    InexactDivision,
+    NotAPower,
+    RfvaError,
+    SingularMatrix,
+    UnsoundMinpoly,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +225,7 @@ class IntPoly:
         return result
 
     def evaluate_matrix(self, m: IntMatrix) -> IntMatrix:
-        acc = IntMatrix.identity(m.rows).scale(self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * m + IntMatrix.identity(m.rows).scale(c)
-        return acc
+        return IntMatrix.from_rows(_poly_eval_matrix(self.coeffs, m.entries, None))
 
     def __str__(self):
         terms = []
@@ -434,54 +438,168 @@ def minpoly(m: IntMatrix) -> IntPoly:
     """Monic minimal polynomial of an integer matrix (integral by Gauss)."""
     if not m.is_square():
         raise DimensionMismatch("minpoly of a non-square matrix")
-    n = m.rows
-    powers = [IntMatrix.identity(n)]
-    for d in range(1, n + 1):
-        powers.append(powers[-1] * m)
-        # solve sum_i c_i vec(M^i) = vec(M^d) over Q
-        cols = [
-            [Fraction(powers[i][r, c]) for i in range(d)]
-            for r in range(n)
-            for c in range(n)
-        ]
-        rhs = [Fraction(powers[d][r, c]) for r in range(n) for c in range(n)]
-        sol = _solve_rational(cols, rhs)
-        if sol is not None:
-            coeffs = [-x for x in sol] + [Fraction(1)]
-            assert all(x.denominator == 1 for x in coeffs)
-            return IntPoly(tuple(int(x) for x in coeffs))
-    raise AssertionError("Cayley-Hamilton guarantees degree <= n")
+    coeffs = _matrix_minpoly(m.entries, None)
+    if any(x.denominator != 1 for x in coeffs):
+        raise UnsoundMinpoly("minimal polynomial of an integer matrix is not integral")
+    return IntPoly(tuple(int(x) for x in coeffs))
 
 
-def _solve_rational(rows_of_cols, rhs):
-    """Solve A x = b where A is given as list of rows over Fraction; None if none."""
-    n_rows = len(rows_of_cols)
-    n_cols = len(rows_of_cols[0]) if n_rows else 0
-    a = [list(row) + [rhs[i]] for i, row in enumerate(rows_of_cols)]
+# ---------------------------------------------------------------------------
+# linear algebra over a field: lists of rows over Q (p None, Fraction
+# entries) or over F_p (p prime, entries in [0, p))
+
+
+def _fval(x, p):
+    return Fraction(x) if p is None else x % p
+
+
+def _finv(x, p):
+    return 1 / x if p is None else pow(x, p - 2, p)
+
+
+def _mat_mul(a, b, p):
+    bt = list(zip(*b))
+    if p is None:
+        return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
+
+
+def _mat_add(a, b, p):
+    if p is None:
+        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _mat_scale(a, c, p):
+    if p is None:
+        return [[c * x for x in row] for row in a]
+    return [[(c * x) % p for x in row] for row in a]
+
+
+def _identity(n, p):
+    one = _fval(1, p)
+    zero = _fval(0, p)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _rref(rows, p):
+    """Reduced row echelon form of a matrix over Q (p None) or F_p.
+
+    Returns (reduced rows, pivot columns); the input is not modified.  The
+    form is unique, so the kernels, solutions, inverses and ranks derived
+    from it do not depend on how it was reached.
+    """
+    if p is None:
+        a = [[Fraction(x) for x in row] for row in rows]
+
+        def eliminated(row, f, pivot_row):
+            return [x - f * y for x, y in zip(row, pivot_row)]
+    else:
+        a = [[x % p for x in row] for row in rows]
+
+        def eliminated(row, f, pivot_row):
+            return [(x - f * y) % p for x, y in zip(row, pivot_row)]
+    n_rows = len(a)
+    n_cols = len(a[0]) if a else 0
     pivots = []
     r = 0
     for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
+        if r == n_rows:
+            break
+        piv = next((i for i in range(r, n_rows) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        (pivot_row,) = _mat_scale([a[r]], _finv(a[r][c], p), p)
+        a[r] = pivot_row
         for i in range(n_rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            if i != r and a[i][c]:
+                a[i] = eliminated(a[i], a[i][c], pivot_row)
         pivots.append(c)
         r += 1
-        if r == n_rows:
-            break
-    for i in range(r, n_rows):
-        if a[i][n_cols] != 0:
-            return None
-    sol = [Fraction(0)] * n_cols
+    return a, pivots
+
+
+def _kernel(rows, p):
+    """Basis of {v : A v = 0}, one vector per free column of the RREF."""
+    red, pivots = _rref(rows, p)
+    n_cols = len(rows[0])
+    one, zero = _fval(1, p), _fval(0, p)
+    basis = []
+    for fc in (c for c in range(n_cols) if c not in pivots):
+        v = [zero] * n_cols
+        v[fc] = one
+        for i, pc in enumerate(pivots):
+            v[pc] = _fval(-red[i][fc], p)
+        basis.append(tuple(v))
+    return basis
+
+
+def _solve(a_rows, rhs_cols, p):
+    """Solve A X = B column by column, free unknowns 0; RfvaError if inconsistent."""
+    d = len(a_rows[0])
+    aug = [list(row) + [col[i] for col in rhs_cols] for i, row in enumerate(a_rows)]
+    red, pivots = _rref(aug, p)
+    if pivots and pivots[-1] >= d:
+        raise RfvaError("inconsistent linear system (vector not in subspace)")
+    sols = [[_fval(0, p)] * d for _ in rhs_cols]
     for i, c in enumerate(pivots):
-        sol[c] = a[i][n_cols]
-    return sol
+        for j, sol in enumerate(sols):
+            sol[c] = red[i][d + j]
+    return sols
+
+
+def _inverse(a, p):
+    """Inverse of a square field matrix by Gauss-Jordan on [A | I]."""
+    n = len(a)
+    red, pivots = _rref([list(row) + ident for row, ident in zip(a, _identity(n, p))], p)
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrix("matrix is singular")
+    return [row[n:] for row in red]
+
+
+def _rank(rows, p):
+    return len(_rref(rows, p)[1])
+
+
+def _poly_eval_matrix(coeffs, m, p):
+    """Evaluate an ascending-coefficient polynomial at a square field matrix."""
+    n = len(m)
+    acc = _mat_scale(_identity(n, p), _fval(coeffs[-1], p), p)
+    for c in reversed(coeffs[:-1]):
+        acc = _mat_mul(acc, m, p)
+        for i in range(n):
+            acc[i][i] = _fval(acc[i][i] + c, p)
+    return acc
+
+
+def _matrix_minpoly(m, p):
+    """Monic minimal polynomial (ascending coefficients) of a field matrix.
+
+    Finds the least d with M^d in the span of I, M, ..., M^(d-1); the RREF
+    of the columns vec(M^0), ..., vec(M^d) holds its coordinates there.
+    """
+    n = len(m)
+    powers = [_identity(n, p)]
+    for d in range(1, n + 1):
+        powers.append(_mat_mul(powers[-1], m, p))
+        red, pivots = _rref([[pw[r][c] for pw in powers] for r in range(n) for c in range(n)], p)
+        if len(pivots) == d:
+            return [_fval(-red[i][d], p) for i in range(d)] + [_fval(1, p)]
+    raise UnsoundMinpoly(f"no annihilating polynomial of degree <= {n} (Cayley-Hamilton)")
+
+
+# ---------------------------------------------------------------------------
+# the prime search shared by the splits, the witnesses and the lower bound
+
+
+def _primes_one_mod(n: int, bound: int):
+    """Primes p <= bound with p = 1 mod n, in increasing order."""
+    candidate = n + 1
+    while candidate <= bound:
+        if isprime(candidate):
+            yield candidate
+        candidate += n
 
 
 # ---------------------------------------------------------------------------
@@ -495,76 +613,16 @@ def kernel(m) -> list[tuple]:
     of Fractions/ints (kernel over Q).
     """
     if isinstance(m, FpMatrix):
-        return kernel_fp([list(r) for r in m.entries], m.modulus)
-    if isinstance(m, IntMatrix):
-        rows = [[Fraction(x) for x in r] for r in m.entries]
-    else:
-        rows = [[Fraction(x) for x in r] for r in m]
-    return kernel_q(rows)
+        return kernel_fp(m.entries, m.modulus)
+    return kernel_q(m.entries if isinstance(m, IntMatrix) else m)
 
 
 def kernel_q(rows: list[list[Fraction]]) -> list[tuple[Fraction, ...]]:
-    n_rows = len(rows)
-    n_cols = len(rows[0])
-    a = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n_rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
-        basis.append(tuple(v))
-    return basis
+    return _kernel(rows, None)
 
 
 def kernel_fp(rows: list[list[int]], p: int) -> list[tuple[int, ...]]:
-    n_rows = len(rows)
-    n_cols = len(rows[0])
-    a = [[x % p for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if a[i][c] % p != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [(x * inv) % p for x in a[r]]
-        for i in range(n_rows):
-            if i != r and a[i][c] % p != 0:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * n_cols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-a[i][fc]) % p
-        basis.append(tuple(v))
-    return basis
+    return _kernel(rows, p)
 
 
 # ---------------------------------------------------------------------------

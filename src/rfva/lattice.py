@@ -35,9 +35,17 @@ from .errors import (
     UnsoundWitness,
     ZeroVector,
 )
-from .exactalg import IntMatrix, Lattice, det, hnf, row_echelon_transform
+from .exactalg import (
+    IntMatrix,
+    Lattice,
+    _primes_one_mod,
+    _solve,
+    det,
+    hnf,
+    row_echelon_transform,
+)
 from .grouprep import Rep
-from .repdecomp import DEFAULT_SEED, _solve_columns, commutant_basis, split_mod_p
+from .repdecomp import DEFAULT_SEED, commutant_basis, split_mod_p
 
 FAMILY_KINDS = ("nu", "inv", "com")
 DEFAULT_COEFFICIENT_BOX = 2
@@ -263,13 +271,7 @@ def upper_bound_witness(
     if all(x == 0 for x in v):
         raise ZeroVector("the witness construction needs a nonzero vector")
     a = next(x for x in v if x != 0)
-    p = None
-    candidate = 1
-    while candidate <= prime_bound:
-        candidate += rep.order if rep.order > 1 else 1
-        if sympy.isprime(candidate) and a % candidate != 0:
-            p = candidate
-            break
+    p = next((p for p in _primes_one_mod(rep.order, prime_bound) if a % p), None)
     if p is None:
         raise PrimeSearchFailed(
             f"no prime = 1 mod {rep.order} coprime to {a} below {prime_bound}"
@@ -278,7 +280,7 @@ def upper_bound_witness(
     subspaces = cons.subspaces
     full_basis = [vec for _, basis in subspaces for vec in basis]
     a_rows = [[full_basis[t][i] for t in range(rep.degree)] for i in range(rep.degree)]
-    (coords,) = _solve_columns(a_rows, [[x % p for x in v]], p)
+    (coords,) = _solve(a_rows, [v], p)
     chosen = None
     offset = 0
     for si, (dim, basis) in enumerate(subspaces):

@@ -38,7 +38,6 @@ from .errors import (
     NotIrreducible,
     NotOrthonormal,
     PrimeSearchFailed,
-    RfvaError,
     SingularMatrix,
     UnresolvedClassWord,
     UnsoundCommutant,
@@ -48,6 +47,17 @@ from .exactalg import (
     FpMatrix,
     IntMatrix,
     IntPoly,
+    _fval,
+    _identity,
+    _inverse,
+    _mat_add,
+    _mat_mul,
+    _mat_scale,
+    _matrix_minpoly,
+    _poly_eval_matrix,
+    _primes_one_mod,
+    _rank,
+    _solve,
     adjugate,
     charpoly,
     det,
@@ -67,129 +77,11 @@ from .grouprep import (
     close_group,
     conjugacy_classes,
 )
-from .grouprep import is_abelian_image as _group_is_abelian
 
 DEFAULT_SEED = 0
 CONSECUTIVE_IRREDUCIBLE = 20
 SPLIT_TRY_BUDGET = 200
 DEFAULT_PRIME_BOUND = 200_000
-
-
-# ---------------------------------------------------------------------------
-# small exact linear algebra over a field (p=None means Q)
-
-
-def _fval(x, p):
-    return Fraction(x) if p is None else x % p
-
-
-def _finv(x, p):
-    return 1 / x if p is None else pow(x, p - 2, p)
-
-
-def _mat_mul(a, b, p):
-    bt = list(zip(*b))
-    if p is None:
-        return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
-
-
-def _mat_add(a, b, p):
-    if p is None:
-        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_scale(a, c, p):
-    if p is None:
-        return [[c * x for x in row] for row in a]
-    return [[(c * x) % p for x in row] for row in a]
-
-
-def _identity(n, p):
-    one = _fval(1, p)
-    zero = _fval(0, p)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def _solve_columns(a_rows, rhs_cols, p):
-    """Solve A X = B columnwise; returns X columns or raises if inconsistent."""
-    n = len(a_rows)
-    d = len(a_rows[0])
-    q = len(rhs_cols)
-    aug = [
-        [_fval(x, p) for x in a_rows[i]] + [_fval(rhs_cols[j][i], p) for j in range(q)]
-        for i in range(n)
-    ]
-    pivots = []
-    r = 0
-    for c in range(d):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = _finv(aug[r][c], p)
-        aug[r] = [x * inv if p is None else (x * inv) % p for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                if p is None:
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-                else:
-                    aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if any(aug[i][d + j] != 0 for j in range(q)):
-            raise RfvaError("inconsistent linear system (vector not in subspace)")
-    zero = _fval(0, p)
-    sols = [[zero] * d for _ in range(q)]
-    for i, c in enumerate(pivots):
-        for j in range(q):
-            sols[j][c] = aug[i][d + j]
-    return sols
-
-
-def _mat_inverse(a, p):
-    n = len(a)
-    cols = _solve_columns(a, list(zip(*_identity(n, p))), p)
-    return [list(row) for row in zip(*cols)]
-
-
-def _kernel(rows, p):
-    if p is None:
-        return kernel_q([[Fraction(x) for x in r] for r in rows])
-    return kernel_fp([[x % p for x in r] for r in rows], p)
-
-
-def _poly_eval_matrix(coeffs, m, p):
-    """Evaluate an ascending-coefficient polynomial at a square field matrix."""
-    n = len(m)
-    acc = _mat_scale(_identity(n, p), _fval(coeffs[-1], p), p)
-    for c in reversed(coeffs[:-1]):
-        acc = _mat_add(_mat_mul(acc, m, p), _mat_scale(_identity(n, p), _fval(c, p), p), p)
-    return acc
-
-
-def _matrix_minpoly(m, p):
-    """Monic minimal polynomial (ascending coefficients) of a field matrix."""
-    n = len(m)
-    powers = [_identity(n, p)]
-    for d in range(1, n + 1):
-        powers.append(_mat_mul(powers[-1], m, p))
-        a_rows = [
-            [powers[i][r][c] for i in range(d)] for r in range(n) for c in range(n)
-        ]
-        rhs = [powers[d][r][c] for r in range(n) for c in range(n)]
-        try:
-            (sol,) = _solve_columns(a_rows, [rhs], p)
-        except RfvaError:
-            continue
-        coeffs = [-x if p is None else (-x) % p for x in sol] + [_fval(1, p)]
-        return coeffs
-    raise AssertionError("minimal polynomial must have degree <= n")
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +123,9 @@ def commutant_basis(rep: Rep, p: int | None = None) -> CommutantBasis:
     m = rep.degree
     rows = _commutation_system(rep.generators, m)
     if p is None:
-        vecs = kernel_q([[Fraction(x) for x in r] for r in rows])
+        vecs = kernel_q(rows)
         if not vecs:
-            raise AssertionError("commutant always contains the identity")
+            raise UnsoundCommutant("the commutant has no identity matrix")
         zbasis = saturate(vecs)
         mats = tuple(
             IntMatrix.from_rows(
@@ -245,7 +137,7 @@ def commutant_basis(rep: Rep, p: int | None = None) -> CommutantBasis:
             if any(b * g != g * b for g in rep.generators):
                 raise UnsoundCommutant("a commutant basis matrix does not commute")
         return CommutantBasis(field="Q", matrices=mats)
-    vecs = kernel_fp([[x % p for x in r] for r in rows], p)
+    vecs = kernel_fp(rows, p)
     mats = tuple(
         FpMatrix(p, tuple(tuple(v[r * m + c] for c in range(m)) for r in range(m)))
         for v in vecs
@@ -272,52 +164,37 @@ class _ModuleSplitter:
         self.rep = rep
         self.p = p
         self.rng = rng
-        self.m = rep.degree
 
     # -- subspace plumbing
 
+    def kernel(self, rows):
+        return kernel_q(rows) if self.p is None else kernel_fp(rows, self.p)
+
     def restrict(self, mat, basis):
         """Action of an ambient matrix on a subspace, in basis coordinates."""
-        p = self.p
-        a_rows = [[_fval(v[i], p) for v in basis] for i in range(self.m)]
-        rhs = [[_fval(x, p) for x in mat.apply(tuple(v))] for v in basis]
-        cols = _solve_columns(a_rows, rhs, p)
+        cols = _solve(list(zip(*basis)), [mat.apply(tuple(v)) for v in basis], self.p)
         return [list(row) for row in zip(*cols)]  # column t = coords of image of basis[t]
 
     def restricted_generators(self, basis):
-        gens = self.rep.generators
-        if self.p is not None:
-            gens = tuple(FpMatrix.from_int(g, self.p) for g in gens)
-        return [self.restrict(g, basis) for g in gens]
+        return [self.restrict(g, basis) for g in self.rep.generators]
 
     def restricted_commutant(self, r_gens, d):
         rows = []
         for g in r_gens:
             for i in range(d):
                 for j in range(d):
-                    row = [_fval(0, self.p)] * (d * d)
+                    row = [0] * (d * d)
                     for k in range(d):
                         row[i * d + k] += g[k][j]
                         row[k * d + j] -= g[i][k]
-                    if self.p is not None:
-                        row = [x % self.p for x in row]
                     rows.append(row)
-        vecs = _kernel(rows, self.p)
+        vecs = self.kernel(rows)
         return [
             [list(v[r * d : (r + 1) * d]) for r in range(d)] for v in vecs
         ]
 
     def coords_to_ambient(self, coord_vecs, basis):
-        out = []
-        for cv in coord_vecs:
-            vec = [_fval(0, self.p)] * self.m
-            for c, bvec in zip(cv, basis):
-                for i in range(self.m):
-                    vec[i] += _fval(c, self.p) * _fval(bvec[i], self.p)
-            if self.p is not None:
-                vec = [x % self.p for x in vec]
-            out.append(tuple(vec))
-        return out
+        return [tuple(v) for v in _mat_mul(coord_vecs, basis, self.p)]
 
     def invariant_complement(self, basis, w_coords):
         """Invariant complement of span(w_coords) inside span(basis).
@@ -345,12 +222,12 @@ class _ModuleSplitter:
                 ext.append(unit)
         t_mat = [list(col) for col in zip(*ext)]  # columns are the new basis
         e_proj = [[_fval(1 if (i == j and i < e) else 0, p) for j in range(d)] for i in range(d)]
-        t_inv = _mat_inverse(t_mat, p)
+        t_inv = _inverse(t_mat, p)
         proj0 = _mat_mul(_mat_mul(t_mat, e_proj, p), t_inv, p)
         # B+ solves B^T X = I with free unknowns 0: the inverse of d
         # independent rows of B, placed in their columns
         b_t = [[_fval(x, p) for x in v] for v in basis]
-        b_plus = _solve_columns(b_t, _identity(d, p), p)
+        b_plus = _solve(b_t, _identity(d, p), p)
         b_mat = [list(row) for row in zip(*b_t)]
         m_mat = _mat_mul(_mat_mul(b_mat, proj0, p), b_plus, p)
         if p is None:
@@ -362,7 +239,7 @@ class _ModuleSplitter:
             scale = pow(self.rep.order % p, p - 2, p)
         s_mat = _conjugation_sum(self.rep, m_int)  # reduced mod p by _mat_mul
         pbar = _mat_scale(_mat_mul(_mat_mul(b_plus, s_mat, p), b_mat, p), scale, p)
-        comp_coords = _kernel(pbar, p)
+        comp_coords = self.kernel(pbar)
         if len(comp_coords) != d - e:
             raise UnsoundSplit(
                 f"averaged projection has kernel dimension {len(comp_coords)}, not {d - e}"
@@ -437,7 +314,7 @@ class _ModuleSplitter:
             consecutive = 0
             f0 = factors[0][0]
             fz = _poly_eval_matrix(list(f0), z, self.p)
-            w_coords = _kernel(fz, self.p)
+            w_coords = self.kernel(fz)
             if not (0 < len(w_coords) < d):
                 continue
             comp_coords = self.invariant_complement(basis, w_coords)
@@ -457,13 +334,6 @@ def _conjugation_sum(rep: Rep, m_int):
         term = _mat_mul(_mat_mul(h.entries, m_int, None), els[h_inv].entries, None)
         acc = _mat_add(acc, term, None)
     return acc
-
-
-def _rank(rows, p):
-    if not rows:
-        return 0
-    # kernel of the transpose gives the row dependencies
-    return len(rows) - len(_kernel([list(col) for col in zip(*rows)], p))
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +393,7 @@ def split_mod_p(rep: Rep, p: int, seed: int = DEFAULT_SEED) -> Constituents:
         d = len(basis)
         traces = []
         for ci in classes.representatives:
-            r = splitter.restrict(FpMatrix.from_int(rep.elements[ci], p), basis)
+            r = splitter.restrict(rep.elements[ci], basis)
             traces.append(sum(r[i][i] for i in range(d)) % p)
         key = (d, tuple(traces))
         if key not in keyed:
@@ -535,27 +405,14 @@ def split_mod_p(rep: Rep, p: int, seed: int = DEFAULT_SEED) -> Constituents:
         for key in order
     )
     total = sum(g.dimension * g.multiplicity for g in groups)
-    assert total == rep.degree
+    if total != rep.degree:
+        raise UnsoundSplit(f"constituent dimensions sum to {total}, not {rep.degree}")
     return Constituents(field=p, groups=groups)
 
 
 # ---------------------------------------------------------------------------
 # the exponent
 
-
-def _primes_one_mod(n: int, bound: int):
-    if n == 1:
-        candidate = 2
-        while candidate <= bound:
-            if sympy.isprime(candidate):
-                yield candidate
-            candidate = sympy.nextprime(candidate)
-        return
-    candidate = n + 1
-    while candidate <= bound:
-        if sympy.isprime(candidate):
-            yield candidate
-        candidate += n
 
 @dataclass(frozen=True)
 class ExponentReport:
@@ -662,9 +519,10 @@ def q_split(rep: Rep, seed: int = DEFAULT_SEED) -> QSplit:
         )
         return QSplit(components=(comp,))
     all_vecs = [v for part in parts for v in part]
-    assert len(all_vecs) == m
+    if len(all_vecs) != m:
+        raise UnsoundSplit(f"Q-constituent bases hold {len(all_vecs)} vectors, not {m}")
     s_mat = [[Fraction(all_vecs[j][i]) for j in range(m)] for i in range(m)]
-    s_inv = _mat_inverse(s_mat, None)
+    s_inv = _inverse(s_mat, None)
     components = []
     offset = 0
     for part in parts:
@@ -680,29 +538,22 @@ def q_split(rep: Rep, seed: int = DEFAULT_SEED) -> QSplit:
         int_rows = [[int(proj[i][j] * denom) for i in range(m)] for j in range(m)]
         h, _ = row_echelon_transform(IntMatrix.from_rows(int_rows))
         num_rows = [r for r in h if any(x != 0 for x in r)]
-        assert len(num_rows) == d
+        if len(num_rows) != d:
+            raise UnsoundSplit(f"projected lattice has rank {len(num_rows)}, not {d}")
         basis_num = IntMatrix.from_rows(num_rows)
         basis_vecs = [
             tuple(Fraction(x, denom) for x in basis_num.row(t)) for t in range(d)
         ]
-        a_rows = [[basis_vecs[s][i] for s in range(d)] for i in range(m)]
-        child_gens = []
-        for g in rep.generators:
-            rhs = []
-            for bv in basis_vecs:
-                img = [
-                    sum(Fraction(g[i, j]) * bv[j] for j in range(m)) for i in range(m)
-                ]
-                rhs.append(img)
-            cols = _solve_columns(a_rows, rhs, None)
-            assert all(c.denominator == 1 for col in cols for c in col)
-            child_gens.append(
-                IntMatrix.from_rows(
-                    [[int(cols[t][s]) for t in range(d)] for s in range(d)]
-                )
+        child_gens = [splitter.restrict(g, basis_vecs) for g in rep.generators]
+        if any(x.denominator != 1 for g in child_gens for row in g for x in row):
+            raise UnsoundSplit("a generator acts non-integrally on a projected lattice")
+        child = close_group(
+            [IntMatrix.from_rows(g) for g in child_gens], element_bound=rep.order + 1
+        )
+        if rep.order % child.order:
+            raise UnsoundSplit(
+                f"constituent image order {child.order} does not divide |H| = {rep.order}"
             )
-        child = close_group(child_gens, element_bound=rep.order + 1)
-        assert rep.order % child.order == 0
         components.append(
             QComponent(
                 dimension=d, basis_numerator=basis_num, denominator=denom, rep=child
@@ -805,10 +656,6 @@ def k_from_character_table(rep: Rep, table: CharacterTable) -> CharacterDecompos
     )
 
 
-def is_abelian_image(rep: Rep) -> bool:
-    return _group_is_abelian(rep)
-
-
 # ---------------------------------------------------------------------------
 # invariant lattices from matrices and the commutant certificate
 
@@ -827,9 +674,8 @@ def conjugate_rep(rep: Rep, b: IntMatrix) -> Rep:
             if not lat.contains(gb.col(j)):
                 raise NotInvariant("Im(B) is not invariant under the action")
         num = adj * gb
-        assert all(
-            num[i, j] % d == 0 for i in range(rep.degree) for j in range(rep.degree)
-        )
+        if any(x % d for row in num.entries for x in row):
+            raise InexactDivision(f"adj(B) g B is not divisible by det B = {d}")
         new_gens.append(
             IntMatrix.from_rows(
                 [[num[i, j] // d for j in range(rep.degree)] for i in range(rep.degree)]

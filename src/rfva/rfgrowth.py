@@ -12,7 +12,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
 import sympy
 
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
     SearchBoundExceeded,
     ZeroVector,
 )
-from .exactalg import IntMatrix, det
+from .exactalg import IntMatrix, _primes_one_mod, det
 from .grouprep import Rep
 from .lattice import FamilySpec, enumerate_family
 from .repdecomp import (
@@ -177,12 +176,15 @@ def exponent_fit(profile: RFProfile):
         raise InsufficientData(
             "need >= 5 points with radii spanning a factor of 10"
         )
-    xs = np.log(np.log([float(r) for r, _ in pts]))
-    ys = np.log([float(v) for _, v in pts])
-    a = np.vstack([xs, np.ones_like(xs)]).T
-    sol, res, _, _ = np.linalg.lstsq(a, ys, rcond=None)
-    residual = float(res[0]) if len(res) else 0.0
-    return float(sol[0]), residual
+    xs = [math.log(math.log(r)) for r, _ in pts]
+    ys = [math.log(v) for _, v in pts]
+    x_bar = sum(xs) / len(xs)
+    y_bar = sum(ys) / len(ys)
+    slope = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / sum(
+        (x - x_bar) ** 2 for x in xs
+    )
+    residual = sum((y - y_bar - slope * (x - x_bar)) ** 2 for x, y in zip(xs, ys))
+    return slope, residual
 
 
 def lower_bound_certificate(
@@ -245,19 +247,10 @@ def smallest_valid_prime(m: int, n: int, bound: int = 10_000_000) -> int:
     """Least prime p with p = 1 mod n and p not dividing m."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    if n == 1:
-        p = 2
-        while p <= bound:
-            if m % p != 0:
-                return p
-            p = sympy.nextprime(p)
-    else:
-        p = 1 + n
-        while p <= bound:
-            if sympy.isprime(p) and m % p != 0:
-                return p
-            p += n
-    raise SearchBoundExceeded(f"no prime = 1 mod {n} coprime to {m} below {bound}")
+    p = next((p for p in _primes_one_mod(n, bound) if m % p), None)
+    if p is None:
+        raise SearchBoundExceeded(f"no prime = 1 mod {n} coprime to {m} below {bound}")
+    return p
 
 
 def chebyshev_psi(s: int) -> float:

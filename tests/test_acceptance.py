@@ -14,7 +14,7 @@ import sympy
 from rfva.catalog import catalog_character_table, catalog_matrix, catalog_rep
 from rfva.errors import BudgetExceeded
 from rfva.exactalg import IntMatrix, IntPoly, det, hnf, snf
-from rfva.grouprep import close_group
+from rfva.grouprep import close_group, is_abelian_image
 from rfva.lattice import (
     FamilySpec,
     is_invariant_lattice,
@@ -26,7 +26,6 @@ from rfva.repdecomp import (
     exponent_k,
     exponent_report,
     inner_product,
-    is_abelian_image,
     k_from_character_table,
     split_mod_p,
 )

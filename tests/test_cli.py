@@ -50,6 +50,14 @@ def test_witness_command(capsys):
     assert "prime: 17" in out
 
 
+def test_witness_prime_search_bound(capsys):
+    argv = ["witness", "catalog:d4_paper", "--vector", "1,0,0"]
+    assert run(["--prime-search-bound", "16"] + argv) == EXIT_COMPUTE
+    assert "no prime = 1 mod 8 coprime to 1 below 16" in capsys.readouterr().err
+    assert run(["--prime-search-bound", "17"] + argv) == EXIT_OK
+    assert "prime: 17" in capsys.readouterr().out
+
+
 def test_verify_lemmas(capsys):
     assert run(["verify", "catalog:quaternion_paper"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -101,6 +109,17 @@ def test_catalog_dump_roundtrip(tmp_path, capsys):
     # and the reloaded file drives the same answers through the CLI
     assert run(["k", str(out_path)]) == EXIT_OK
     assert "k = 2" in capsys.readouterr().out
+
+
+def test_catalog_dump_carries_commutant_examples(capsys):
+    assert run(["catalog", "dump", "quaternion_paper"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["commutant_examples"] == [
+        [[1, -1, -2, 0], [1, 1, 0, 2], [2, 0, 1, -1], [0, -2, 1, 1]]
+    ]
+    assert list(doc)[-1] == "commutant_examples"
+    assert run(["catalog", "dump", "d4_paper"]) == EXIT_OK
+    assert "commutant_examples" not in json.loads(capsys.readouterr().out)
 
 
 def test_exit_codes():

@@ -5,11 +5,19 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
-from rfva.errors import NotAPower
+from rfva.errors import NotAPower, RfvaError, SingularMatrix
 from rfva.exactalg import (
     IntMatrix,
     IntPoly,
+    _identity,
+    _inverse,
+    _matrix_minpoly,
+    _poly_eval_matrix,
+    _rank,
+    _rref,
+    _solve,
     adjugate,
     charpoly,
     det,
@@ -314,3 +322,136 @@ def test_lattice_contains():
     lat = hnf(IntMatrix.from_rows([[2, 0], [0, 2]]))
     assert lat.contains((2, 4))
     assert not lat.contains((1, 0))
+
+
+# --- the field-generic elimination against sympy ----------------------------
+
+# None is Q; 17 and 241 are primes = 1 mod 8 and mod 240, as the splits use
+FIELDS = (None, 2, 17, 241)
+ENTRIES = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 7, 16, 240))
+
+
+@st.composite
+def field_matrices(draw, square=False, max_size=5):
+    """Small integer matrices, wide and tall, full rank or not, often with
+    zero rows and columns; half of them are products of rank <= k."""
+    n_rows = draw(st.integers(1, max_size))
+    n_cols = n_rows if square else draw(st.integers(1, max_size))
+
+    def block(r, c):
+        return draw(st.lists(st.lists(ENTRIES, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        return block(n_rows, n_cols)
+    k = draw(st.integers(0, min(n_rows, n_cols)))
+    left, right = block(n_rows, k), block(k, n_cols)
+    return [[sum(l[t] * right[t][j] for t in range(k)) for j in range(n_cols)] for l in left]
+
+
+def _ours(x, p):
+    return Fraction(int(x.numerator), int(x.denominator)) if p is None else int(x) % p
+
+
+def _domain_matrix(rows, p):
+    field = sympy.GF(p)
+    return DomainMatrix([[field(x) for x in r] for r in rows], (len(rows), len(rows[0])), field)
+
+
+def _sympy_rref(rows, p):
+    if p is None:
+        red, pivots = sympy.Matrix(rows).rref()
+        return [[_ours(x, p) for x in red.row(i)] for i in range(red.rows)], list(pivots)
+    red, pivots = _domain_matrix(rows, p).rref()
+    return [[_ours(x, p) for x in r] for r in red.to_list()], list(pivots)
+
+
+def _sympy_nullspace(rows, p):
+    """Kernel basis over Q, or a reduced basis of the kernel over F_p (GF(p)
+    scales its basis vectors differently from Matrix.nullspace)."""
+    if p is None:
+        return [tuple(_ours(x, p) for x in v) for v in sympy.Matrix(rows).nullspace()]
+    if len(_sympy_rref(rows, p)[1]) == len(rows[0]):
+        return []
+    return _sympy_rref(_domain_matrix(rows, p).nullspace().to_list(), p)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices(), st.sampled_from(FIELDS))
+def test_rref_kernel_and_rank_match_sympy(rows, p):
+    red, pivots = _rref(rows, p)
+    assert (red, pivots) == _sympy_rref(rows, p)
+    assert _rank(rows, p) == len(pivots)
+    if p is None:
+        assert kernel_q(rows) == _sympy_nullspace(rows, p)
+        return
+    kernel_basis = kernel_fp(rows, p)
+    free = [c for c in range(len(rows[0])) if c not in pivots]
+    assert [[v[c] for c in free] for v in kernel_basis] == _identity(len(free), p)
+    reduced = _sympy_rref(kernel_basis, p)[0] if kernel_basis else []
+    assert reduced == _sympy_nullspace(rows, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices(), st.sampled_from(FIELDS), st.data())
+def test_solve_matches_sympy(rows, p, data):
+    n_rows, n_cols = len(rows), len(rows[0])
+    rhs = data.draw(st.lists(st.lists(ENTRIES, min_size=n_rows, max_size=n_rows), min_size=1, max_size=3))
+    aug = [list(r) + [col[i] for col in rhs] for i, r in enumerate(rows)]
+    if len(_sympy_rref(aug, p)[1]) > len(_sympy_rref(rows, p)[1]):
+        with pytest.raises(RfvaError, match="inconsistent"):
+            _solve(rows, rhs, p)
+        return
+    sols = _solve(rows, rhs, p)
+    if p is None:
+        for col, sol in zip(rhs, sols):
+            x, params = sympy.Matrix(rows).gauss_jordan_solve(sympy.Matrix(col))
+            x = x.subs({t: 0 for t in params})
+            assert sol == [_ours(v, p) for v in x]
+        return
+    pivots = _sympy_rref(rows, p)[1]
+    for col, sol in zip(rhs, sols):
+        assert all(sol[c] == 0 for c in range(n_cols) if c not in pivots)
+        assert all(
+            (sum(a * x for a, x in zip(row, sol)) - b) % p == 0 for row, b in zip(rows, col)
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_matrices(square=True), st.sampled_from(FIELDS))
+def test_inverse_matches_sympy(rows, p):
+    n = len(rows)
+    if len(_sympy_rref(rows, p)[1]) < n:
+        with pytest.raises(SingularMatrix):
+            _inverse(rows, p)
+        return
+    if p is None:
+        expected = sympy.Matrix(rows).inv()
+        expected = [[_ours(x, p) for x in expected.row(i)] for i in range(n)]
+    else:
+        expected = [[_ours(x, p) for x in r] for r in _domain_matrix(rows, p).inv().to_list()]
+    assert _inverse(rows, p) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_matrices(square=True, max_size=4), st.sampled_from(FIELDS))
+def test_matrix_minpoly_against_sympy(rows, p):
+    """Monic, divides the charpoly, kills M, and no proper divisor by an
+    irreducible factor kills M (charpoly and factors from sympy)."""
+    x = sympy.Symbol("x")
+    domain = {"domain": "QQ"} if p is None else {"modulus": p}
+    coeffs = _matrix_minpoly(rows, p)
+    assert coeffs[-1] == 1
+    f = sympy.Poly(list(reversed(coeffs)), x, **domain)
+    char = sympy.Poly(sympy.Matrix(rows).charpoly(x).as_expr(), x, **domain)
+    assert char.rem(f).is_zero
+
+    def kills(g):
+        value = sympy.zeros(len(rows))
+        for c in g.all_coeffs():
+            value = value * sympy.Matrix(rows) + c * sympy.eye(len(rows))
+        return all((v if p is None else v % p) == 0 for v in value)
+
+    assert kills(f)
+    for g, _ in f.factor_list()[1]:
+        assert not kills(f.quo(g))
+    assert _poly_eval_matrix(coeffs, rows, p) == [[0] * len(rows)] * len(rows)

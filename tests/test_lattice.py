@@ -10,7 +10,7 @@ import sympy
 
 import rfva.lattice as lattice_mod
 from rfva.catalog import catalog_matrix, catalog_rep
-from rfva.errors import DimensionMismatch, SingularMatrix, ZeroVector
+from rfva.errors import DimensionMismatch, PrimeSearchFailed, SingularMatrix, ZeroVector
 from rfva.exactalg import IntMatrix
 from rfva.lattice import (
     FamilySpec,
@@ -123,6 +123,16 @@ def test_witness_examples():
     assert w2.prime == 41
     w3 = upper_bound_witness(catalog_rep("trivial(1)"), (6,))
     assert w3.prime == 5 and w3.index == 5
+
+
+def test_witness_prime_stays_within_the_search_bound():
+    d4 = catalog_rep("d4_paper")
+    with pytest.raises(PrimeSearchFailed):
+        upper_bound_witness(d4, (1, 0, 0), prime_bound=16)
+    assert upper_bound_witness(d4, (1, 0, 0), prime_bound=17).prime == 17
+    with pytest.raises(PrimeSearchFailed):
+        upper_bound_witness(d4, (17, 0, 0), prime_bound=40)
+    assert upper_bound_witness(d4, (17, 0, 0), prime_bound=41).prime == 41
 
 
 def test_witness_rejects_zero():

@@ -21,8 +21,20 @@ from rfva.errors import (
     SingularMatrix,
     UnresolvedClassWord,
 )
-from rfva.exactalg import FpMatrix, IntMatrix, IntPoly, det
-from rfva.grouprep import close_group
+from rfva.exactalg import (
+    FpMatrix,
+    IntMatrix,
+    IntPoly,
+    _fval,
+    _inverse,
+    _kernel,
+    _mat_add,
+    _mat_mul,
+    _mat_scale,
+    _rank,
+    det,
+)
+from rfva.grouprep import close_group, is_abelian_image
 from rfva.repdecomp import (
     CharacterTable,
     commutant_basis,
@@ -31,7 +43,6 @@ from rfva.repdecomp import (
     exponent_k,
     exponent_report,
     inner_product,
-    is_abelian_image,
     k_from_character_table,
     q_split,
     split_mod_p,
@@ -346,25 +357,25 @@ def _complement_by_restricted_average(splitter, basis, w_coords):
     basis coordinates."""
     p = splitter.p
     d, e = len(basis), len(w_coords)
-    ext = [[rd._fval(x, p) for x in w] for w in w_coords]
+    ext = [[_fval(x, p) for x in w] for w in w_coords]
     for j in range(d):
-        unit = [rd._fval(int(i == j), p) for i in range(d)]
-        if len(ext) < d and rd._rank(ext + [unit], p) == len(ext) + 1:
+        unit = [_fval(int(i == j), p) for i in range(d)]
+        if len(ext) < d and _rank(ext + [unit], p) == len(ext) + 1:
             ext.append(unit)
     t_mat = [list(col) for col in zip(*ext)]
-    e_proj = [[rd._fval(int(i == j < e), p) for j in range(d)] for i in range(d)]
-    proj0 = rd._mat_mul(rd._mat_mul(t_mat, e_proj, p), rd._mat_inverse(t_mat, p), p)
+    e_proj = [[_fval(int(i == j < e), p) for j in range(d)] for i in range(d)]
+    proj0 = _mat_mul(_mat_mul(t_mat, e_proj, p), _inverse(t_mat, p), p)
     elements = splitter.rep.elements
     if p is not None:
         elements = [FpMatrix.from_int(h, p) for h in elements]
     restricted = [splitter.restrict(h, basis) for h in elements]
-    acc = [[rd._fval(0, p)] * d for _ in range(d)]
+    acc = [[_fval(0, p)] * d for _ in range(d)]
     for r_h, h_inv in zip(restricted, splitter.rep.inverse_indices):
-        term = rd._mat_mul(rd._mat_mul(r_h, proj0, p), restricted[h_inv], p)
-        acc = rd._mat_add(acc, term, p)
+        term = _mat_mul(_mat_mul(r_h, proj0, p), restricted[h_inv], p)
+        acc = _mat_add(acc, term, p)
     order = splitter.rep.order
     scale = Fraction(1, order) if p is None else pow(order, p - 2, p)
-    return rd._kernel(rd._mat_scale(acc, scale, p), p)
+    return _kernel(_mat_scale(acc, scale, p), p)
 
 
 def _assert_complements_match_oracle(monkeypatch, rep):
@@ -411,10 +422,17 @@ OPTIMIZED_CHECKS = """
 import random
 import sys
 from fractions import Fraction
+import rfva.catalog as cat
 import rfva.exactalg as ea
 import rfva.repdecomp as rd
 from rfva.catalog import catalog_matrix, catalog_rep
-from rfva.errors import InexactDivision, UnsoundSplit
+from rfva.errors import (
+    InexactDivision,
+    NotInvariant,
+    UnsoundCommutant,
+    UnsoundMinpoly,
+    UnsoundSplit,
+)
 
 print("optimize", sys.flags.optimize, __debug__)
 
@@ -433,6 +451,58 @@ real_factor = rd.factor_over_integers
 rd.factor_over_integers = lambda f: (2, real_factor(f)[1])
 expect(UnsoundSplit, "content", splitter.factor_minpoly, [[Fraction(1)]])
 rd.factor_over_integers = real_factor
+
+# g(e0 - e1) = (1, 1) leaves the sum-zero sublattice std_sym is built on
+real_sym = cat._sym_generators
+cat._sym_generators = lambda n: (ea.IntMatrix.from_rows([[1, 0], [1, 0]]),)
+expect(NotInvariant, "std_sym", cat.catalog_rep, "std_sym(2)")
+cat._sym_generators = real_sym
+
+d4 = catalog_rep("d4_paper")
+full = [tuple(int(i == j) for i in range(3)) for j in range(3)]
+# feed split_mod_p and q_split a corrupted split or a corrupted step of it
+real_split = rd._ModuleSplitter.split
+mod17 = real_split(rd._ModuleSplitter(d4, 17, random.Random(0)), full)
+over_q = real_split(rd._ModuleSplitter(d4, None, random.Random(0)), full)
+rd._ModuleSplitter.split = lambda self, basis: mod17[:-1]
+expect(UnsoundSplit, "split total", rd.split_mod_p, d4, 17)
+rd._ModuleSplitter.split = lambda self, basis: over_q + over_q[:1]
+expect(UnsoundSplit, "q vectors", rd.q_split, d4)
+rd._ModuleSplitter.split = lambda self, basis: over_q
+real_echelon = rd.row_echelon_transform
+rd.row_echelon_transform = lambda m: (real_echelon(m)[0] + [[1, 0, 0]], None)
+expect(UnsoundSplit, "q rank", rd.q_split, d4)
+rd.row_echelon_transform = real_echelon
+real_restrict = rd._ModuleSplitter.restrict
+rd._ModuleSplitter.restrict = lambda self, mat, basis: [
+    [x / 2 for x in row] for row in real_restrict(self, mat, basis)
+]
+expect(UnsoundSplit, "q integral", rd.q_split, d4)
+rd._ModuleSplitter.restrict = real_restrict
+real_close = rd.close_group
+rd.close_group = lambda gens, element_bound: real_close([[[0, -1], [1, -1]]])
+expect(UnsoundSplit, "q order", rd.q_split, d4)
+rd.close_group = real_close
+rd._ModuleSplitter.split = real_split
+
+q8 = catalog_rep("quaternion_paper")
+# adj(B) + I no longer conjugates the action onto Im(B) exactly
+real_adj = rd.adjugate
+rd.adjugate = lambda b: real_adj(b) + ea.IntMatrix.identity(b.rows)
+expect(InexactDivision, "conjugate", rd.conjugate_rep, q8, catalog_matrix("quaternion_commutant"))
+rd.adjugate = real_adj
+real_kernel_q = rd.kernel_q
+rd.kernel_q = lambda rows: []
+expect(UnsoundCommutant, "identity", rd.commutant_basis, catalog_rep("rot(4)"))
+rd.kernel_q = real_kernel_q
+real_minpoly = ea._matrix_minpoly
+ea._matrix_minpoly = lambda m, p: [Fraction(1, 2), Fraction(1)]
+expect(UnsoundMinpoly, "minpoly integral", ea.minpoly, ea.IntMatrix.identity(2))
+ea._matrix_minpoly = real_minpoly
+real_rref = ea._rref
+ea._rref = lambda rows, p: (rows, list(range(len(rows[0]))))
+expect(UnsoundMinpoly, "cayley-hamilton", ea.minpoly, ea.IntMatrix.identity(2))
+ea._rref = real_rref
 
 real_root = rd.poly_kth_root
 rd.exponent_k = lambda rep, seed: 0
@@ -464,6 +534,16 @@ def test_split_and_certificate_checks_run_under_python_O():
         "complement checked: averaged projection has kernel dimension 0, not 1",
         "integral checked: minimal polynomial of an integer matrix is not integral",
         "content checked: monic minimal polynomial has content 2",
+        "std_sym checked: the sum-zero sublattice is not invariant",
+        "split total checked: constituent dimensions sum to 2, not 3",
+        "q vectors checked: Q-constituent bases hold 4 vectors, not 3",
+        "q rank checked: projected lattice has rank 2, not 1",
+        "q integral checked: a generator acts non-integrally on a projected lattice",
+        "q order checked: constituent image order 3 does not divide |H| = 8",
+        "conjugate checked: adj(B) g B is not divisible by det B = 36",
+        "identity checked: the commutant has no identity matrix",
+        "minpoly integral checked: minimal polynomial of an integer matrix is not integral",
+        "cayley-hamilton checked: no annihilating polynomial of degree <= 2 (Cayley-Hamilton)",
         "certificate checked: x^k = 1 is not divisible by f(0) = 6",
         "charpoly checked: charpoly step 2: 3 is not divisible by 2",
     ]

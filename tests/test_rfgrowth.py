@@ -9,11 +9,14 @@ from rfva.errors import (
     BudgetExceeded,
     InsufficientData,
     NotIrreducible,
+    PrimeSearchFailed,
+    SearchBoundExceeded,
     ZeroVector,
 )
 from rfva.grouprep import close_group
 from rfva.lattice import FamilySpec, upper_bound_witness
 from rfva.rfgrowth import (
+    RFProfile,
     chebyshev_psi,
     divisibility,
     exponent_fit,
@@ -171,6 +174,21 @@ def test_exponent_fit_on_z():
     assert 0.6 <= k_hat <= 1.5
 
 
+@pytest.mark.parametrize(
+    "values",
+    ((2, 3, 5, 5, 7, 9, 12), (1, 4, 4, 9, 16, 17, 30), (5, 5, 6, 6, 6, 7, 7)),
+)
+def test_exponent_fit_matches_numpy_lstsq(values):
+    np = pytest.importorskip("numpy")
+    radii = (3, 5, 10, 20, 30, 60, 120)
+    k_hat, residual = exponent_fit(RFProfile(NU, radii, values, ((),) * len(radii)))
+    xs = np.log(np.log(np.array(radii, dtype=float)))
+    a = np.vstack([xs, np.ones_like(xs)]).T
+    (slope, _), (res,), _, _ = np.linalg.lstsq(a, np.log(np.array(values, dtype=float)), rcond=None)
+    assert abs(k_hat - slope) < 1e-12
+    assert abs(residual - res) < 1e-12
+
+
 def test_exponent_fit_insufficient_data():
     prof = rf_profile(NU, 1, 4)
     with pytest.raises(InsufficientData):
@@ -217,6 +235,37 @@ def test_smallest_valid_prime_examples():
     assert smallest_valid_prime(1, 8) == 17
     assert smallest_valid_prime(17, 8) == 41
     assert smallest_valid_prime(6, 1) == 5
+
+
+@pytest.mark.parametrize(
+    "name, bounds",
+    (
+        ("trivial(1)", (1, 2, 3, 5)),
+        ("rot(4)", (4, 5, 12, 13, 30)),
+        ("perm_sym(3)", (6, 7, 12, 13)),
+        ("d4_paper", (16, 17, 40, 41)),
+        ("perm_sym(4)", (72, 73, 96, 97)),
+    ),
+)
+def test_prime_searches_agree(name, bounds):
+    """exponent_report, upper_bound_witness and smallest_valid_prime share
+    one search: each takes the least prime = 1 mod |H| within the bound."""
+    rep = catalog_rep(name)
+    vector = (1,) + (0,) * (rep.degree - 1)
+    for bound in bounds:
+        try:
+            first = rd.exponent_report(rep, prime_bound=bound, n_primes=1).primes[0]
+        except PrimeSearchFailed:
+            first = None
+        if first is None:
+            with pytest.raises(PrimeSearchFailed):
+                upper_bound_witness(rep, vector, prime_bound=bound)
+            with pytest.raises(SearchBoundExceeded):
+                smallest_valid_prime(1, rep.order, bound)
+            continue
+        assert first <= bound
+        assert upper_bound_witness(rep, vector, prime_bound=bound).prime == first
+        assert smallest_valid_prime(1, rep.order, bound) == first
 
 
 def test_chebyshev_psi_values():
