@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from sympy import ZZ, isprime
 from sympy.polys.factortools import dup_factor_list
@@ -279,84 +280,97 @@ class Lattice:
         return all(x == 0 for x in v)
 
 
-def _row_hnf_square(rows: list[list[int]]) -> list[list[int]]:
-    """In-place row HNF of a full-rank square integer matrix."""
-    m = len(rows)
-    for j in range(m):
-        # clear column j below the pivot by gcd steps
+def _echelon(rows, u=None) -> list[int]:
+    """Integer row echelon form by gcd steps, in place; returns the pivot columns.
+
+    For each column in turn, the row with the least nonzero |entry| at or
+    below the pivot row moves to the pivot row and the rows below it are
+    reduced by floor quotients, until the column below the pivot is clear.
+    The pivot is then made positive.  Zero rows end at the bottom, and the
+    first len(pivots) rows are the echelon basis.  Every row operation is
+    repeated on u when it is given, so that u * (input) = (output) holds for
+    u starting at the identity.
+    """
+    n = len(rows)
+    pivots = []
+    r = 0
+    for j in range(len(rows[0]) if rows else 0):
+        if r == n:
+            break
         while True:
-            nonzero = [i for i in range(j + 1, m) if rows[i][j] != 0]
-            if not nonzero:
+            cand = [i for i in range(r, n) if rows[i][j] != 0]
+            if not cand:
                 break
-            pivot = min(
-                (i for i in range(j, m) if rows[i][j] != 0),
-                key=lambda i: abs(rows[i][j]),
-            )
-            rows[j], rows[pivot] = rows[pivot], rows[j]
-            for i in range(j + 1, m):
+            best = min(cand, key=lambda i: abs(rows[i][j]))
+            rows[r], rows[best] = rows[best], rows[r]
+            if u is not None:
+                u[r], u[best] = u[best], u[r]
+            pivot_row = rows[r]
+            cleared = True
+            for i in range(r + 1, n):
                 if rows[i][j] != 0:
-                    q = rows[i][j] // rows[j][j]
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
-        if rows[j][j] == 0:
-            raise SingularMatrix("matrix is singular")
-        if rows[j][j] < 0:
-            rows[j] = [-a for a in rows[j]]
-    # reduce entries above each diagonal
-    for j in range(m):
-        for i in range(j):
-            q = rows[i][j] // rows[j][j]
+                    q = rows[i][j] // pivot_row[j]
+                    rows[i] = [a - q * b for a, b in zip(rows[i], pivot_row)]
+                    if u is not None:
+                        u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+                    if rows[i][j] != 0:
+                        cleared = False
+            if cleared:
+                break
+        if rows[r][j] != 0:
+            if rows[r][j] < 0:
+                rows[r] = [-a for a in rows[r]]
+                if u is not None:
+                    u[r] = [-a for a in u[r]]
+            pivots.append(j)
+            r += 1
+    return pivots
+
+
+def _hermite(rows) -> tuple[list[list[int]], list[int]]:
+    """Row HNF of the lattice the integer rows span: (basis rows, pivots).
+
+    _echelon, then zero rows dropped and the entries above each pivot
+    reduced into [0, pivot).  The input is not modified.
+    """
+    rows = [list(r) for r in rows]
+    pivots = _echelon(rows)
+    rows = rows[: len(pivots)]
+    for lower, j in enumerate(pivots):
+        pivot_row = rows[lower]
+        for i in range(lower):
+            q = rows[i][j] // pivot_row[j]
             if q:
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
-    return rows
+                rows[i] = [a - q * b for a, b in zip(rows[i], pivot_row)]
+    return rows, pivots
 
 
 def hnf(m: IntMatrix) -> Lattice:
-    """Canonical lattice spanned by the rows of a full-rank square matrix."""
-    if not m.is_square():
-        raise DimensionMismatch("hnf expects a square matrix")
-    rows = _row_hnf_square([list(r) for r in m.entries])
-    basis = IntMatrix.from_rows(rows)
+    """Canonical lattice spanned by the rows of M, which may be any number.
+
+    The rows are generators; they must span a full-rank sublattice of Z^cols
+    (SingularMatrix otherwise), and the result is its row HNF and index.
+    """
+    rows, pivots = _hermite(m.entries)
+    if len(pivots) != m.cols:
+        raise SingularMatrix("rows do not span a full-rank lattice")
     index = 1
-    for i in range(basis.rows):
-        index *= basis[i, i]
-    return Lattice(basis=basis, index=index)
+    for i, row in enumerate(rows):
+        index *= row[i]
+    return Lattice(basis=IntMatrix.from_rows(rows), index=index)
 
 
 def row_echelon_transform(m: IntMatrix) -> tuple[list[list[int]], list[list[int]]]:
     """Unimodular U with U*M in integer row echelon form; returns (H, U).
 
     Works for rectangular M; zero rows of H sit at the bottom and the matching
-    rows of U span the integer row kernel of M (a saturated lattice).
+    rows of U span the integer row kernel of M (a saturated lattice).  The
+    entries above the pivots of H are not reduced.
     """
     rows = [list(r) for r in m.entries]
     n = len(rows)
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    pivot_row = 0
-    for j in range(m.cols):
-        if pivot_row == n:
-            break
-        while True:
-            cand = [i for i in range(pivot_row, n) if rows[i][j] != 0]
-            if not cand:
-                break
-            best = min(cand, key=lambda i: abs(rows[i][j]))
-            rows[pivot_row], rows[best] = rows[best], rows[pivot_row]
-            u[pivot_row], u[best] = u[best], u[pivot_row]
-            cleared = True
-            for i in range(pivot_row + 1, n):
-                if rows[i][j] != 0:
-                    q = rows[i][j] // rows[pivot_row][j]
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[pivot_row])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[pivot_row])]
-                    if rows[i][j] != 0:
-                        cleared = False
-            if cleared:
-                break
-        if rows[pivot_row][j] != 0:
-            if rows[pivot_row][j] < 0:
-                rows[pivot_row] = [-a for a in rows[pivot_row]]
-                u[pivot_row] = [-a for a in u[pivot_row]]
-            pivot_row += 1
+    _echelon(rows, u)
     return rows, u
 
 
@@ -389,12 +403,15 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _faddeev_leverrier(m: IntMatrix) -> tuple[list[int], IntMatrix]:
+@lru_cache(maxsize=None)
+def _faddeev_leverrier(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
     """Charpoly coefficients (ascending) and the adjugate, both exact.
 
     The scalar divisions in the recursion are exact for integer input.  With
     charpoly = X^n + c_1 X^(n-1) + ... + c_n the adjugate is
-    (-1)^(n+1) * (M^(n-1) + c_1 M^(n-2) + ... + c_(n-1) I).
+    (-1)^(n+1) * (M^(n-1) + c_1 M^(n-2) + ... + c_(n-1) I).  Memoized, so a
+    charpoly and an adjugate of one matrix share one run; the result is
+    immutable.
     """
     n = m.rows
     coeffs_desc = [1]
@@ -413,15 +430,14 @@ def _faddeev_leverrier(m: IntMatrix) -> tuple[list[int], IntMatrix]:
         adj = IntMatrix.identity(1)
     else:
         adj = horner if n % 2 == 1 else -horner
-    return list(reversed(coeffs_desc)), adj
+    return tuple(reversed(coeffs_desc)), adj
 
 
 def charpoly(m: IntMatrix) -> IntPoly:
     """Monic characteristic polynomial, exact integer coefficients."""
     if not m.is_square():
         raise DimensionMismatch("charpoly of a non-square matrix")
-    coeffs_asc, _ = _faddeev_leverrier(m)
-    return IntPoly(tuple(coeffs_asc))
+    return IntPoly(_faddeev_leverrier(m)[0])
 
 
 def adjugate(m: IntMatrix) -> IntMatrix:
@@ -430,8 +446,7 @@ def adjugate(m: IntMatrix) -> IntMatrix:
         raise DimensionMismatch("adjugate of a non-square matrix")
     if m.rows == 1:
         return IntMatrix.identity(1)
-    coeffs_asc, adj = _faddeev_leverrier(m)
-    return adj
+    return _faddeev_leverrier(m)[1]
 
 
 def minpoly(m: IntMatrix) -> IntPoly:
@@ -728,29 +743,8 @@ def saturate(vectors) -> IntMatrix:
         den = math.lcm(*(x.denominator for x in u))
         cleared.append(tuple(int(x * den) for x in u))
     ncols = IntMatrix.from_rows(list(zip(*cleared)))  # n x q
-    rows = integer_row_kernel(ncols)
-    # normalize the basis: row echelon + above-diagonal reduction on the
-    # pivot columns for a deterministic representative
-    basis = _reduce_rect_basis([list(r) for r in rows])
+    basis, _ = _hermite(integer_row_kernel(ncols))
     return IntMatrix.from_rows(basis)
-
-
-def _reduce_rect_basis(rows: list[list[int]]) -> list[list[int]]:
-    """Deterministic HNF-style form for a rectangular full-row-rank basis."""
-    mat = IntMatrix.from_rows(rows)
-    h, _ = row_echelon_transform(mat)
-    h = [r for r in h if any(x != 0 for x in r)]
-    # reduce above pivots
-    pivots = []
-    for r in h:
-        pivots.append(next(j for j, x in enumerate(r) if x != 0))
-    for idx in range(len(h)):
-        for lower in range(idx + 1, len(h)):
-            pj = pivots[lower]
-            q = h[idx][pj] // h[lower][pj]
-            if q:
-                h[idx] = [a - q * b for a, b in zip(h[idx], h[lower])]
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -758,58 +752,26 @@ def _reduce_rect_basis(rows: list[list[int]]) -> list[list[int]]:
 
 
 def snf(m: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... | d_n of a nonsingular square matrix."""
+    """Invariant factors d_1 | d_2 | ... | d_n of a nonsingular square matrix.
+
+    Row echelon forms of A and of its transpose alternate until A is
+    diagonal: every round keeps the lattice's invariant factors, and the
+    positive pivots only shrink to divisors, so this ends (Kannan & Bachem,
+    SIAM J. Comput. 1979).  Each pair of diagonal entries is then replaced by
+    its gcd and lcm, which sorts them into a divisibility chain.
+    """
     if not m.is_square():
         raise DimensionMismatch("snf of a non-square matrix")
     if det(m) == 0:
         raise SingularMatrix("matrix is singular")
-    a = [list(r) for r in m.entries]
     n = m.rows
-    diag = []
-    for s in range(n):
-        while True:
-            # move the least nonzero entry of the trailing block to (s, s)
-            best = None
-            for i in range(s, n):
-                for j in range(s, n):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            bi, bj = best
-            if bi != s:
-                a[s], a[bi] = a[bi], a[s]
-            if bj != s:
-                for row in a:
-                    row[s], row[bj] = row[bj], row[s]
-            if a[s][s] < 0:
-                a[s] = [-x for x in a[s]]
-            # clear the edging
-            dirty = False
-            for i in range(s + 1, n):
-                if a[i][s] != 0:
-                    q = a[i][s] // a[s][s]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[s])]
-                    if a[i][s] != 0:
-                        dirty = True
-            for j in range(s + 1, n):
-                if a[s][j] != 0:
-                    q = a[s][j] // a[s][s]
-                    for row in a:
-                        row[j] -= q * row[s]
-                    if a[s][j] != 0:
-                        dirty = True
-            if dirty:
-                continue
-            # enforce divisibility into the trailing block
-            offender = None
-            for i in range(s + 1, n):
-                for j in range(s + 1, n):
-                    if a[i][j] % a[s][s] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[s] = [x + y for x, y in zip(a[s], a[offender])]
-        diag.append(a[s][s])
+    a = [list(r) for r in m.entries]
+    while any(a[i][j] for i in range(n) for j in range(n) if i != j):
+        _echelon(a)
+        a = [list(col) for col in zip(*a)]
+    diag = [abs(a[i][i]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
     return tuple(diag)

@@ -42,7 +42,6 @@ from .exactalg import (
     _solve,
     det,
     hnf,
-    row_echelon_transform,
 )
 from .grouprep import Rep
 from .repdecomp import DEFAULT_SEED, commutant_basis, split_mod_p
@@ -299,9 +298,7 @@ def upper_bound_witness(
         for vec in basis
     ]
     stack += [[p if i == j else 0 for j in range(rep.degree)] for i in range(rep.degree)]
-    h, _ = row_echelon_transform(IntMatrix.from_rows(stack))
-    square = [r for r in h if any(x != 0 for x in r)]
-    lat = hnf(IntMatrix.from_rows(square))
+    lat = hnf(IntMatrix.from_rows(stack))
     if lat.index != p**dim:
         raise UnsoundWitness(f"witness index {lat.index} is not {p}^{dim}")
     if lat.contains(v):

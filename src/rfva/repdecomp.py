@@ -101,15 +101,18 @@ class CommutantBasis:
 
 
 def _commutation_system(generators, m):
-    """Rows of the linear system (B g - g B = 0) in the m^2 unknowns vec(B)."""
+    """Rows of the linear system (B g - g B = 0) in the m^2 unknowns vec(B).
+
+    Each generator g is given by its rows, so g[k][j] is its (k, j) entry.
+    """
     rows = []
     for g in generators:
         for i in range(m):
             for j in range(m):
                 row = [0] * (m * m)
                 for k in range(m):
-                    row[i * m + k] += g[k, j]
-                    row[k * m + j] -= g[i, k]
+                    row[i * m + k] += g[k][j]
+                    row[k * m + j] -= g[i][k]
                 rows.append(row)
     return rows
 
@@ -121,7 +124,7 @@ def commutant_basis(rep: Rep, p: int | None = None) -> CommutantBasis:
     Memoized like q_split and exponent_report: the result is immutable.
     """
     m = rep.degree
-    rows = _commutation_system(rep.generators, m)
+    rows = _commutation_system([g.entries for g in rep.generators], m)
     if p is None:
         vecs = kernel_q(rows)
         if not vecs:
@@ -174,24 +177,6 @@ class _ModuleSplitter:
         """Action of an ambient matrix on a subspace, in basis coordinates."""
         cols = _solve(list(zip(*basis)), [mat.apply(tuple(v)) for v in basis], self.p)
         return [list(row) for row in zip(*cols)]  # column t = coords of image of basis[t]
-
-    def restricted_generators(self, basis):
-        return [self.restrict(g, basis) for g in self.rep.generators]
-
-    def restricted_commutant(self, r_gens, d):
-        rows = []
-        for g in r_gens:
-            for i in range(d):
-                for j in range(d):
-                    row = [0] * (d * d)
-                    for k in range(d):
-                        row[i * d + k] += g[k][j]
-                        row[k * d + j] -= g[i][k]
-                    rows.append(row)
-        vecs = self.kernel(rows)
-        return [
-            [list(v[r * d : (r + 1) * d]) for r in range(d)] for v in vecs
-        ]
 
     def coords_to_ambient(self, coord_vecs, basis):
         return [tuple(v) for v in _mat_mul(coord_vecs, basis, self.p)]
@@ -292,8 +277,11 @@ class _ModuleSplitter:
         d = len(basis)
         if d == 1:
             return [list(basis)]
-        r_gens = self.restricted_generators(basis)
-        commutant = self.restricted_commutant(r_gens, d)
+        gens = [self.restrict(g, basis) for g in self.rep.generators]
+        commutant = [
+            [list(v[r * d : (r + 1) * d]) for r in range(d)]
+            for v in self.kernel(_commutation_system(gens, d))
+        ]
         if len(commutant) == 1:
             return [list(basis)]
         consecutive = 0
@@ -371,12 +359,14 @@ class Constituents:
         return out
 
 
+@lru_cache(maxsize=None)
 def split_mod_p(rep: Rep, p: int, seed: int = DEFAULT_SEED) -> Constituents:
     """Full decomposition of F_p^m into irreducible invariant subspaces.
 
     Requires p = 1 (mod |H|), which makes F_p a splitting field and the module
     semisimple.  Isotypic grouping is by the character of the restricted
     action (ordinary characters suffice because p does not divide |H|).
+    Memoized like q_split and exponent_report: the result is immutable.
     """
     if not sympy.isprime(p):
         raise BadPrime(f"{p} is not prime")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
 from rfva.errors import NotAPower, RfvaError, SingularMatrix
@@ -455,3 +457,184 @@ def test_matrix_minpoly_against_sympy(rows, p):
     for g, _ in f.factor_list()[1]:
         assert not kills(f.quo(g))
     assert _poly_eval_matrix(coeffs, rows, p) == [[0] * len(rows)] * len(rows)
+
+
+# --- the integer echelon kernel against sympy and the earlier routines -------
+# The three references are the separate eliminations that _echelon replaced,
+# kept here verbatim as oracles for its bases.
+
+
+def _ref_row_hnf_square(rows):
+    m = len(rows)
+    for j in range(m):
+        while True:
+            nonzero = [i for i in range(j + 1, m) if rows[i][j] != 0]
+            if not nonzero:
+                break
+            pivot = min(
+                (i for i in range(j, m) if rows[i][j] != 0),
+                key=lambda i: abs(rows[i][j]),
+            )
+            rows[j], rows[pivot] = rows[pivot], rows[j]
+            for i in range(j + 1, m):
+                if rows[i][j] != 0:
+                    q = rows[i][j] // rows[j][j]
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
+        if rows[j][j] == 0:
+            raise SingularMatrix("matrix is singular")
+        if rows[j][j] < 0:
+            rows[j] = [-a for a in rows[j]]
+    for j in range(m):
+        for i in range(j):
+            q = rows[i][j] // rows[j][j]
+            if q:
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def _ref_row_echelon_transform(m):
+    rows = [list(r) for r in m.entries]
+    n = len(rows)
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    pivot_row = 0
+    for j in range(m.cols):
+        if pivot_row == n:
+            break
+        while True:
+            cand = [i for i in range(pivot_row, n) if rows[i][j] != 0]
+            if not cand:
+                break
+            best = min(cand, key=lambda i: abs(rows[i][j]))
+            rows[pivot_row], rows[best] = rows[best], rows[pivot_row]
+            u[pivot_row], u[best] = u[best], u[pivot_row]
+            cleared = True
+            for i in range(pivot_row + 1, n):
+                if rows[i][j] != 0:
+                    q = rows[i][j] // rows[pivot_row][j]
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[pivot_row])]
+                    u[i] = [a - q * b for a, b in zip(u[i], u[pivot_row])]
+                    if rows[i][j] != 0:
+                        cleared = False
+            if cleared:
+                break
+        if rows[pivot_row][j] != 0:
+            if rows[pivot_row][j] < 0:
+                rows[pivot_row] = [-a for a in rows[pivot_row]]
+                u[pivot_row] = [-a for a in u[pivot_row]]
+            pivot_row += 1
+    return rows, u
+
+
+def _ref_reduce_rect_basis(rows):
+    h, _ = _ref_row_echelon_transform(IntMatrix.from_rows(rows))
+    h = [r for r in h if any(x != 0 for x in r)]
+    pivots = [next(j for j, x in enumerate(r) if x != 0) for r in h]
+    for idx in range(len(h)):
+        for lower in range(idx + 1, len(h)):
+            pj = pivots[lower]
+            q = h[idx][pj] // h[lower][pj]
+            if q:
+                h[idx] = [a - q * b for a, b in zip(h[idx], h[lower])]
+    return h
+
+
+@st.composite
+def generator_stacks(draw, min_extra=0, max_extra=3, max_cols=4, bound=6):
+    """k x m integer matrices with m + min_extra <= k <= m + max_extra, k >= 1."""
+    m = draw(st.integers(1, max_cols))
+    k = max(1, m + draw(st.integers(min_extra, max_extra)))
+    row = st.lists(st.integers(-bound, bound), min_size=m, max_size=m)
+    return IntMatrix.from_rows(draw(st.lists(row, min_size=k, max_size=k)))
+
+
+def _full_rank(m):
+    return _rank([list(r) for r in m.entries], None) == m.cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_stacks())
+def test_hnf_of_square_and_tall_stacks_matches_sympy_and_the_earlier_routine(m):
+    if not _full_rank(m):
+        with pytest.raises(SingularMatrix):
+            hnf(m)
+        return
+    lat = hnf(m)
+    # sympy's column HNF reduces differently: compare lattices, not bases
+    theirs = hermite_normal_form(sympy.Matrix(m.entries).T)
+    assert theirs.shape == (m.cols, m.cols)
+    assert all(lat.contains(tuple(int(x) for x in theirs.col(j))) for j in range(m.cols))
+    assert abs(theirs.det()) == lat.index
+    assert all(lat.contains(r) for r in m.entries)
+    if m.is_square():
+        ref = _ref_row_hnf_square([list(r) for r in m.entries])
+    else:  # the witness path: echelon, drop zero rows, square HNF
+        h, _ = _ref_row_echelon_transform(m)
+        ref = _ref_row_hnf_square([r for r in h if any(r)])
+    assert lat.basis == IntMatrix.from_rows(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 1))), st.data())
+def test_hnf_of_short_or_rank_deficient_stacks_raises(shape, data):
+    m, k = shape
+    row = st.lists(st.integers(-6, 6), min_size=m, max_size=m)
+    if k:  # k < m generators never span Z^m
+        with pytest.raises(SingularMatrix):
+            hnf(IntMatrix.from_rows(data.draw(st.lists(row, min_size=k, max_size=k))))
+    # m generators plus combinations of the first m - 1 span rank m - 1
+    rows = data.draw(st.lists(row, min_size=m - 1, max_size=m - 1))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=m - 1, max_size=m - 1))
+    combo = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(m)]
+    with pytest.raises(SingularMatrix):
+        hnf(IntMatrix.from_rows(rows + [combo, combo]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices(n_max=4, bound=8))
+def test_snf_matches_sympy(m):
+    if det(m) == 0:
+        with pytest.raises(SingularMatrix):
+            snf(m)
+        return
+    theirs = smith_normal_form(sympy.Matrix(m.entries), domain=sympy.ZZ)
+    assert snf(m) == tuple(sorted(abs(int(theirs[i, i])) for i in range(m.rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_stacks(min_extra=-3))
+def test_row_echelon_transform_matches_the_earlier_routine(m):
+    h, u = row_echelon_transform(m)
+    ref_h, ref_u = _ref_row_echelon_transform(m)
+    assert (h, u) == (ref_h, ref_u)
+    assert abs(det(IntMatrix.from_rows(u))) == 1
+    assert IntMatrix.from_rows(u) * m == IntMatrix.from_rows(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4), min_size=n, max_size=n),
+            min_size=1,
+            max_size=n + 1,
+        )
+    )
+)
+def test_saturate_matches_the_earlier_reduction(vecs):
+    n = len(vecs[0])
+    if not any(any(v) for v in vecs):
+        with pytest.raises(ValueError):  # the zero space has no basis matrix
+            saturate(vecs)
+        return
+    null = kernel_q([list(v) for v in vecs])
+    if not null:
+        assert saturate(vecs) == IntMatrix.identity(n)
+        return
+    cleared = []
+    for u in null:
+        den = math.lcm(*(x.denominator for x in u))
+        cleared.append(tuple(int(x * den) for x in u))
+    ncols = IntMatrix.from_rows(list(zip(*cleared)))
+    h, u = _ref_row_echelon_transform(ncols)
+    kernel_rows = [u[i] for i in range(len(h)) if not any(h[i])]
+    assert saturate(vecs) == IntMatrix.from_rows(_ref_reduce_rect_basis(kernel_rows))

@@ -9,6 +9,7 @@ import pytest
 import sympy
 
 import rfva.lattice as lattice_mod
+import rfva.repdecomp as rd
 from rfva.catalog import catalog_matrix, catalog_rep
 from rfva.errors import DimensionMismatch, PrimeSearchFailed, SingularMatrix, ZeroVector
 from rfva.exactalg import IntMatrix
@@ -133,6 +134,27 @@ def test_witness_prime_stays_within_the_search_bound():
     with pytest.raises(PrimeSearchFailed):
         upper_bound_witness(d4, (17, 0, 0), prime_bound=40)
     assert upper_bound_witness(d4, (17, 0, 0), prime_bound=41).prime == 41
+
+
+def test_witness_after_exponent_report_reuses_its_split(monkeypatch):
+    rep = catalog_rep("quaternion_paper")
+    rd.exponent_report.cache_clear()
+    rd.split_mod_p.cache_clear()
+    report = rd.exponent_report(rep, seed=5)
+    splits = []
+    real = rd._ModuleSplitter.split
+
+    def counting(self, basis):
+        splits.append(self.p)
+        return real(self, basis)
+
+    monkeypatch.setattr(rd._ModuleSplitter, "split", counting)
+    # v's first entry is 1, so the witness splits at the report's first prime
+    w = upper_bound_witness(rep, (1, 0, 0, 0), seed=5)
+    assert w.prime == report.primes[0]
+    assert splits == []
+    upper_bound_witness(rep, (1, 0, 0, 0), seed=6)
+    assert splits and set(splits) == {w.prime}
 
 
 def test_witness_rejects_zero():
