@@ -261,7 +261,7 @@ def _cmd_verify(args, cfg):
     if args.suite == "lowerbound":
         report = rfgrowth.lower_bound_certificate(
             rep, args.smax, samples=args.samples, seed=cfg.seed,
-            index_budget=cfg.index_budget,
+            index_budget=cfg.index_budget, prime_bound=cfg.prime_search_bound,
         )
         for s, a_ok, e_ok in zip(
             report.s_values, report.arithmetic_ok, report.enumeration_ok
@@ -296,14 +296,17 @@ def _cmd_verify(args, cfg):
     )
     split = repdecomp.q_split(rep, seed=cfg.seed)
     sub_k = max(
-        repdecomp.exponent_k(c.rep, seed=cfg.seed) for c in split.components
+        repdecomp.exponent_k(c.rep, seed=cfg.seed, prime_bound=cfg.prime_search_bound)
+        for c in split.components
     )
     _check("k equals max over Q-constituents", sub_k == report.k, failures)
     if table is not None:
         dec = repdecomp.k_from_character_table(rep, table)
         _check("character-table k agrees", dec.k == report.k, failures)
     for b in examples:
-        cert = repdecomp.commutant_certificate(rep, b, seed=cfg.seed)
+        cert = repdecomp.commutant_certificate(
+            rep, b, seed=cfg.seed, prime_bound=cfg.prime_search_bound
+        )
         _check(
             f"commutant certificate (det {cert.det} = {cert.x}^{cert.k})",
             cert.passed,

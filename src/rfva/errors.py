@@ -61,6 +61,10 @@ class UnsoundWitness(RfvaError):
     """A constructed witness lattice fails its own check; indicates a bug."""
 
 
+class UnsoundLattice(RfvaError):
+    """A constructed family lattice has the wrong index or is not invariant; indicates a bug."""
+
+
 class UnsoundCommutant(RfvaError):
     """A computed commutant basis matrix does not commute; indicates a bug."""
 
@@ -75,6 +79,10 @@ class UnsoundMinpoly(RfvaError):
 
 class InexactDivision(RfvaError):
     """An integer division that must be exact left a remainder; indicates a bug."""
+
+
+class ZeroSpan(RfvaError):
+    """Vectors that span only {0}, or no vectors, where a basis is needed."""
 
 
 class LengthMismatch(RfvaError):

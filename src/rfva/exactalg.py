@@ -28,6 +28,7 @@ from .errors import (
     RfvaError,
     SingularMatrix,
     UnsoundMinpoly,
+    ZeroSpan,
 )
 
 
@@ -351,13 +352,36 @@ def hnf(m: IntMatrix) -> Lattice:
     The rows are generators; they must span a full-rank sublattice of Z^cols
     (SingularMatrix otherwise), and the result is its row HNF and index.
     """
-    rows, pivots = _hermite(m.entries)
-    if len(pivots) != m.cols:
+    return _spanned(m.entries)
+
+
+def _spanned(rows) -> Lattice:
+    """hnf on a sequence of integer generator rows."""
+    basis, pivots = _hermite(rows)
+    if len(pivots) != len(rows[0]):
         raise SingularMatrix("rows do not span a full-rank lattice")
     index = 1
-    for i, row in enumerate(rows):
+    for i, row in enumerate(basis):
         index *= row[i]
-    return Lattice(basis=IntMatrix.from_rows(rows), index=index)
+    return Lattice(basis=IntMatrix.from_rows(basis), index=index)
+
+
+def _lattice_sum(a: Lattice, b: Lattice) -> Lattice:
+    """A + B, the lattice both bases span together (for running sums of a
+    family; the tests check it against A ∩ B by point counting)."""
+    return _spanned(a.basis.entries + b.basis.entries)
+
+
+def _coprime_intersection(a: Lattice, b: Lattice) -> Lattice:
+    """A ∩ B for coprime indices [Z^m:A] = s and [Z^m:B] = t.
+
+    sZ^m ⊆ A gives sB ⊆ A ∩ B, and likewise tA ⊆ A ∩ B; conversely, with
+    us + vt = 1, every x in A ∩ B is u(sx) + v(tx).  So A ∩ B = sB + tA.
+    """
+    s, t = a.index, b.index
+    if math.gcd(s, t) != 1:
+        raise RfvaError(f"indices {s} and {t} are not coprime")
+    return _spanned(b.basis.scale(s).entries + a.basis.scale(t).entries)
 
 
 def row_echelon_transform(m: IntMatrix) -> tuple[list[list[int]], list[list[int]]]:
@@ -728,10 +752,11 @@ def saturate(vectors) -> IntMatrix:
 
     Input vectors may have Fraction or int entries; rows of the result form a
     Z-basis of the saturated lattice, HNF-normalized per subspace dimension.
+    ZeroSpan when no vector is given or all of them are zero.
     """
     vecs = [tuple(Fraction(x) for x in v) for v in vectors]
-    if not vecs:
-        raise ValueError("need at least one vector")
+    if not any(any(v) for v in vecs):
+        raise ZeroSpan("the vectors span only the zero space, which has no basis")
     n = len(vecs[0])
     # null space of the span: columns u with V u = 0
     null = kernel_q([list(v) for v in vecs])

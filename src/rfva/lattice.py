@@ -2,10 +2,27 @@
 
 Families:
   nu  -- all finite-index sublattices (exhaustive HNF enumeration);
-  inv -- those invariant under a representation (exhaustive filter);
+  inv -- those invariant under a representation, built directly (exhaustive);
   com -- images of integer matrices commuting with the representation,
          enumerated over a bounded coefficient box (NOT exhaustive; the
          universal statements about Com go through the certificate instead).
+
+The inv family is built, not filtered.  Let N be invariant of index p^e.
+Then M0 = {x : px in N} is invariant and M0/N is a nonzero F_p[H]-module;
+the preimage M of a simple submodule of it is invariant, of index p^(e-d)
+with d its dimension, and pM is in N.  So N/pM is a codimension-d submodule
+of M/pM, and its annihilator is a simple, hence cyclic, d-dimensional
+submodule of the dual action u -> A_g u mod p, with A_g the action of g in
+M's basis.  The lattices of index p^e are therefore the preimages of the
+annihilators of the cyclic d-dimensional dual submodules, over every
+invariant M of index p^(e-d), d = 1..min(e, m), de-duplicated by HNF basis.
+For d = 1 these are the lines in the common eigenspaces of the A_g; for
+d >= 2, where p^d <= p^e keeps p small, the spins of one vector per line of
+F_p^m (the MeatAxe spin: Parker 1984; Holt & Rees, J. Austral. Math. Soc.
+1994).  An invariant lattice of composite index n = p^e * r (p prime, not
+dividing r) is the intersection of one of index p^e and one of index r, by
+the Chinese remainder theorem.  Every built lattice is checked for its index
+and its invariance (UnsoundLattice otherwise).
 
 Enumeration order is fixed (index, then lexicographic basis) so divisibility
 minima are reproducible.
@@ -22,7 +39,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, product
 from typing import Iterator
 
 import sympy
@@ -32,14 +49,21 @@ from .errors import (
     PrimeSearchFailed,
     SingularMatrix,
     UnknownName,
+    UnsoundLattice,
     UnsoundWitness,
     ZeroVector,
 )
 from .exactalg import (
     IntMatrix,
+    IntPoly,
     Lattice,
+    _coprime_intersection,
+    _kernel,
+    _matrix_minpoly,
     _primes_one_mod,
+    _rref,
     _solve,
+    _spanned,
     det,
     hnf,
 )
@@ -200,12 +224,16 @@ def _sublattice_count(m: int, n: int) -> int:
 
 @dataclass
 class _Prefix:
-    """A nu or inv family's lattices of index <= done, in enumeration order,
-    and the stream of all sublattices of Z^m the next index is read from."""
+    """A nu or inv family's lattices of index <= done, in enumeration order.
 
-    source: Iterator[Lattice]
+    nu reads each index from source, the stream of all sublattices of Z^m;
+    inv builds it from the lattices of smaller index, kept in by_index.
+    """
+
+    source: Iterator[Lattice] | None = None
     done: int = 0
     lattices: list = field(default_factory=list)
+    by_index: dict = field(default_factory=dict)
 
 
 def enumerate_family(spec: FamilySpec, m: int, max_index: int):
@@ -213,7 +241,10 @@ def enumerate_family(spec: FamilySpec, m: int, max_index: int):
 
     Every call on one spec reads the spec's cached prefix of the family and
     grows it by whole indices only as far as the caller consumes, so each
-    lattice is enumerated (and, for inv, tested for invariance) once per spec.
+    lattice is enumerated once per spec.  nu reads every sublattice of Z^m;
+    inv builds only the invariant ones, by mod-p submodule steps at prime
+    powers and coprime intersections at other indices (see the module
+    docstring), and checks each with is_invariant_lattice.
     """
     if spec.kind != "nu" and spec.rep.degree != m:
         raise DimensionMismatch("family representation degree does not match m")
@@ -229,27 +260,164 @@ def enumerate_family(spec: FamilySpec, m: int, max_index: int):
     while True:
         prefix = spec._cache.get(m)
         if prefix is None:
-            prefix = spec._cache[m] = _Prefix(enumerate_sublattices(m, sys.maxsize))
+            source = enumerate_sublattices(m, sys.maxsize) if spec.kind == "nu" else None
+            prefix = spec._cache[m] = _Prefix(source)
         lats = prefix.lattices
         while i < len(lats) and lats[i].index <= max_index:
             yield lats[i]
             i += 1
         if i < len(lats) or prefix.done >= max_index:
             return
-        # Grow by exactly the next index, drawing its sublattices from source.
+        # Grow by exactly the next index.
         n = prefix.done + 1
-        try:
-            batch = [
-                lat
-                for lat in islice(prefix.source, _sublattice_count(m, n))
-                if spec.kind == "nu" or is_invariant_lattice(lat, spec.rep)
-            ]
-        except BaseException:
-            # The source may have lost part of the batch: start this m afresh.
-            spec._cache.pop(m, None)
-            raise
+        if spec.kind == "inv":
+            batch = prefix.by_index[n] = _invariant_batch(spec.rep, prefix, n)
+        else:
+            try:
+                batch = list(islice(prefix.source, _sublattice_count(m, n)))
+            except BaseException:
+                # The source may have lost part of the batch: start this m afresh.
+                spec._cache.pop(m, None)
+                raise
         lats.extend(batch)
         prefix.done = n
+
+
+def _invariant_batch(rep: Rep, prefix: _Prefix, n: int) -> list[Lattice]:
+    """The invariant lattices of index n, sorted by basis, each one checked.
+
+    Those of every smaller index are in prefix.by_index.
+    """
+    if n == 1:
+        batch = [Lattice(basis=IntMatrix.identity(rep.degree), index=1)]
+    else:
+        p, e = min(sympy.factorint(n).items())
+        q = p**e
+        if q == n:
+            batch = _prime_power_batch(rep, prefix, p, e)
+        else:
+            batch = [
+                _coprime_intersection(a, b)
+                for a in prefix.by_index[q]
+                for b in prefix.by_index[n // q]
+            ]
+    batch.sort(key=lambda lat: lat.basis.entries)
+    for lat in batch:
+        if lat.index != n:
+            raise UnsoundLattice(f"built lattice has index {lat.index}, not {n}")
+        if not is_invariant_lattice(lat, rep):
+            raise UnsoundLattice(f"built lattice of index {n} is not invariant")
+    return batch
+
+
+def _prime_power_batch(rep: Rep, prefix: _Prefix, p: int, e: int) -> list[Lattice]:
+    """Invariant lattices of index p^e, unsorted: for each invariant M of
+    index p^(e-d), the preimages in M of the codimension-d submodules of M/pM
+    whose annihilators are cyclic (see the module docstring)."""
+    roots = [_roots_mod(g, p) for g in rep.generators]
+    found = {}
+    for d in range(1, min(e, rep.degree) + 1):
+        for lat in prefix.by_index[p ** (e - d)]:
+            basis = lat.basis.entries
+            actions = [[_coordinates(lat, g.apply(b)) for b in basis] for g in rep.generators]
+            if d == 1:
+                duals = _eigenlines(actions, roots, p)
+            else:
+                duals = _cyclic_submodules(actions, p, d)
+            for dual in duals:
+                # c B lies in N iff c annihilates the dual submodule mod p
+                rows = [_combine(w, basis) for w in _kernel(dual, p)]
+                rows += [[p * x for x in b] for b in basis]
+                sub = _spanned(rows)
+                found.setdefault(sub.basis, sub)
+    return list(found.values())
+
+
+def _roots_mod(g: IntMatrix, p: int) -> list[int]:
+    """The eigenvalues of g in F_p: the roots of its minimal polynomial mod p.
+
+    They are also the eigenvalues mod p of g in the basis of any invariant
+    lattice, as the characteristic polynomial over Z is the same.
+    """
+    poly = IntPoly(tuple(_matrix_minpoly([list(r) for r in g.entries], p)))
+    return [lam for lam in range(p) if poly(lam) % p == 0]
+
+
+def _coordinates(lat: Lattice, v) -> list[int]:
+    """c with c B = v, for the HNF basis B of a lattice holding v."""
+    v = list(v)
+    coords = []
+    for i, row in enumerate(lat.basis.entries):
+        c, rem = divmod(v[i], row[i])
+        if rem:
+            raise UnsoundLattice("the image of a basis vector left an invariant lattice")
+        coords.append(c)
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    return coords
+
+
+def _line_reps(k: int, p: int):
+    """One nonzero vector of F_p^k per line: its first nonzero entry is 1."""
+    for lead in range(k):
+        for tail in product(range(p), repeat=k - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
+def _apply_mod(a, u, p):
+    return [sum(x * y for x, y in zip(row, u)) % p for row in a]
+
+
+def _combine(coeffs, vectors):
+    """sum c_i v_i over the integers."""
+    return [sum(c * v[j] for c, v in zip(coeffs, vectors)) for j in range(len(vectors[0]))]
+
+
+def _eigenlines(actions, roots, p):
+    """The 1-dimensional submodules of u -> A u mod p, A in actions.
+
+    A line is one iff it lies in a common eigenspace: intersect the
+    eigenspaces of each A in turn, then take every line of what is left.
+    """
+    m = len(actions[0])
+    spaces = [[[int(i == j) for i in range(m)] for j in range(m)]]
+    for a, lams in zip(actions, roots):
+        narrowed = []
+        for space in spaces:
+            for lam in lams:
+                # the x with (A - lam) sum x_j s_j = 0, s_j the vectors of space
+                shifted = [[y - lam * x for x, y in zip(s, _apply_mod(a, s, p))] for s in space]
+                kern = _kernel([list(row) for row in zip(*shifted)], p)
+                if kern:
+                    narrowed.append([_combine(x, space) for x in kern])
+        spaces = narrowed
+    for space in spaces:
+        for c in _line_reps(len(space), p):
+            yield [_combine(c, space)]
+
+
+def _spin(u, actions, p, d):
+    """The smallest submodule holding u, as RREF rows, or None if its
+    dimension exceeds d."""
+    rows, rank = [u], 1
+    while rank <= d:
+        images = [_apply_mod(a, v, p) for a in actions for v in rows]
+        grown, pivots = _rref(rows + images, p)
+        if len(pivots) == rank:
+            return tuple(tuple(r) for r in grown[:rank])
+        rows, rank = grown[: len(pivots)], len(pivots)
+    return None
+
+
+def _cyclic_submodules(actions, p, d):
+    """The d-dimensional submodules of u -> A u mod p (A in actions) that
+    one vector spins up: every simple one among them.
+
+    One vector per line of F_p^m is tried; p^d is at most the index, so
+    for d >= 2 the lines are few.
+    """
+    found = {_spin(u, actions, p, d) for u in _line_reps(len(actions[0]), p)}
+    return [sub for sub in found if sub is not None and len(sub) == d]
 
 
 def upper_bound_witness(

@@ -454,8 +454,12 @@ def exponent_report(
     return report
 
 
-def exponent_k(rep: Rep, seed: int = DEFAULT_SEED, **kwargs) -> int:
-    return exponent_report(rep, seed=seed, **kwargs).k
+def exponent_k(
+    rep: Rep, seed: int = DEFAULT_SEED, prime_bound: int = DEFAULT_PRIME_BOUND
+) -> int:
+    """exponent_report's k.  Every caller in the package passes seed and
+    prime_bound by keyword, as here, so their calls share one cache entry."""
+    return exponent_report(rep, seed=seed, prime_bound=prime_bound).k
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +700,12 @@ class Certificate:
         return all(ok for _, ok in self.checks)
 
 
-def commutant_certificate(rep: Rep, b: IntMatrix, seed: int = DEFAULT_SEED) -> Certificate:
+def commutant_certificate(
+    rep: Rep,
+    b: IntMatrix,
+    seed: int = DEFAULT_SEED,
+    prime_bound: int = DEFAULT_PRIME_BOUND,
+) -> Certificate:
     """Check the constructive lemma for a matrix commuting with the action."""
     if b.rows != rep.degree or not b.is_square():
         raise NotCommuting("matrix degree does not match the representation")
@@ -707,7 +716,7 @@ def commutant_certificate(rep: Rep, b: IntMatrix, seed: int = DEFAULT_SEED) -> C
         raise SingularMatrix("certificate requires a nonsingular matrix")
     if not q_split(rep, seed=seed).irreducible:
         raise NotIrreducible("the representation is not irreducible over Q")
-    k = exponent_k(rep, seed=seed)
+    k = exponent_k(rep, seed=seed, prime_bound=prime_bound)
     cp = charpoly(b)
     try:
         f = poly_kth_root(cp, k)

@@ -25,6 +25,7 @@ from .exactalg import IntMatrix, _primes_one_mod, det
 from .grouprep import Rep
 from .lattice import FamilySpec, enumerate_family
 from .repdecomp import (
+    DEFAULT_PRIME_BOUND,
     DEFAULT_SEED,
     commutant_basis,
     commutant_certificate,
@@ -194,6 +195,7 @@ def lower_bound_certificate(
     seed: int = DEFAULT_SEED,
     coefficient_box: int = 2,
     index_budget: int = DEFAULT_INDEX_BUDGET,
+    prime_bound: int = DEFAULT_PRIME_BOUND,
 ) -> LowerBoundReport:
     """Finite verification of D_Com(v_s) >= s^k for v_s = lcm(1..s) e_1.
 
@@ -204,7 +206,7 @@ def lower_bound_certificate(
     """
     if not q_split(rep, seed=seed).irreducible:
         raise NotIrreducible("the lower bound needs a Q-irreducible representation")
-    k = exponent_k(rep, seed=seed)
+    k = exponent_k(rep, seed=seed, prime_bound=prime_bound)
     m = rep.degree
     basis = commutant_basis(rep).matrices
     rng = random.Random(seed)
@@ -218,7 +220,7 @@ def lower_bound_certificate(
         if det(b) == 0:
             continue
         total += 1
-        cert = commutant_certificate(rep, b, seed=seed)
+        cert = commutant_certificate(rep, b, seed=seed, prime_bound=prime_bound)
         if cert.passed and cert.det == cert.x**cert.k:
             passed += 1
     spec = FamilySpec("com", rep=rep, coefficient_box=coefficient_box)

@@ -146,3 +146,23 @@ def test_malformed_rep_file(tmp_path):
     assert run(["k", str(path)]) == EXIT_USAGE
     path.write_text("not json")
     assert run(["k", str(path)]) == EXIT_USAGE
+
+
+def test_verify_shares_one_exponent_report_per_rep_seed_and_bound(capsys):
+    # the report line, the Q-constituent's k and the commutant certificate
+    # all ask for the same (rep, seed, bound)
+    argv = ["verify", "catalog:quaternion_paper", "--suite", "lemmas"]
+    for bound, misses in ((200_000, 1), (100_000, 2), (200_000, 2)):
+        if misses == 1:
+            repdecomp.exponent_report.cache_clear()
+        assert run(["--prime-search-bound", str(bound)] + argv) == EXIT_OK
+        assert repdecomp.exponent_report.cache_info().misses == misses
+    capsys.readouterr()
+
+
+def test_lowerbound_suite_keeps_the_prime_search_bound(capsys):
+    # 17 is the only prime = 1 mod 8 below 41; the report needs three
+    argv = ["verify", "catalog:quaternion_paper", "--suite", "lowerbound", "--smax", "2"]
+    assert run(["--prime-search-bound", "40"] + argv + ["--samples", "2"]) == EXIT_COMPUTE
+    assert "fewer than 3 primes" in capsys.readouterr().err
+    assert run(["--prime-search-bound", "73"] + argv + ["--samples", "2"]) == EXIT_OK

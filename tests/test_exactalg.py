@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
-from rfva.errors import NotAPower, RfvaError, SingularMatrix
+from rfva.errors import NotAPower, RfvaError, SingularMatrix, ZeroSpan
 from rfva.exactalg import (
     IntMatrix,
     IntPoly,
+    _coprime_intersection,
     _identity,
     _inverse,
+    _lattice_sum,
     _matrix_minpoly,
     _poly_eval_matrix,
     _rank,
@@ -623,7 +625,7 @@ def test_row_echelon_transform_matches_the_earlier_routine(m):
 def test_saturate_matches_the_earlier_reduction(vecs):
     n = len(vecs[0])
     if not any(any(v) for v in vecs):
-        with pytest.raises(ValueError):  # the zero space has no basis matrix
+        with pytest.raises(ZeroSpan):  # the zero space has no basis matrix
             saturate(vecs)
         return
     null = kernel_q([list(v) for v in vecs])
@@ -638,3 +640,33 @@ def test_saturate_matches_the_earlier_reduction(vecs):
     h, u = _ref_row_echelon_transform(ncols)
     kernel_rows = [u[i] for i in range(len(h)) if not any(h[i])]
     assert saturate(vecs) == IntMatrix.from_rows(_ref_reduce_rect_basis(kernel_rows))
+
+
+def small_lattices(max_index=6):
+    return (
+        st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=2), min_size=2, max_size=2)
+        .map(IntMatrix.from_rows)
+        .filter(lambda m: 0 < abs(det(m)) <= max_index)
+        .map(hnf)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_lattices(), small_lattices())
+def test_lattice_sum_and_coprime_intersection_by_counting_points(a, b):
+    """A ∩ B is read off the points of a period box; A + B follows from
+    [Z:A+B][Z:A∩B] = [Z:A][Z:B] (second isomorphism theorem)."""
+    period = a.index * b.index
+    box = [(x, y) for x in range(period) for y in range(period)]
+    common = [v for v in box if a.contains(v) and b.contains(v)]
+    meet_index = period**2 // len(common)
+    total = _lattice_sum(a, b)
+    assert total.index * meet_index == a.index * b.index
+    assert all(total.contains(row) for lat in (a, b) for row in lat.basis.entries)
+    if math.gcd(a.index, b.index) != 1:
+        with pytest.raises(RfvaError):
+            _coprime_intersection(a, b)
+        return
+    meet = _coprime_intersection(a, b)
+    assert meet.index == meet_index == a.index * b.index
+    assert [v for v in box if meet.contains(v)] == common

@@ -13,6 +13,7 @@ import rfva.repdecomp as rd
 from rfva.catalog import catalog_matrix, catalog_rep
 from rfva.errors import DimensionMismatch, PrimeSearchFailed, SingularMatrix, ZeroVector
 from rfva.exactalg import IntMatrix
+from rfva.grouprep import close_group
 from rfva.lattice import (
     FamilySpec,
     commutant_image_lattices,
@@ -227,18 +228,75 @@ def test_interleaved_streams_share_one_prefix():
     assert got_large == _oracle(spec, 3, 12)
 
 
-def test_inv_prefix_tests_each_sublattice_once(monkeypatch):
+INV_ORACLE_CASES = [
+    ("d4_paper", 40),
+    ("quaternion_paper", 25),
+    ("rot(4)", 30),
+    ("trivial(2)", 20),
+    # 3Z^3 is the preimage of a 3-dimensional simple module mod 3
+    ("std_sym(4)", 30),
+]
+
+
+@pytest.mark.parametrize("name,budget", INV_ORACLE_CASES)
+def test_inv_family_matches_the_filter(name, budget):
+    rep = catalog_rep(name)
+    spec = FamilySpec("inv", rep)
+    assert list(enumerate_family(spec, rep.degree, budget)) == _oracle(spec, rep.degree, budget)
+
+
+def _unimodular_pair(m, rng):
+    """A random unimodular Q and its inverse, as products of elementary matrices."""
+    q = q_inv = IntMatrix.identity(m)
+    for _ in range(3 * m):
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        e = [[int(a == b) for b in range(m)] for a in range(m)]
+        e_inv = [row[:] for row in e]
+        e[i][j], e_inv[i][j] = c, -c
+        q, q_inv = q * IntMatrix.from_rows(e), IntMatrix.from_rows(e_inv) * q_inv
+    return q, q_inv
+
+
+@pytest.mark.parametrize(
+    "name,budget,seed",
+    [
+        ("d4_paper", 24, 1),
+        ("d4_paper", 24, 2),
+        ("quaternion_paper", 10, 3),
+        ("rot(4)", 30, 4),
+        ("std_sym(4)", 27, 5),
+    ],
+)
+def test_inv_family_of_a_conjugate_matches_the_filter(name, budget, seed):
+    rep = catalog_rep(name)
+    q, q_inv = _unimodular_pair(rep.degree, random.Random(seed))
+    assert q * q_inv == IntMatrix.identity(rep.degree)
+    conj = close_group([q_inv * g * q for g in rep.generators])
+    assert conj.generators != rep.generators
+    spec = FamilySpec("inv", conj)
+    got = list(enumerate_family(spec, rep.degree, budget))
+    assert got == _oracle(spec, rep.degree, budget)
+    # N -> Q^-1 N maps the invariant lattices of rep onto those of the conjugate
+    original = enumerate_family(FamilySpec("inv", rep), rep.degree, budget)
+    assert Counter(lat.index for lat in got) == Counter(lat.index for lat in original)
+
+
+def test_inv_prefix_checks_each_built_lattice_once(monkeypatch):
     calls = []
 
     def counting(lat, rep):
-        calls.append(lat.index)
+        calls.append(lat)
         return is_invariant_lattice(lat, rep)
 
     monkeypatch.setattr(lattice_mod, "is_invariant_lattice", counting)
-    prof = rf_profile(FamilySpec("inv", catalog_rep("d4_paper")), 3, 12)
+    spec = FamilySpec("inv", catalog_rep("d4_paper"))
+    prof = rf_profile(spec, 3, 12)
     assert prof.values[-1] == 25
-    # every sublattice up to the largest D needed, tested once, and no index beyond
-    assert sorted(calls) == [lat.index for lat in enumerate_sublattices(3, 25)]
+    # every family lattice up to the largest D needed, checked once as it is
+    # built, and no index beyond
+    assert calls == _oracle(spec, 3, 25)
+    assert spec._cache[3].done == 25
 
 
 def test_used_spec_equals_fresh_spec():
@@ -262,7 +320,7 @@ import sys
 import rfva.lattice as lat
 import rfva.repdecomp as rd
 from rfva.catalog import catalog_rep
-from rfva.errors import UnsoundCommutant, UnsoundWitness
+from rfva.errors import UnsoundCommutant, UnsoundLattice, UnsoundWitness
 from rfva.exactalg import IntMatrix, hnf
 
 print("optimize", sys.flags.optimize, __debug__)
@@ -282,6 +340,25 @@ try:
     rd.commutant_basis(catalog_rep("d4_paper"))
 except UnsoundCommutant:
     print("commutant checked")
+
+def family_from(name, budget):
+    try:
+        list(lat.enumerate_family(lat.FamilySpec("inv", catalog_rep(name)), 2, budget))
+    except UnsoundLattice as exc:
+        print("family checked:", exc)
+
+real_intersection = lat._coprime_intersection
+lat._coprime_intersection = lambda a, b: a
+family_from("rot(4)", 10)
+lat._coprime_intersection = real_intersection
+real_invariant = lat.is_invariant_lattice
+lat.is_invariant_lattice = lambda l, rep: l.index == 1
+family_from("rot(4)", 2)
+lat.is_invariant_lattice = real_invariant
+try:
+    lat._coordinates(hnf(IntMatrix.from_rows([[2, 0], [0, 1]])), (1, 0))
+except UnsoundLattice as exc:
+    print("coordinates checked:", exc)
 """
 
 
@@ -300,6 +377,9 @@ def test_soundness_checks_run_under_python_O():
         "witness checked: witness lattice contains the vector",
         "witness checked: witness lattice is not invariant",
         "commutant checked",
+        "family checked: built lattice has index 2, not 10",
+        "family checked: built lattice of index 2 is not invariant",
+        "coordinates checked: the image of a basis vector left an invariant lattice",
     ]
 
 
@@ -318,4 +398,28 @@ def test_prefix_recovers_from_an_interrupted_batch(monkeypatch):
     monkeypatch.setattr(lattice_mod, "is_invariant_lattice", interrupted)
     with pytest.raises(KeyboardInterrupt):
         list(enumerate_family(spec, 3, 8))
+    # the interrupt came in the middle of index 4, which d4 has 5 lattices of
+    assert [lat.index for lat in calls] == [4] * 5
+    prefix = spec._cache[3]
+    assert prefix.done == 3 and [lat.index for lat in prefix.lattices] == [1, 2, 2, 2, 3]
+    assert 4 not in prefix.by_index
     assert list(enumerate_family(spec, 3, 8)) == _oracle(spec, 3, 8)
+
+    # nu reads one shared stream of sublattices, which an interrupt leaves part-read
+    nu = FamilySpec("nu")
+    list(enumerate_family(nu, 2, 3))
+    made = []
+    real_lattice = lattice_mod.Lattice
+
+    def interrupted_lattice(**kwargs):
+        made.append(kwargs["index"])
+        if len(made) == 3:
+            raise KeyboardInterrupt
+        return real_lattice(**kwargs)
+
+    monkeypatch.setattr(lattice_mod, "Lattice", interrupted_lattice)
+    with pytest.raises(KeyboardInterrupt):
+        list(enumerate_family(nu, 2, 5))
+    assert made == [4, 4, 4]
+    monkeypatch.setattr(lattice_mod, "Lattice", real_lattice)
+    assert list(enumerate_family(nu, 2, 5)) == _oracle(nu, 2, 5)

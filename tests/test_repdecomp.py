@@ -18,6 +18,7 @@ from rfva.errors import (
     NotCommuting,
     NotInvariant,
     NotOrthonormal,
+    PrimeSearchFailed,
     SingularMatrix,
     UnresolvedClassWord,
 )
@@ -327,6 +328,13 @@ def test_certificate_scalar_matrices():
     assert ident.x == 1 and ident.det == 1
 
 
+def test_certificate_keeps_the_prime_search_bound():
+    # the exponent report behind k needs three primes = 1 mod 8: 17, 41, 73
+    with pytest.raises(PrimeSearchFailed):
+        commutant_certificate(Q8, QUAT_B, prime_bound=72)
+    assert commutant_certificate(Q8, QUAT_B, prime_bound=73).k == 2
+
+
 def test_certificate_rejects_non_commuting():
     with pytest.raises(NotCommuting):
         commutant_certificate(Q8, catalog_matrix("invariant_det2_lattice"))
@@ -505,7 +513,7 @@ expect(UnsoundMinpoly, "cayley-hamilton", ea.minpoly, ea.IntMatrix.identity(2))
 ea._rref = real_rref
 
 real_root = rd.poly_kth_root
-rd.exponent_k = lambda rep, seed: 0
+rd.exponent_k = lambda rep, seed, prime_bound: 0
 rd.poly_kth_root = lambda f, k: real_root(f, 2)
 expect(
     InexactDivision,

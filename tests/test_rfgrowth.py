@@ -269,6 +269,14 @@ def test_prime_searches_agree(name, bounds):
         assert smallest_valid_prime(1, rep.order, bound) == first
 
 
+def test_lower_bound_certificate_keeps_the_prime_search_bound():
+    # k comes from an exponent report over three primes = 1 mod 8: 17, 41, 73
+    q8 = catalog_rep("quaternion_paper")
+    with pytest.raises(PrimeSearchFailed):
+        lower_bound_certificate(q8, 2, samples=2, prime_bound=72)
+    assert lower_bound_certificate(q8, 2, samples=2, prime_bound=73).k == 2
+
+
 def test_chebyshev_psi_values():
     assert math.isclose(chebyshev_psi(10), math.log(2520), rel_tol=1e-12)
     assert math.isclose(chebyshev_psi(2), math.log(2), rel_tol=1e-12)
