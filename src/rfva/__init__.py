@@ -9,7 +9,6 @@ families) and verifies the constructive lemmas behind the bound.
 from .catalog import catalog_character_table, catalog_matrix, catalog_rep
 from .errors import RfvaError
 from .exactalg import (
-    FpMatrix,
     IntMatrix,
     IntPoly,
     Lattice,

@@ -83,22 +83,22 @@ def load_rep_file(path: str) -> RepFile:
     try:
         degree = int(doc["degree"])
         gens = tuple(IntMatrix.from_rows(g) for g in doc["generators"])
+        table = None
+        if "character_table" in doc:
+            t = doc["character_table"]
+            table = repdecomp.CharacterTable(
+                class_words=tuple(tuple(int(i) for i in w) for w in t["class_reps"]),
+                class_sizes=tuple(int(s) for s in t["class_sizes"]),
+                rows=tuple(tuple(int(x) for x in row) for row in t["characters"]),
+            )
+        examples = tuple(
+            IntMatrix.from_rows(m) for m in doc.get("commutant_examples", [])
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise RfvaError(f"malformed representation file {path}: {exc}") from exc
     for g in gens:
         if not g.is_square() or g.rows != degree:
             raise RfvaError(f"generator shape does not match degree in {path}")
-    table = None
-    if "character_table" in doc:
-        t = doc["character_table"]
-        table = repdecomp.CharacterTable(
-            class_words=tuple(tuple(int(i) for i in w) for w in t["class_reps"]),
-            class_sizes=tuple(int(s) for s in t["class_sizes"]),
-            rows=tuple(tuple(int(x) for x in row) for row in t["characters"]),
-        )
-    examples = tuple(
-        IntMatrix.from_rows(m) for m in doc.get("commutant_examples", [])
-    )
     return RepFile(
         name=str(doc.get("name", path)),
         degree=degree,
@@ -106,6 +106,17 @@ def load_rep_file(path: str) -> RepFile:
         character_table=table,
         commutant_examples=examples,
     )
+
+
+def _z_rank(specifier: str) -> int:
+    """The rank m of a `z:m` specifier; RfvaError unless m is an integer >= 1."""
+    try:
+        m = int(specifier[2:])
+    except ValueError:
+        m = 0
+    if m < 1:
+        raise RfvaError(f"{specifier!r}: z:m needs an integer rank m >= 1")
+    return m
 
 
 def _resolve_rep(specifier: str, cfg: RunConfig):
@@ -122,7 +133,7 @@ def _resolve_rep(specifier: str, cfg: RunConfig):
         )
         return rep, table, examples
     if specifier.startswith("z:"):
-        m = int(specifier[2:])
+        m = _z_rank(specifier)
         rep = close_group([IntMatrix.identity(m)], cfg.element_bound)
         return rep, None, ()
     rf = load_rep_file(specifier)
@@ -213,8 +224,7 @@ def _cmd_char(args, cfg):
 
 def _cmd_rf(args, cfg):
     if args.rep.startswith("z:"):
-        m = int(args.rep[2:])
-        rep = None
+        m = _z_rank(args.rep)
         if args.family != "nu":
             raise RfvaError("z:m supports only the nu family")
         spec = lattice.FamilySpec("nu")
@@ -362,8 +372,11 @@ def _cmd_catalog(args, cfg):
         doc = _dump_rep_file(args.name)
         out = json.dumps(doc, indent=2) + "\n"
         if cfg.output:
-            with open(cfg.output, "w") as fh:
-                fh.write(out)
+            try:
+                with open(cfg.output, "w") as fh:
+                    fh.write(out)
+            except OSError as exc:
+                raise IoFailure(f"cannot write {cfg.output}: {exc}") from exc
         else:
             sys.stdout.write(out)
         return EXIT_OK

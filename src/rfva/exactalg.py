@@ -96,9 +96,6 @@ class IntMatrix:
             )
         )
 
-    def __sub__(self, other: IntMatrix) -> IntMatrix:
-        return self + (-other)
-
     def __neg__(self) -> IntMatrix:
         return IntMatrix(tuple(tuple(-a for a in row) for row in self.entries))
 
@@ -121,65 +118,6 @@ class IntMatrix:
         if len(v) != self.cols:
             raise DimensionMismatch("vector length mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-
-    def pow(self, e: int) -> IntMatrix:
-        if not self.is_square():
-            raise DimensionMismatch("power of a non-square matrix")
-        result = IntMatrix.identity(self.rows)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-
-@dataclass(frozen=True)
-class FpMatrix:
-    """Matrix over the prime field F_p; entries reduced into [0, p)."""
-
-    modulus: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.entries or not self.entries[0]:
-            raise ValueError("matrices must have at least one row and column")
-        p = self.modulus
-        object.__setattr__(
-            self, "entries", tuple(tuple(x % p for x in row) for row in self.entries)
-        )
-
-    @classmethod
-    def from_int(cls, m: IntMatrix, p: int) -> FpMatrix:
-        return cls(p, m.entries)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    def __mul__(self, other: FpMatrix) -> FpMatrix:
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-        if self.cols != other.rows:
-            raise DimensionMismatch("matrix product shape mismatch")
-        p = self.modulus
-        bt = tuple(zip(*other.entries))
-        return FpMatrix(
-            p,
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) % p for col in bt)
-                for row in self.entries
-            ),
-        )
-
-    def apply(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.modulus
-        return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -225,28 +163,6 @@ class IntPoly:
         for _ in range(e):
             result = result * self
         return result
-
-    def evaluate_matrix(self, m: IntMatrix) -> IntMatrix:
-        return IntMatrix.from_rows(_poly_eval_matrix(self.coeffs, m.entries, None))
-
-    def __str__(self):
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(f"{c:+d}")
-            else:
-                mono = "X" if i == 1 else f"X^{i}"
-                if c == 1:
-                    terms.append(f"+{mono}")
-                elif c == -1:
-                    terms.append(f"-{mono}")
-                else:
-                    terms.append(f"{c:+d}*{mono}")
-        s = "".join(terms)
-        return s[1:] if s.startswith("+") else s
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +280,6 @@ def _spanned(rows) -> Lattice:
     for i, row in enumerate(basis):
         index *= row[i]
     return Lattice(basis=IntMatrix.from_rows(basis), index=index)
-
-
-def _lattice_sum(a: Lattice, b: Lattice) -> Lattice:
-    """A + B, the lattice both bases span together (for running sums of a
-    family; the tests check it against A ∩ B by point counting)."""
-    return _spanned(a.basis.entries + b.basis.entries)
 
 
 def _coprime_intersection(a: Lattice, b: Lattice) -> Lattice:
@@ -646,13 +556,8 @@ def _primes_one_mod(n: int, bound: int):
 
 
 def kernel(m) -> list[tuple]:
-    """Basis of the right null space of a matrix over Q or F_p.
-
-    Accepts an FpMatrix (kernel over F_p), an IntMatrix, or a nested sequence
-    of Fractions/ints (kernel over Q).
-    """
-    if isinstance(m, FpMatrix):
-        return kernel_fp(m.entries, m.modulus)
+    """Basis of the right null space over Q of an IntMatrix or a nested
+    sequence of Fractions/ints."""
     return kernel_q(m.entries if isinstance(m, IntMatrix) else m)
 
 
@@ -672,11 +577,10 @@ def factor_over_prime_field(coeffs: tuple[int, ...], p: int) -> list[tuple[tuple
     """Irreducible factors over F_p with multiplicity.
 
     Input and output polynomials use ascending coefficients reduced mod p.
-    The leading-coefficient unit is distributed into the first factor's
-    output tuple's scale being... (it is returned separately: see below).
-    Returns (factors) whose product times the returned unit equals the input;
-    since our callers pass monic polynomials the unit is always 1 and is not
-    returned.
+    Returns [(factor, multiplicity), ...] whose product is the input mod p.
+    The irreducible factors are monic; a leading coefficient c other than 1
+    comes first as the degree-0 factor ((c,), 1), so a monic input (what the
+    package passes) gets none.
     """
     asc = [c % p for c in coeffs]
     while len(asc) > 1 and asc[-1] == 0:

@@ -1,10 +1,10 @@
 """Finite-index sublattices of Z^m: membership, enumeration, witnesses.
 
 Families:
-  nu  -- all finite-index sublattices (exhaustive HNF enumeration);
-  inv -- those invariant under a representation, built directly (exhaustive);
+  nu  -- all finite-index sublattices (every HNF basis is enumerated);
+  inv -- all those invariant under a representation, built directly;
   com -- images of integer matrices commuting with the representation,
-         enumerated over a bounded coefficient box (NOT exhaustive; the
+         enumerated over a bounded coefficient box (NOT complete; the
          universal statements about Com go through the certificate instead).
 
 The inv family is built, not filtered.  Let N be invariant of index p^e.
@@ -93,10 +93,6 @@ class FamilySpec:
             raise UnknownName(f"unknown family kind {self.kind!r}")
         if self.kind in ("inv", "com") and self.rep is None:
             raise UnknownName(f"family {self.kind!r} needs a representation")
-
-    @property
-    def exhaustive(self) -> bool:
-        return self.kind != "com"
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ from .errors import (
     UnsoundSplit,
 )
 from .exactalg import (
-    FpMatrix,
     IntMatrix,
     IntPoly,
     _fval,
@@ -90,13 +89,8 @@ DEFAULT_PRIME_BOUND = 200_000
 
 @dataclass(frozen=True)
 class CommutantBasis:
-    """Basis of {B : B g = g B for all generators g} over Q or F_p.
+    """Z-basis of the integer matrices B with B g = g B for all generators g."""
 
-    Over Q the basis consists of integer matrices forming a Z-basis of the
-    commutant intersected with the integer matrices.
-    """
-
-    field: object  # "Q" or a prime p
     matrices: tuple
 
 
@@ -118,34 +112,25 @@ def _commutation_system(generators, m):
 
 
 @lru_cache(maxsize=None)
-def commutant_basis(rep: Rep, p: int | None = None) -> CommutantBasis:
-    """Solve the commutation system for all generators over Q or F_p.
+def commutant_basis(rep: Rep) -> CommutantBasis:
+    """Solve the commutation system for all generators over Q.
 
     Memoized like q_split and exponent_report: the result is immutable.
     """
     m = rep.degree
     rows = _commutation_system([g.entries for g in rep.generators], m)
-    if p is None:
-        vecs = kernel_q(rows)
-        if not vecs:
-            raise UnsoundCommutant("the commutant has no identity matrix")
-        zbasis = saturate(vecs)
-        mats = tuple(
-            IntMatrix.from_rows(
-                [zbasis.row(i)[r * m : (r + 1) * m] for r in range(m)]
-            )
-            for i in range(zbasis.rows)
-        )
-        for b in mats:
-            if any(b * g != g * b for g in rep.generators):
-                raise UnsoundCommutant("a commutant basis matrix does not commute")
-        return CommutantBasis(field="Q", matrices=mats)
-    vecs = kernel_fp(rows, p)
+    vecs = kernel_q(rows)
+    if not vecs:
+        raise UnsoundCommutant("the commutant has no identity matrix")
+    zbasis = saturate(vecs)
     mats = tuple(
-        FpMatrix(p, tuple(tuple(v[r * m + c] for c in range(m)) for r in range(m)))
-        for v in vecs
+        IntMatrix.from_rows([zbasis.row(i)[r * m : (r + 1) * m] for r in range(m)])
+        for i in range(zbasis.rows)
     )
-    return CommutantBasis(field=p, matrices=mats)
+    for b in mats:
+        if any(b * g != g * b for g in rep.generators):
+            raise UnsoundCommutant("a commutant basis matrix does not commute")
+    return CommutantBasis(matrices=mats)
 
 
 # ---------------------------------------------------------------------------

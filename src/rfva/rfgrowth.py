@@ -120,7 +120,6 @@ def rf_profile(
     m: int,
     r_max: int,
     index_budget: int = DEFAULT_INDEX_BUDGET,
-    radii=None,
 ) -> RFProfile:
     """Exact RF over l1-balls, using D(v) = D(-v) to halve the scan.
 
@@ -130,23 +129,19 @@ def rf_profile(
     On BudgetExceeded the profile computed so far is returned with
     partial=True.
     """
-    if r_max < 1:
-        raise ValueError("r_max must be at least 1")
-    sample_radii = tuple(radii) if radii is not None else tuple(range(1, r_max + 1))
+    if m < 1 or r_max < 1:
+        raise ValueError("m and r_max must be at least 1")
     out_r, out_v, out_w = [], [], []
     best = 0
     best_witness = None
     partial = False
-    r_done = 0
-    for r in sorted(sample_radii):
+    for r in range(1, r_max + 1):
         try:
-            for shell_r in range(r_done + 1, r + 1):
-                for vec in _ball_shell(m, shell_r):
-                    d = divisibility(vec, spec, index_budget)
-                    if d > best:
-                        best = d
-                        best_witness = (vec, d)
-            r_done = r
+            for vec in _ball_shell(m, r):
+                d = divisibility(vec, spec, index_budget)
+                if d > best:
+                    best = d
+                    best_witness = (vec, d)
         except BudgetExceeded:
             partial = True
             break

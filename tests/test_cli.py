@@ -1,8 +1,20 @@
 import dataclasses
 import json
 
+import pytest
+
 from rfva import repdecomp
-from rfva.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, load_rep_file, run
+from rfva.catalog import catalog_rep
+from rfva.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, emit_csv, load_rep_file, run
+from rfva.errors import InconclusiveSplit, IoFailure
+from rfva.lattice import FamilySpec
+from rfva.rfgrowth import RFProfile, rf_profile
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
 
 
 def test_k_d4(capsys):
@@ -99,7 +111,6 @@ def test_catalog_dump_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "d4.json"
     assert run(["--output", str(out_path), "catalog", "dump", "d4_paper"]) == EXIT_OK
     rf = load_rep_file(str(out_path))
-    from rfva.catalog import catalog_rep
     from rfva.grouprep import close_group
 
     original = catalog_rep("d4_paper")
@@ -140,12 +151,55 @@ def test_compute_failure_exit(tmp_path):
     assert run(["k", str(path)]) == EXIT_COMPUTE
 
 
-def test_malformed_rep_file(tmp_path):
+def test_malformed_rep_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{\"degree\": 2}")
     assert run(["k", str(path)]) == EXIT_USAGE
     path.write_text("not json")
     assert run(["k", str(path)]) == EXIT_USAGE
+    capsys.readouterr()
+    valid = {"degree": 2, "generators": [[[0, -1], [1, 0]]]}
+    for extra in ({"character_table": {}}, {"commutant_examples": [5]}):
+        path.write_text(json.dumps(dict(valid, **extra)))
+        assert run(["k", str(path)]) == EXIT_USAGE
+        assert "malformed representation file" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", (
+    ["rf", "z:0", "--rmax", "1"],
+    ["rf", "z:-2", "--rmax", "3"],
+    ["rf", "z:x", "--rmax", "1"],
+    ["k", "z:0"],
+    ["char", "z:-1"],
+))
+def test_z_rank_must_be_positive(argv, capsys):
+    assert run(argv) == EXIT_USAGE
+    assert "z:m needs an integer rank m >= 1" in _one_error_line(capsys)
+
+
+def test_catalog_dump_to_an_unwritable_path(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "d4.json"
+    assert run(["--output", str(out_path), "catalog", "dump", "d4_paper"]) == EXIT_USAGE
+    assert "cannot write" in _one_error_line(capsys)
+    assert not out_path.exists()
+
+
+def test_emit_csv_fails_closed(tmp_path):
+    profile = rf_profile(FamilySpec("nu"), 1, 3)
+    with pytest.raises(IoFailure, match="cannot write"):
+        emit_csv(profile, str(tmp_path / "missing" / "rf.csv"))
+    empty = RFProfile(spec=profile.spec, radii=(), values=(), witnesses=())
+    with pytest.raises(IoFailure, match="empty profile"):
+        emit_csv(empty, "-")
+
+
+def test_exhausted_split_budget_is_inconclusive(monkeypatch, capsys):
+    monkeypatch.setattr(repdecomp, "SPLIT_TRY_BUDGET", 0)
+    repdecomp.q_split.cache_clear()  # so the splits below run
+    with pytest.raises(InconclusiveSplit):
+        repdecomp.q_split(catalog_rep("quaternion_paper"))
+    assert run(["decompose", "catalog:quaternion_paper"]) == EXIT_COMPUTE
+    assert "within the retry budget" in _one_error_line(capsys)
 
 
 def test_verify_shares_one_exponent_report_per_rep_seed_and_bound(capsys):

@@ -15,6 +15,7 @@ from rfva.catalog import (
 )
 from rfva.errors import (
     BadPrime,
+    CertificateFailed,
     NotCommuting,
     NotInvariant,
     NotOrthonormal,
@@ -23,7 +24,6 @@ from rfva.errors import (
     UnresolvedClassWord,
 )
 from rfva.exactalg import (
-    FpMatrix,
     IntMatrix,
     IntPoly,
     _fval,
@@ -79,7 +79,8 @@ def test_commutant_over_fp_matches_isotypic_structure():
     for rep, expected in ((Q8, 4), (D4, 2), (catalog_rep("perm_sym(3)"), 2)):
         cons = split_mod_p(rep, _first_split_prime(rep))
         mult_sq = sum(g.multiplicity**2 for g in cons.groups)
-        fp_dim = len(commutant_basis(rep, p=cons.field).matrices)
+        system = rd._commutation_system([g.entries for g in rep.generators], rep.degree)
+        fp_dim = len(_kernel(system, cons.field))
         assert fp_dim == mult_sq == expected
 
 
@@ -356,6 +357,24 @@ def test_certificate_random_commutant_samples():
         done += 1
 
 
+def test_certificate_fails_closed(monkeypatch):
+    # Q8's charpoly has degree 4, so it has no cube root
+    monkeypatch.setattr(rd, "exponent_k", lambda rep, seed, prime_bound: 3)
+    with pytest.raises(CertificateFailed, match="not a k-th power"):
+        commutant_certificate(Q8, QUAT_B)
+    monkeypatch.undo()
+    real_det = rd.det
+    monkeypatch.setattr(rd, "det", lambda b: real_det(b) + 1)
+    with pytest.raises(CertificateFailed, match="det_is_x_pow_k") as failed:
+        commutant_certificate(Q8, QUAT_B)
+    assert dict(failed.value.certificate.checks) == {
+        "det_is_x_pow_k": False,
+        "b_times_m": True,
+        "adjugate": True,
+        "x_lattice_in_image": True,
+    }
+
+
 # --- the Reynolds average ----------------------------------------------------
 
 
@@ -373,10 +392,7 @@ def _complement_by_restricted_average(splitter, basis, w_coords):
     t_mat = [list(col) for col in zip(*ext)]
     e_proj = [[_fval(int(i == j < e), p) for j in range(d)] for i in range(d)]
     proj0 = _mat_mul(_mat_mul(t_mat, e_proj, p), _inverse(t_mat, p), p)
-    elements = splitter.rep.elements
-    if p is not None:
-        elements = [FpMatrix.from_int(h, p) for h in elements]
-    restricted = [splitter.restrict(h, basis) for h in elements]
+    restricted = [splitter.restrict(h, basis) for h in splitter.rep.elements]
     acc = [[_fval(0, p)] * d for _ in range(d)]
     for r_h, h_inv in zip(restricted, splitter.rep.inverse_indices):
         term = _mat_mul(_mat_mul(r_h, proj0, p), restricted[h_inv], p)

@@ -152,11 +152,19 @@ def test_rf_profile_rot4_radius_one():
     assert prof.values == (2,)
 
 
-def test_exponent_fit_constant_profile():
-    prof = rf_profile(NU, 1, 40, radii=(3, 5, 10, 20, 30, 40))
-    # replace by a constant to pin the zero-slope case
-    from rfva.rfgrowth import RFProfile
+def _sampled(prof, radii):
+    """The points of prof at the given radii (prof starts at r = 1)."""
+    return RFProfile(
+        spec=prof.spec,
+        radii=radii,
+        values=tuple(prof.values[r - 1] for r in radii),
+        witnesses=tuple(prof.witnesses[r - 1] for r in radii),
+    )
 
+
+def test_exponent_fit_constant_profile():
+    prof = _sampled(rf_profile(NU, 1, 40), (3, 5, 10, 20, 30, 40))
+    # replace by a constant to pin the zero-slope case
     const = RFProfile(
         spec=NU,
         radii=prof.radii,
@@ -168,8 +176,9 @@ def test_exponent_fit_constant_profile():
 
 
 def test_exponent_fit_on_z():
-    radii = (3, 10, 30, 100, 300, 1000, 3000)
-    prof = rf_profile(NU, 1, 3000, radii=radii)
+    full = rf_profile(NU, 1, 3000)
+    assert full.radii == tuple(range(1, 3001))
+    prof = _sampled(full, (3, 10, 30, 100, 300, 1000, 3000))
     k_hat, _ = exponent_fit(prof)
     assert 0.6 <= k_hat <= 1.5
 
@@ -187,6 +196,12 @@ def test_exponent_fit_matches_numpy_lstsq(values):
     (slope, _), (res,), _, _ = np.linalg.lstsq(a, np.log(np.array(values, dtype=float)), rcond=None)
     assert abs(k_hat - slope) < 1e-12
     assert abs(residual - res) < 1e-12
+
+
+@pytest.mark.parametrize("m, r_max", ((0, 1), (-2, 3), (1, 0)))
+def test_rf_profile_rejects_an_empty_scan(m, r_max):
+    with pytest.raises(ValueError, match="at least 1"):
+        rf_profile(NU, m, r_max)
 
 
 def test_exponent_fit_insufficient_data():
