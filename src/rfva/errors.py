@@ -45,8 +45,24 @@ class InconsistentSplit(RfvaError):
     """Constituent dimensions disagree across primes; indicates a bug."""
 
 
+class PrimalityUnknown(RfvaError):
+    """A number beyond the range where the primality test is exact."""
+
+
 class InconclusiveSplit(RfvaError):
-    """The randomized rational splitting could not certify irreducibility."""
+    """The randomized splitting could not split or certify irreducibility.
+
+    Carries the field ("Q" or "F_p"), the subspace dimension, the candidates
+    tried and the longest run of random draws with irreducible minimal polynomial.
+    """
+
+    def __init__(self, field, dimension, tries, streak):
+        super().__init__(
+            "could not split or certify irreducibility within the retry budget "
+            f"(field {field}, subspace dimension {dimension}, {tries} tries, "
+            f"longest irreducible streak {streak})"
+        )
+        self.field, self.dimension, self.tries, self.streak = field, dimension, tries, streak
 
 
 class NotAPartition(RfvaError):

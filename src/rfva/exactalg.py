@@ -13,18 +13,17 @@ operation ever rounds.  Conventions fixed once for the whole package:
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-from sympy import ZZ, isprime
-from sympy.polys.factortools import dup_factor_list
-from sympy.polys.galoistools import gf_factor
+from functools import lru_cache, reduce
+from itertools import combinations, count, zip_longest
 
 from .errors import (
     DimensionMismatch,
     InexactDivision,
     NotAPower,
+    PrimalityUnknown,
     RfvaError,
     SingularMatrix,
     UnsoundMinpoly,
@@ -539,14 +538,55 @@ def _matrix_minpoly(m, p):
 
 
 # ---------------------------------------------------------------------------
-# the prime search shared by the splits, the witnesses and the lower bound
+# primes and divisors; the prime search shared by the splits, the witnesses
+# and the lower bound
+
+# no strong pseudoprime to the first 13 prime bases is below _MR_LIMIT
+# (Sorenson & Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _isprime(n: int) -> bool:
+    """Deterministic Miller-Rabin; PrimalityUnknown at or above _MR_LIMIT."""
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    if n >= _MR_LIMIT:
+        raise PrimalityUnknown(f"{n} is beyond the deterministic primality range")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # n passes base b iff b^d = 1 or b^(d 2^r) = n - 1 for some r < s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, ascending, by trial division."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
+
+
+def _least_prime_power(n: int) -> tuple[int, int]:
+    """(p, e): the least prime p dividing n >= 2 and its exponent in n."""
+    p = _divisors(n)[1]
+    return p, next(e for e in count(1) if n % p ** (e + 1))
 
 
 def _primes_one_mod(n: int, bound: int):
     """Primes p <= bound with p = 1 mod n, in increasing order."""
     candidate = n + 1
     while candidate <= bound:
-        if isprime(candidate):
+        if _isprime(candidate):
             yield candidate
         candidate += n
 
@@ -570,46 +610,241 @@ def kernel_fp(rows: list[list[int]], p: int) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# polynomial factorization (backed by sympy's Zassenhaus / finite-field code)
+# factorization over F_p (Cantor & Zassenhaus, Math. Comp. 1981) and over Z
+# (Zassenhaus, J. Number Theory 1969: factor mod p, Hensel-lift past the
+# Mignotte bound, recombine by trial division), on ascending lists without
+# trailing zeros ([] is zero) with entries in [0, p), or [0, p^a) when lifted.
+
+
+def _gf_strip(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _gf_sub(f, g, p):
+    return _gf_strip([(a - b) % p for a, b in zip_longest(f, g, fillvalue=0)])
+
+
+def _gf_mul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return _gf_strip([c % p for c in out])
+
+
+def _gf_prod(fs, p):
+    return reduce(lambda f, g: _gf_mul(f, g, p), fs, [1])
+
+
+def _gf_divmod(f, g, p):
+    """Quotient and remainder of f by g, whose leading coefficient is a unit mod p."""
+    r, dg, inv = list(f), len(g) - 1, pow(g[-1], -1, p)
+    q = [0] * max(len(f) - dg, 0)
+    for k in reversed(range(len(q))):
+        c = q[k] = r[k + dg] * inv % p
+        for j in range(dg):
+            r[k + j] = (r[k + j] - c * g[j]) % p
+    return q, _gf_strip(r[:dg])
+
+
+def _gf_gcd(f, g, p):
+    """Monic gcd of f and g, not both zero."""
+    while g:
+        f, g = g, _gf_divmod(f, g, p)[1]
+    return _gf_divmod(f, f[-1:], p)[0]  # made monic
+
+
+def _gf_xgcd(f, g, p):
+    """(s, t) with s f + t g = 1 for coprime f and g (extended Euclid)."""
+    r0, r1, s0, s1, t0, t1 = f, g, [1], [], [], [1]
+    while r1:
+        q, r = _gf_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
+        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
+    return _gf_divmod(s0, r0, p)[0], _gf_divmod(t0, r0, p)[0]  # r0 is a unit
+
+
+def _gf_powmod(f, n, g, p):
+    """f^n mod g, by repeated squaring."""
+    out, f = [1], _gf_divmod(f, g, p)[1]
+    for bit in bin(n)[2:]:
+        out = _gf_divmod(_gf_mul(out, out, p), g, p)[1]
+        if bit == "1":
+            out = _gf_divmod(_gf_mul(out, f, p), g, p)[1]
+    return out
+
+
+def _gf_diff(f, p):
+    return _gf_strip([i * c % p for i, c in enumerate(f)][1:])
+
+
+def _gf_sqf(f, p):
+    """[(g, e)]: monic f = prod g^e, the g square-free and pairwise coprime.  The loop
+    on f / gcd(f, f') takes the factors of multiplicity prime to p; the rest is a
+    p-th power, sum a_i x^(ip) = (sum a_i x^i)^p."""
+    out, n = [], 1
+    while len(f) > 1:
+        if df := _gf_diff(f, p):
+            g = _gf_gcd(f, df, p)
+            h, i = _gf_divmod(f, g, p)[0], 1
+            while len(h) > 1:
+                common = _gf_gcd(g, h, p)
+                part = _gf_divmod(h, common, p)[0]
+                if len(part) > 1:
+                    out.append((part, i * n))
+                g, h, i = _gf_divmod(g, common, p)[0], common, i + 1
+            f = g
+        f, n = f[::p], n * p
+    return out
+
+
+def _gf_factor_sqf(f, p):
+    """The monic irreducible factors of a square-free monic f: gcd(f, x^(p^d) - x)
+    for each degree d, then gcd(f, a^((p^d-1)/2) - 1), or for p = 2 the trace
+    a + a^2 + ... + a^(2^(d-1)), splits for about half of all a.  The random a
+    come from a fixed-seed generator of its own, never from the caller's."""
+    rng, by_degree, d, h = random.Random(0), [], 0, [0, 1]
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _gf_powmod(h, p, f, p)
+        g = _gf_gcd(f, _gf_sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            by_degree.append((g, d))
+            f = _gf_divmod(f, g, p)[0]
+            h = _gf_divmod(h, f, p)[1]
+    if len(f) > 1:
+        by_degree.append((f, len(f) - 1))
+    out = []
+    while by_degree:
+        f, d = by_degree.pop()
+        if len(f) - 1 == d:
+            out.append(f)
+            continue
+        t = s = _gf_strip([rng.randrange(p) for _ in range(len(f) - 1)])
+        if p > 2:
+            t = _gf_sub(_gf_powmod(s, (p**d - 1) // 2, f, p), [1], p)
+        for _ in range(d - 1 if p == 2 else 0):
+            s = _gf_divmod(_gf_mul(s, s, p), f, p)[1]
+            t = _gf_sub(t, s, p)  # minus is plus mod 2
+        g = _gf_gcd(f, t, p)
+        by_degree += [(g, d), (_gf_divmod(f, g, p)[0], d)] if 1 < len(g) < len(f) else [(f, d)]
+    return out
+
+
+def _factor_key(factor):
+    """sympy's order of factors: length, multiplicity, descending coefficients."""
+    return len(factor[0]), factor[1], factor[0][::-1]
+
+
+def _zz_divmod(f, g):
+    """(q, f - q g) over Z, q by floor division on lc(g) at each step: g divides f
+    in Z[x] iff the remainder is zero, and for f scaled by lc(g)^(deg f - deg g + 1)
+    every step is exact, so the remainder is the pseudo-remainder, of degree < deg g."""
+    r, q = list(f), [0] * (len(f) - len(g) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = r[k + len(g) - 1] // g[-1]
+        for j, c in enumerate(g):
+            r[k + j] -= q[k] * c
+    return q, _gf_strip(r)
+
+
+def _primitive(f):
+    """f over the gcd of its entries, with a positive leading coefficient."""
+    g = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
+    return [c // g for c in f]
+
+
+def _hensel_lift(f, factors, p, a):
+    """The monic F_i = factors[i] mod p with f = lc(f) prod F_i mod p^a, for the
+    distinct monic irreducible factors of f mod p: f = lc(f) g h, g and h the
+    products of the two halves, is lifted a digit a step, then each half inside."""
+    pa = p**a
+    f = [c * pow(f[-1], -1, pa) % pa for c in f]
+    if len(factors) == 1:
+        return [f]
+    half = len(factors) // 2
+    g, h = _gf_prod(factors[:half], p), _gf_prod(factors[half:], p)
+    s, t = _gf_xgcd(g, h, p)
+    for m in (p**i for i in range(1, a)):
+        # (g + m dg)(h + m dh) = f mod m p needs g dh + h dg = e mod p:
+        # t e = q g + dg, and g divides e - h dg exactly
+        e = _gf_strip([(x - y) // m % p for x, y in zip(f, _gf_mul(g, h, pa))])
+        q, dg = _gf_divmod(_gf_mul(t, e, p), g, p)
+        dh = _gf_divmod(_gf_sub(e, _gf_mul(h, dg, p), p), g, p)[0]
+        g = [x + m * y for x, y in zip_longest(g, dg, fillvalue=0)]
+        h = [x + m * y for x, y in zip_longest(h, dh, fillvalue=0)]
+    return _hensel_lift(g, factors[:half], p, a) + _hensel_lift(h, factors[half:], p, a)
+
+
+def _zassenhaus(g):
+    """Irreducible factors over Z of a square-free primitive g with lc > 0."""
+    for p in filter(_isprime, count(2)):
+        gp = [c % p for c in g]
+        if g[-1] % p and len(_gf_gcd(gp, _gf_diff(gp, p), p)) == 1:
+            break
+    modular = _gf_factor_sqf(_gf_divmod(gp, gp[-1:], p)[0], p)
+    # lc(g) times a factor has coefficients below the Mignotte bound
+    # lc(g) 2^n |g|_2, n = len(g) - 1; p^a above twice it recovers them
+    a, bound = 1, g[-1] * 2 ** len(g) * (math.isqrt(sum(c * c for c in g)) + 1)
+    while p**a <= bound:
+        a += 1
+    pa, lifted, found, size = p**a, _hensel_lift(g, modular, p, a), [], 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(lifted, size):
+            cand = _gf_prod([[g[-1]], *subset], pa)
+            cand = _primitive([c - pa if 2 * c > pa else c for c in cand])
+            quotient, remainder = _zz_divmod(g, cand)
+            if not remainder:
+                found.append(cand)
+                g, lifted = quotient, [h for h in lifted if h not in subset]
+                break
+        else:
+            size += 1
+    return found + [g]
 
 
 def factor_over_prime_field(coeffs: tuple[int, ...], p: int) -> list[tuple[tuple[int, ...], int]]:
-    """Irreducible factors over F_p with multiplicity.
+    """Irreducible factors over F_p with multiplicity, in sympy's gf_factor order.
 
-    Input and output polynomials use ascending coefficients reduced mod p.
-    Returns [(factor, multiplicity), ...] whose product is the input mod p.
-    The irreducible factors are monic; a leading coefficient c other than 1
-    comes first as the degree-0 factor ((c,), 1), so a monic input (what the
-    package passes) gets none.
+    Polynomials are ascending coefficients reduced mod p; the product of the
+    [(factor, multiplicity), ...] is the input mod p.  The factors are monic; a
+    leading coefficient c other than 1 comes first as the factor ((c,), 1).
     """
-    asc = [c % p for c in coeffs]
-    while len(asc) > 1 and asc[-1] == 0:
-        asc.pop()
-    if asc == [0]:
+    f = _gf_strip([c % p for c in coeffs])
+    if not f:
         raise ValueError("zero polynomial")
-    desc = list(reversed(asc))
-    lc, factors = gf_factor([ZZ(c) for c in desc], p, ZZ)
-    out = []
-    for f_desc, mult in factors:
-        f_asc = tuple(int(c) % p for c in reversed(f_desc))
-        out.append((f_asc, int(mult)))
-    if int(lc) % p != 1:
-        # fold the unit into a degree-0 factor so the product is exact
-        out.insert(0, ((int(lc) % p,), 1))
-    return out
+    monic = _gf_divmod(f, f[-1:], p)[0]
+    factors = [(tuple(h), e) for g, e in _gf_sqf(monic, p) for h in _gf_factor_sqf(g, p)]
+    return [((f[-1],), 1)] * (f[-1] != 1) + sorted(factors, key=_factor_key)
 
 
 def factor_over_integers(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
     """Factor into content and Z-irreducible factors with multiplicity.
 
-    Returns (content, factors) with content * prod(g^e) == f exactly.
+    Returns (content, factors) with content * prod(g^e) == f exactly, in the
+    order of sympy's dup_factor_list.  The content has the sign of the leading
+    coefficient; the factors are primitive with positive leading coefficients.
     """
-    content, factors = dup_factor_list([ZZ(c) for c in reversed(f.coeffs)], ZZ)
-    out = [
-        (IntPoly(tuple(int(c) for c in reversed(desc))), int(mult))
-        for desc, mult in factors
-    ]
-    return int(content), out
+    j = next(i for i, x in enumerate(f.coeffs) if x)
+    rest = _primitive(list(f.coeffs[j:]))
+    content = f.coeffs[-1] // rest[-1]
+    factors = [([0, 1], j)] * (j > 0)
+    if len(rest) > 1:
+        # the square-free part g / gcd(g, g'), by Euclid over Q on primitive
+        # pseudo-remainders; a nonzero constant remainder means gcd 1
+        a, b = rest, [i * x for i, x in enumerate(rest)][1:]
+        while len(b) > 1:
+            r = _zz_divmod([x * b[-1] ** (len(a) - len(b) + 1) for x in a], b)[1]
+            a, b = b, r and _primitive(r)
+        for h in _zassenhaus(rest if b else _zz_divmod(rest, _primitive(a))[0]):
+            e = 0
+            while not (division := _zz_divmod(rest, h))[1]:
+                rest, e = division[0], e + 1
+            factors.append((h, e))
+    return content, [(IntPoly(tuple(h)), e) for h, e in sorted(factors, key=_factor_key)]
 
 
 def poly_kth_root(f: IntPoly, k: int) -> IntPoly:

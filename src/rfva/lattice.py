@@ -42,8 +42,6 @@ from dataclasses import dataclass, field
 from itertools import islice, product
 from typing import Iterator
 
-import sympy
-
 from .errors import (
     DimensionMismatch,
     PrimeSearchFailed,
@@ -58,7 +56,9 @@ from .exactalg import (
     IntPoly,
     Lattice,
     _coprime_intersection,
+    _divisors,
     _kernel,
+    _least_prime_power,
     _matrix_minpoly,
     _primes_one_mod,
     _rref,
@@ -150,7 +150,7 @@ def _diagonals(m, n):
     if m == 1:
         yield (n,)
         return
-    for d in sympy.divisors(n):
+    for d in _divisors(n):
         for rest in _diagonals(m - 1, n // d):
             yield (d,) + rest
 
@@ -287,7 +287,7 @@ def _invariant_batch(rep: Rep, prefix: _Prefix, n: int) -> list[Lattice]:
     if n == 1:
         batch = [Lattice(basis=IntMatrix.identity(rep.degree), index=1)]
     else:
-        p, e = min(sympy.factorint(n).items())
+        p, e = _least_prime_power(n)
         q = p**e
         if q == n:
             batch = _prime_power_batch(rep, prefix, p, e)

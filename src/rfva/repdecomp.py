@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import sympy
-
 from .errors import (
     BadPrime,
     CertificateFailed,
@@ -49,6 +47,7 @@ from .exactalg import (
     _fval,
     _identity,
     _inverse,
+    _isprime,
     _mat_add,
     _mat_mul,
     _mat_scale,
@@ -269,18 +268,18 @@ class _ModuleSplitter:
         ]
         if len(commutant) == 1:
             return [list(basis)]
-        consecutive = 0
-        tries = 0
+        consecutive = streak = tries = 0
         for z, is_random in self.candidate_stream(commutant):
-            tries += 1
-            if tries > SPLIT_TRY_BUDGET:
+            if tries == SPLIT_TRY_BUDGET:
                 break
+            tries += 1
             z = self.clear_denominators(z)
             factors = self.factor_minpoly(z)
             nontrivial = len(factors) > 1 or factors[0][1] > 1
             if not nontrivial:
                 if is_random and len(factors[0][0]) > 1:
                     consecutive += 1
+                    streak = max(streak, consecutive)
                     if consecutive >= CONSECUTIVE_IRREDUCIBLE and self.p is None:
                         return [list(basis)]
                 continue
@@ -294,9 +293,7 @@ class _ModuleSplitter:
             w_basis = self.coords_to_ambient(w_coords, basis)
             c_basis = self.coords_to_ambient(comp_coords, basis)
             return self.split(w_basis) + self.split(c_basis)
-        raise InconclusiveSplit(
-            "could not split or certify irreducibility within the retry budget"
-        )
+        raise InconclusiveSplit("Q" if self.p is None else f"F_{self.p}", d, tries, streak)
 
 
 def _conjugation_sum(rep: Rep, m_int):
@@ -353,7 +350,7 @@ def split_mod_p(rep: Rep, p: int, seed: int = DEFAULT_SEED) -> Constituents:
     action (ordinary characters suffice because p does not divide |H|).
     Memoized like q_split and exponent_report: the result is immutable.
     """
-    if not sympy.isprime(p):
+    if not _isprime(p):
         raise BadPrime(f"{p} is not prime")
     if rep.order > 1 and p % rep.order != 1:
         raise BadPrime(f"{p} is not congruent to 1 mod |H| = {rep.order}")

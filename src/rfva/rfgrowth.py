@@ -12,8 +12,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import sympy
-
 from .errors import (
     BudgetExceeded,
     InsufficientData,
@@ -21,7 +19,7 @@ from .errors import (
     SearchBoundExceeded,
     ZeroVector,
 )
-from .exactalg import IntMatrix, _primes_one_mod, det
+from .exactalg import IntMatrix, _isprime, _primes_one_mod, det
 from .grouprep import Rep
 from .lattice import FamilySpec, enumerate_family
 from .repdecomp import (
@@ -199,6 +197,8 @@ def lower_bound_certificate(
     the box-enumerated Com family (every enumerated lattice omitting v_s has
     index >= s^k).  The last is over the enumerated family only.
     """
+    if min(s_max, samples) < 1:
+        raise ValueError("all bounds must be positive")
     if not q_split(rep, seed=seed).irreducible:
         raise NotIrreducible("the lower bound needs a Q-irreducible representation")
     k = exponent_k(rep, seed=seed, prime_bound=prime_bound)
@@ -255,7 +255,7 @@ def chebyshev_psi(s: int) -> float:
     if s < 2:
         raise ValueError("chebyshev_psi needs s >= 2")
     lcm = 1
-    for p in sympy.primerange(2, s + 1):
+    for p in filter(_isprime, range(2, s + 1)):
         pe = p
         while pe * p <= s:
             pe *= p

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ from rfva.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, emit_csv, load_rep_file,
 from rfva.errors import InconclusiveSplit, IoFailure
 from rfva.lattice import FamilySpec
 from rfva.rfgrowth import RFProfile, rf_profile
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _one_error_line(capsys):
@@ -196,10 +202,60 @@ def test_emit_csv_fails_closed(tmp_path):
 def test_exhausted_split_budget_is_inconclusive(monkeypatch, capsys):
     monkeypatch.setattr(repdecomp, "SPLIT_TRY_BUDGET", 0)
     repdecomp.q_split.cache_clear()  # so the splits below run
-    with pytest.raises(InconclusiveSplit):
-        repdecomp.q_split(catalog_rep("quaternion_paper"))
+    quaternion = catalog_rep("quaternion_paper")
+    with pytest.raises(InconclusiveSplit) as info:
+        repdecomp.q_split(quaternion)
+    assert (info.value.field, info.value.dimension, info.value.tries, info.value.streak) == (
+        "Q", 4, 0, 0
+    )
+    with pytest.raises(InconclusiveSplit) as info:
+        repdecomp.split_mod_p.__wrapped__(quaternion, 17)
+    assert (info.value.field, info.value.dimension, info.value.tries) == ("F_17", 4, 0)
     assert run(["decompose", "catalog:quaternion_paper"]) == EXIT_COMPUTE
-    assert "within the retry budget" in _one_error_line(capsys)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: could not split or certify irreducibility within the retry budget "
+        "(field Q, subspace dimension 4, 0 tries, longest irreducible streak 0)\n"
+    )
+    # the 16 deterministic candidates of the 4-dimensional commutant come
+    # first; every random draw after them has an irreducible minimal polynomial
+    monkeypatch.setattr(repdecomp, "SPLIT_TRY_BUDGET", 30)
+    monkeypatch.setattr(repdecomp, "CONSECUTIVE_IRREDUCIBLE", 10**9)
+    repdecomp.q_split.cache_clear()
+    assert run(["decompose", "catalog:quaternion_paper"]) == EXIT_COMPUTE
+    assert _one_error_line(capsys).endswith(
+        "(field Q, subspace dimension 4, 30 tries, longest irreducible streak 14)"
+    )
+
+
+@pytest.mark.parametrize(
+    "bounds", (["--samples", "0"], ["--samples", "-3"], ["--smax", "0"], ["--smax", "-1"])
+)
+def test_lowerbound_suite_rejects_empty_checks(bounds, capsys):
+    # each of these printed PASS lines that checked nothing, and exited 0
+    argv = ["verify", "catalog:quaternion_paper", "--suite", "lowerbound", "--smax", "1"]
+    assert run(argv + bounds) == EXIT_USAGE
+    assert _one_error_line(capsys) == "error: all bounds must be positive"
+    assert capsys.readouterr().out == ""
+
+
+def test_prime_beyond_the_exact_primality_range(capsys):
+    argv = ["decompose", "catalog:d4_paper", "--field", f"fp:{2**89 - 1}"]
+    assert run(argv) == EXIT_USAGE
+    assert "beyond the deterministic primality range" in _one_error_line(capsys)
+
+
+def test_importing_the_cli_leaves_sympy_unloaded():
+    code = "import sys, rfva.cli; print(sorted(m for m in sys.modules if m.startswith('sympy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_verify_shares_one_exponent_report_per_rep_seed_and_bound(capsys):

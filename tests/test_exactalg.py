@@ -7,15 +7,21 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
+from sympy.polys.factortools import dup_factor_list
+from sympy.polys.galoistools import gf_factor
 from sympy.polys.matrices import DomainMatrix
 
-from rfva.errors import NotAPower, RfvaError, SingularMatrix, ZeroSpan
+from rfva.errors import NotAPower, PrimalityUnknown, RfvaError, SingularMatrix, ZeroSpan
 from rfva.exactalg import (
+    _MR_LIMIT,
     IntMatrix,
     IntPoly,
     _coprime_intersection,
+    _divisors,
     _identity,
     _inverse,
+    _isprime,
+    _least_prime_power,
     _matrix_minpoly,
     _poly_eval_matrix,
     _rank,
@@ -279,6 +285,170 @@ def test_factor_over_prime_field():
     assert sorted(len(c) for c, _ in fs5) == [2, 2]
     fs7 = factor_over_prime_field((1, 0, 1), 7)
     assert len(fs7) == 1 and fs7[0][1] == 1
+
+
+# --- factoring, primality and divisors against sympy, the earlier backend ----
+
+
+def _gf_factor_reference(coeffs, p):
+    """sympy's gf_factor, with a leading coefficient c != 1 first as ((c,), 1)."""
+    desc = [c % p for c in reversed(coeffs)]
+    while desc and desc[0] == 0:
+        desc.pop(0)
+    lc, factors = gf_factor([sympy.ZZ(c) for c in desc], p, sympy.ZZ)
+    out = [(tuple(int(c) for c in reversed(f)), int(e)) for f, e in factors]
+    return [((int(lc),), 1)] * (int(lc) != 1) + out
+
+
+def _zz_factor_reference(f):
+    content, factors = dup_factor_list([sympy.ZZ(c) for c in reversed(f.coeffs)], sympy.ZZ)
+    return int(content), [
+        (IntPoly(tuple(int(c) for c in reversed(g))), int(e)) for g, e in factors
+    ]
+
+
+FIELD_PRIMES = (2, 3, 17, 241, 8641)
+
+
+@st.composite
+def _fp_polynomials(draw):
+    """(coefficients, p): c * prod g_i^e_i with repeated and p-th power factors."""
+    p = draw(st.sampled_from(FIELD_PRIMES))
+    f = IntPoly((draw(st.integers(1, p - 1)),))
+    for _ in range(draw(st.integers(0, 4))):
+        tail = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
+        powers = (1, 2, 3, p) if p < 4 else (1, 2, 3)
+        f = f * IntPoly(tuple(tail) + (1,)).pow(draw(st.sampled_from(powers)))
+    coeffs = [c % p for c in f.coeffs]
+    if p < 4 and draw(st.booleans()):  # f(x^p), whose derivative is zero
+        spread = [0] * (p * len(coeffs) - p + 1)
+        spread[::p] = coeffs
+        coeffs = spread
+    return tuple(coeffs), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fp_polynomials())
+def test_factor_over_prime_field_matches_gf_factor(case):
+    coeffs, p = case
+    assert factor_over_prime_field(coeffs, p) == _gf_factor_reference(coeffs, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELD_PRIMES), st.lists(st.integers(-50, 50), min_size=1, max_size=9))
+def test_factor_over_prime_field_of_raw_coefficients(p, coeffs):
+    if all(c % p == 0 for c in coeffs):
+        with pytest.raises(ValueError):
+            factor_over_prime_field(tuple(coeffs), p)
+        return
+    assert factor_over_prime_field(tuple(coeffs), p) == _gf_factor_reference(coeffs, p)
+
+
+def test_factor_over_prime_field_special_shapes():
+    cases = [
+        ((1, 0, 0, 1, 0, 0, 1), 3),  # (x^2 + x + 1)^3, derivative zero
+        ((1, 0, 1, 0, 1), 2),  # (x^2 + x + 1)^2, derivative zero
+        ((1, 0, 0, 1), 3),  # (x + 1)^3
+        ((0, 0, 0, 0, 0, 0, 0, 0, 1), 2),  # x^8
+        ((1,) + (0,) * 16 + (1,), 17),  # x^17 + 1 = (x + 1)^17
+        ((2, 0, 0, 2), 3),  # 2 (x + 1)^3
+        ((5,), 17),  # a unit
+        ((1,) + (0,) * 7 + (1,), 17),  # x^8 + 1: 8 linear factors, equal-degree split
+        (tuple(range(1, 12)), 2),
+    ]
+    for coeffs, p in cases:
+        assert factor_over_prime_field(coeffs, p) == _gf_factor_reference(coeffs, p), coeffs
+
+
+@st.composite
+def _zz_polynomials(draw):
+    """content * x^j * prod g_i^e_i, the g_i of either sign and not monic."""
+    f = IntPoly((draw(st.integers(-12, 12).filter(bool)),))
+    for _ in range(draw(st.integers(0, 4))):
+        tail = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3))
+        lead = draw(st.sampled_from((1, 1, -1, 2, 3)))
+        f = f * IntPoly(tuple(tail) + (lead,)).pow(draw(st.integers(1, 3)))
+    return IntPoly((0,) * draw(st.integers(0, 3)) + f.coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_zz_polynomials())
+def test_factor_over_integers_matches_dup_factor_list(f):
+    assert factor_over_integers(f) == _zz_factor_reference(f)
+
+
+def test_factor_over_integers_special_shapes():
+    swinnerton_dyer = IntPoly((1, 0, -10, 0, 1))  # splits mod every prime
+    cases = [
+        swinnerton_dyer,
+        swinnerton_dyer * IntPoly((-2, 0, 1)).pow(2) * IntPoly((0, 0, 0, -6)),
+        IntPoly((-1,) + (0,) * 11 + (1,)),  # x^12 - 1, six cyclotomic factors
+        IntPoly((0, 0, 1)) * IntPoly((1, 1)),  # x^2 sorts after x + 1
+        IntPoly((0, 0, -4, -2)),  # -2 x^2 (x + 2)
+        IntPoly((7,)),
+        IntPoly((-6, 0, 0, 0, 0, 0, 0, 0, 0)),
+        IntPoly((1, 1)).pow(5) * IntPoly((-1, 1)).pow(4) * IntPoly((1, 2)),
+        IntPoly((-6, 11, -6, 1)) * IntPoly((4, 0, -5, 0, 1)),  # eight linear factors
+    ]
+    for f in cases:
+        assert factor_over_integers(f) == _zz_factor_reference(f), f
+
+
+def test_factoring_leaves_the_global_random_state_alone():
+    random.seed(5)
+    state = random.getstate()
+    eight_roots = (1,) + (0,) * 7 + (1,)  # x^8 + 1 splits into 8 linear factors mod 17
+    assert len(factor_over_prime_field(eight_roots, 17)) == 8
+    assert factor_over_integers(IntPoly((4, 0, -5, 0, 1)))[1][0][0] == IntPoly((-2, 1))
+    assert random.getstate() == state
+
+
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185)
+# Carmichael numbers (6k+1)(12k+1)(18k+1) with no factor among the bases: a
+# test that also accepts a 1 reached by squaring a value other than n - 1
+# calls them prime
+CHERNICK = (56052361, 118901521, 172947529, 216821881, 2301745249)
+STRONG_PSEUDOPRIMES = (
+    2047,  # to base 2
+    1373653,  # bases 2, 3
+    25326001,  # bases 2, 3, 5
+    3215031751,  # bases 2, 3, 5, 7
+    2152302898747,  # bases 2 to 11
+    3474749660383,  # bases 2 to 13
+    341550071728321,  # bases 2 to 17
+    3825123056546413051,  # bases 2 to 23
+    318665857834031151167461,  # bases 2 to 37, the first twelve primes
+)
+
+
+def test_isprime_matches_sympy():
+    assert all(_isprime(n) == sympy.isprime(n) for n in range(-5, 10**5))
+    for n in CARMICHAEL + CHERNICK + STRONG_PSEUDOPRIMES:
+        assert _isprime(n) is False and sympy.isprime(n) is False, n
+    for n in (2**31 - 1, 2**61 - 1, 10**18 + 9, 10**24 + 7, _MR_LIMIT - 1):
+        assert _isprime(n) == sympy.isprime(n), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(10**5, _MR_LIMIT - 1))
+def test_isprime_matches_sympy_on_large_numbers(n):
+    assert _isprime(n) == sympy.isprime(n)
+
+
+def test_isprime_refuses_to_guess_beyond_its_range():
+    # _MR_LIMIT itself is a strong pseudoprime to the first 13 prime bases
+    for n in (_MR_LIMIT, 2**89 - 1):
+        with pytest.raises(PrimalityUnknown):
+            _isprime(n)
+    assert _isprime(_MR_LIMIT + 1) is False  # even: a small factor decides it
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**6))
+def test_divisors_and_least_prime_power_match_sympy(n):
+    assert _divisors(n) == sympy.divisors(n)
+    if n > 1:
+        assert _least_prime_power(n) == min(sympy.factorint(n).items())
 
 
 def test_kernels():
