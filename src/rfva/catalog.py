@@ -51,8 +51,6 @@ def _perm_matrix(perm):
 
 def _sym_generators(n):
     """Transposition (0 1) and the n-cycle, as permutation matrices."""
-    if n < 2:
-        raise UnknownName(f"perm_sym needs n >= 2, got {n}")
     t = list(range(n))
     t[0], t[1] = t[1], t[0]
     c = [(i + 1) % n for i in range(n)]
@@ -98,6 +96,14 @@ def _split_top_level(args: str):
     return parts
 
 
+def _int_argument(head, args, name, least):
+    """The single integer argument of a parameterized family, checked >= least."""
+    if len(args) == 1 and re.fullmatch(r"\d+", args[0]) and int(args[0]) >= least:
+        return int(args[0])
+    got = ",".join(args)
+    raise UnknownName(f"{head}({name}) needs an integer {name} >= {least}, got {got!r}")
+
+
 def catalog_rep(name: str, element_bound: int = 20_000) -> Rep:
     """Resolve a catalog name to a Rep; raises UnknownName otherwise."""
     name = name.strip()
@@ -114,13 +120,12 @@ def catalog_rep(name: str, element_bound: int = 20_000) -> Rep:
             raise UnknownName("only rot(4) is provided")
         return close_group([[[0, -1], [1, 0]]], element_bound)
     if head == "trivial":
-        dim = int(args[0])
-        ident = IntMatrix.identity(dim)
+        ident = IntMatrix.identity(_int_argument(head, args, "m", 1))
         return close_group([ident, ident], element_bound)
-    if head == "perm_sym":
-        return close_group(_sym_generators(int(args[0])), element_bound)
-    if head == "std_sym":
-        return close_group(_std_sym_generators(int(args[0])), element_bound)
+    if head in ("perm_sym", "std_sym"):
+        n = _int_argument(head, args, "n", 2)
+        gens = _sym_generators(n) if head == "perm_sym" else _std_sym_generators(n)
+        return close_group(gens, element_bound)
     if head == "product":
         if len(args) != 2:
             raise UnknownName("product takes exactly two entries")

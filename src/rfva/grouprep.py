@@ -53,17 +53,13 @@ class Rep:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def inverse_indices(self) -> tuple[int, ...]:
-        """Element index of the inverse of each element, in element order."""
-        return _tables(self).inverse
-
     def element_index(self, m: IntMatrix) -> int:
         return _tables(self).index[m]
 
     def inverse(self, m: IntMatrix) -> IntMatrix:
-        """Inverse of a matrix of determinant +-1, by adjugate. Inverses of
-        group elements are cheaper by index: see inverse_indices."""
+        """Inverse of a matrix of determinant +-1, by adjugate. _build_tables
+        calls it on the generators only and reaches every other element's
+        inverse by index."""
         d = det(m)
         return adjugate(m) if d == 1 else -adjugate(m)
 

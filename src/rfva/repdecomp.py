@@ -45,7 +45,6 @@ from .exactalg import (
     IntMatrix,
     IntPoly,
     _fval,
-    _identity,
     _inverse,
     _isprime,
     _mat_add,
@@ -55,6 +54,7 @@ from .exactalg import (
     _poly_eval_matrix,
     _primes_one_mod,
     _rank,
+    _rref,
     _solve,
     adjugate,
     charpoly,
@@ -142,9 +142,8 @@ class _ModuleSplitter:
     Subspaces are tracked by bases of ambient vectors.  Splitting elements are
     drawn from the commutant of the restricted action; proper invariant
     subspaces obtained from polynomial kernels are completed to direct-sum
-    decompositions by averaging a projection over the (finite) group; the
-    average is summed in ambient integer coordinates and restricted to the
-    subspace once (see invariant_complement).
+    decompositions by the Maschke projection, solved for inside that same
+    commutant from the trace form (see invariant_complement).
     """
 
     def __init__(self, rep: Rep, p: int | None, rng: random.Random):
@@ -165,18 +164,18 @@ class _ModuleSplitter:
     def coords_to_ambient(self, coord_vecs, basis):
         return [tuple(v) for v in _mat_mul(coord_vecs, basis, self.p)]
 
-    def invariant_complement(self, basis, w_coords):
+    def invariant_complement(self, basis, w_coords, commutant):
         """Invariant complement of span(w_coords) inside span(basis).
 
-        proj0 projects onto W along a coordinate extension of w_coords; its
-        group average pbar = (1/|H|) sum_h R(h) proj0 R(h^-1), with R(h) the
-        action of h in basis coordinates, is an invariant projection onto W
-        (Maschke), and its kernel is the complement.  The sum is taken in
-        ambient coordinates instead: with B the m x d matrix whose columns are
-        the basis and B+ a left inverse of B, invariance of V = span(B) gives
-        h B = B R(h), so B+ (h M h^-1) B = R(h) proj0 R(h^-1) for
-        M = B proj0 B+.  Hence pbar = B+ S B / |H| with S = sum_h h M h^-1,
-        and S is summed in plain integers once M is cleared to M_int / D.
+        proj0 projects onto W along a coordinate extension of w_coords.  Its
+        group average pbar = (1/|H|) sum_h R(h) proj0 R(h^-1), R(h) the action
+        in basis coordinates, is an invariant projection onto W (Maschke);
+        its kernel is the complement.  Averaging projects onto the commutant
+        C and is self-adjoint for the trace form (tr(R(h) M R(h^-1) Y) =
+        tr(M Y) for Y in C), so pbar = sum_j c_j X_j over split's basis X_j
+        of C, with G c = (tr(proj0 X_i))_i and G_ij = tr(X_i X_j).  G is
+        nonsingular: C is semisimple over Q, and mod p = 1 (mod |H|) it is a
+        product of matrix algebras whose trace multiplicities divide |H|.
         """
         p = self.p
         d = len(basis)
@@ -193,21 +192,22 @@ class _ModuleSplitter:
         e_proj = [[_fval(1 if (i == j and i < e) else 0, p) for j in range(d)] for i in range(d)]
         t_inv = _inverse(t_mat, p)
         proj0 = _mat_mul(_mat_mul(t_mat, e_proj, p), t_inv, p)
-        # B+ solves B^T X = I with free unknowns 0: the inverse of d
-        # independent rows of B, placed in their columns
-        b_t = [[_fval(x, p) for x in v] for v in basis]
-        b_plus = _solve(b_t, _identity(d, p), p)
-        b_mat = [list(row) for row in zip(*b_t)]
-        m_mat = _mat_mul(_mat_mul(b_mat, proj0, p), b_plus, p)
-        if p is None:
-            denom = math.lcm(*(x.denominator for row in m_mat for x in row))
-            m_int = [[int(x * denom) for x in row] for row in m_mat]
-            scale = Fraction(1, denom * self.rep.order)
-        else:
-            m_int = m_mat
-            scale = pow(self.rep.order % p, p - 2, p)
-        s_mat = _conjugation_sum(self.rep, m_int)  # reduced mod p by _mat_mul
-        pbar = _mat_scale(_mat_mul(_mat_mul(b_plus, s_mat, p), b_mat, p), scale, p)
+        # commutant bases come from an RREF kernel and are mostly zero, so
+        # tr(X Y) = sum of X[i][j] Y[j][i] runs over the nonzero entries of X
+        sparse = [
+            [(i, j, x) for i, row in enumerate(z) for j, x in enumerate(row) if x]
+            for z in commutant
+        ]
+        columns = commutant + [proj0]
+        gram = [[sum(x * y[j][i] for i, j, x in s) for y in columns] for s in sparse]
+        # one elimination of [G | rhs], not _solve, which sets free unknowns to 0
+        red, pivots = _rref(gram, p)
+        c = len(commutant)
+        if pivots != list(range(c)):
+            raise UnsoundSplit(f"the trace form on a {c}-dimensional commutant is degenerate")
+        pbar = [[_fval(0, p)] * d for _ in range(d)]
+        for row, z in zip(red, commutant):
+            pbar = _mat_add(pbar, _mat_scale(z, row[c], p), p)
         comp_coords = self.kernel(pbar)
         if len(comp_coords) != d - e:
             raise UnsoundSplit(
@@ -289,21 +289,11 @@ class _ModuleSplitter:
             w_coords = self.kernel(fz)
             if not (0 < len(w_coords) < d):
                 continue
-            comp_coords = self.invariant_complement(basis, w_coords)
+            comp_coords = self.invariant_complement(basis, w_coords, commutant)
             w_basis = self.coords_to_ambient(w_coords, basis)
             c_basis = self.coords_to_ambient(comp_coords, basis)
             return self.split(w_basis) + self.split(c_basis)
         raise InconclusiveSplit("Q" if self.p is None else f"F_{self.p}", d, tries, streak)
-
-
-def _conjugation_sum(rep: Rep, m_int):
-    """sum_h h * M * h^-1 over the group, for an integer matrix M."""
-    els = rep.elements
-    acc = [[0] * len(m_int) for _ in m_int]
-    for h, h_inv in zip(els, rep.inverse_indices):
-        term = _mat_mul(_mat_mul(h.entries, m_int, None), els[h_inv].entries, None)
-        acc = _mat_add(acc, term, None)
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,19 @@ def test_z_rank_must_be_positive(argv, capsys):
     assert "z:m needs an integer rank m >= 1" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize(("name", "message"), (
+    ("std_sym(1)", "std_sym(n) needs an integer n >= 2, got '1'"),
+    ("trivial(0)", "trivial(m) needs an integer m >= 1, got '0'"),
+    ("perm_sym(abc)", "perm_sym(n) needs an integer n >= 2, got 'abc'"),
+    ("perm_sym(2,3)", "perm_sym(n) needs an integer n >= 2, got '2,3'"),
+))
+def test_catalog_parameter_errors_name_the_family(name, message, capsys):
+    assert run(["k", f"catalog:{name}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_catalog_dump_to_an_unwritable_path(tmp_path, capsys):
     out_path = tmp_path / "missing" / "d4.json"
     assert run(["--output", str(out_path), "catalog", "dump", "d4_paper"]) == EXIT_USAGE

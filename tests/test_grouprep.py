@@ -11,6 +11,7 @@ from rfva.errors import NotFinite, NotInvertible, UnknownName
 from rfva.exactalg import IntMatrix, det
 from rfva.grouprep import (
     ConjClasses,
+    _tables,
     character_of_rep,
     close_group,
     conjugacy_classes,
@@ -34,6 +35,9 @@ ORACLE_CATALOG = (
     "std_sym(5)",
     "product(d4_paper,quaternion_paper)",
     "product(rot(4),trivial(1))",
+    # |H| small and the commutant large: the largest trace-form Gram systems
+    "product(std_sym(2),trivial(3))",
+    "product(std_sym(3),trivial(2))",
 )
 
 
@@ -187,11 +191,12 @@ def test_classes_match_oracle_on_conjugates(name, seed):
 def test_inverse_table_perm_sym5():
     rep = catalog_rep("perm_sym(5)")
     ident = IntMatrix.identity(5)
+    inverse_indices = _tables(rep).inverse
     for i, e in enumerate(rep.elements):
-        inverse = rep.elements[rep.inverse_indices[i]]
+        inverse = rep.elements[inverse_indices[i]]
         assert e * inverse == ident
         assert inverse == rep.inverse(e)
-        assert rep.inverse_indices[rep.inverse_indices[i]] == i
+        assert inverse_indices[inverse_indices[i]] == i
 
 
 def test_used_rep_equals_fresh_closure_and_hits_cache():

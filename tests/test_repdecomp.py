@@ -35,7 +35,7 @@ from rfva.exactalg import (
     _rank,
     det,
 )
-from rfva.grouprep import close_group, is_abelian_image
+from rfva.grouprep import _tables, close_group, is_abelian_image
 from rfva.repdecomp import (
     CharacterTable,
     commutant_basis,
@@ -198,6 +198,20 @@ def test_exponent_consistent_with_q_split():
         rep = catalog_rep(name)
         split = q_split(rep)
         assert exponent_k(rep) == max(exponent_k(c.rep) for c in split.components)
+
+
+@pytest.mark.parametrize(("m", "k"), [(m, k) for m in range(1, 7) for k in range(1, m + 1)])
+def test_every_exponent_k_up_to_the_rank_is_realized(m, k):
+    """The paper's application: for 1 <= k <= m some Z^m x| H has RF ~ log^k.
+    std_sym(k+1) is absolutely irreducible of degree k, and trivial(m-k)
+    pads it to rank m without adding a larger constituent."""
+    name = f"std_sym({m + 1})" if k == m else f"product(std_sym({k + 1}),trivial({m - k}))"
+    rep = catalog_rep(name)
+    report = exponent_report(rep)
+    assert rep.degree == m
+    assert report.k == k
+    assert report.stable
+    assert q_split(rep).degrees == (1,) * (m - k) + (k,)
 
 
 # --- character route ---------------------------------------------------------
@@ -394,7 +408,7 @@ def _complement_by_restricted_average(splitter, basis, w_coords):
     proj0 = _mat_mul(_mat_mul(t_mat, e_proj, p), _inverse(t_mat, p), p)
     restricted = [splitter.restrict(h, basis) for h in splitter.rep.elements]
     acc = [[_fval(0, p)] * d for _ in range(d)]
-    for r_h, h_inv in zip(restricted, splitter.rep.inverse_indices):
+    for r_h, h_inv in zip(restricted, _tables(splitter.rep).inverse):
         term = _mat_mul(_mat_mul(r_h, proj0, p), restricted[h_inv], p)
         acc = _mat_add(acc, term, p)
     order = splitter.rep.order
@@ -409,8 +423,8 @@ def _assert_complements_match_oracle(monkeypatch, rep):
     calls = []
     real = rd._ModuleSplitter.invariant_complement
 
-    def recording(self, basis, w_coords):
-        comp = real(self, basis, w_coords)
+    def recording(self, basis, w_coords, commutant):
+        comp = real(self, basis, w_coords, commutant)
         calls.append((self, basis, w_coords, comp))
         return comp
 
@@ -432,8 +446,12 @@ def test_invariant_complement_matches_restricted_average(monkeypatch, name):
     assert (checked == 0) == name.startswith("std_sym")
 
 
-@pytest.mark.parametrize("seed", (1, 2, 3))
-@pytest.mark.parametrize("name", ("d4_paper", "quaternion_paper", "perm_sym(4)", "std_sym(4)"))
+@pytest.mark.parametrize(
+    ("name", "seed"),
+    [(n, s) for n in ("d4_paper", "quaternion_paper", "perm_sym(4)", "std_sym(4)") for s in (1, 2, 3)]
+    # |H| small and the commutant large: the largest trace-form Gram systems
+    + [("product(std_sym(2),trivial(3))", 1), ("product(std_sym(3),trivial(2))", 1)],
+)
 def test_invariant_complement_matches_restricted_average_on_conjugates(
     monkeypatch, name, seed
 ):
@@ -468,8 +486,16 @@ def expect(error, label, fn, *args):
 
 splitter = rd._ModuleSplitter(catalog_rep("rot(4)"), None, random.Random(0))
 unit = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-# span(e1) is not invariant under rot(4), so no invariant complement exists
-expect(UnsoundSplit, "complement", splitter.invariant_complement, unit, [unit[0]])
+# span(e1) is not invariant under rot(4), so no invariant complement exists;
+# rot(4)'s commutant is spanned by I and the rotation J
+commutant = [[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]],
+             [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]]
+expect(UnsoundSplit, "complement", splitter.invariant_complement, unit, [unit[0]], commutant)
+# a nilpotent list gives G = [[0]], a repeated matrix a rank-deficient G
+nilpotent = [[[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]]
+expect(UnsoundSplit, "nilpotent", splitter.invariant_complement, unit, [unit[0]], nilpotent)
+twice = commutant[:1] * 2
+expect(UnsoundSplit, "repeated", splitter.invariant_complement, unit, [unit[0]], twice)
 expect(UnsoundSplit, "integral", splitter.factor_minpoly, [[Fraction(1, 2)]])
 real_factor = rd.factor_over_integers
 rd.factor_over_integers = lambda f: (2, real_factor(f)[1])
@@ -556,6 +582,8 @@ def test_split_and_certificate_checks_run_under_python_O():
     assert out.stdout.splitlines() == [
         "optimize 1 False",
         "complement checked: averaged projection has kernel dimension 0, not 1",
+        "nilpotent checked: the trace form on a 1-dimensional commutant is degenerate",
+        "repeated checked: the trace form on a 2-dimensional commutant is degenerate",
         "integral checked: minimal polynomial of an integer matrix is not integral",
         "content checked: monic minimal polynomial has content 2",
         "std_sym checked: the sum-zero sublattice is not invariant",
