@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, count, zip_longest
+from operator import add, mul
 
 from .errors import (
     DimensionMismatch,
@@ -44,8 +45,7 @@ class IntMatrix:
     def __post_init__(self):
         if not self.entries or not self.entries[0]:
             raise ValueError("matrices must have at least one row and column")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
+        if len(set(map(len, self.entries))) != 1:
             raise ValueError("ragged rows")
 
     @classmethod
@@ -89,10 +89,7 @@ class IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
         return IntMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
+            tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.entries, other.entries))
         )
 
     def __neg__(self) -> IntMatrix:
@@ -106,17 +103,14 @@ class IntMatrix:
             raise DimensionMismatch("matrix product shape mismatch")
         bt = tuple(zip(*other.entries))
         return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                for row in self.entries
-            )
+            tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in self.entries])
         )
 
     def apply(self, v: tuple[int, ...]) -> tuple[int, ...]:
         """Matrix times column vector."""
         if len(v) != self.cols:
             raise DimensionMismatch("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple(sum(map(mul, row, v)) for row in self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -393,23 +387,21 @@ def minpoly(m: IntMatrix) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over a field: lists of rows over Q (p None, Fraction
-# entries) or over F_p (p prime, entries in [0, p))
+# linear algebra over a field: lists of rows over Q (p None; entries int or
+# Fraction, and the results of elimination Fraction) or over F_p (p prime,
+# entries in [0, p)).  Elimination over Q is fraction-free: it runs on
+# primitive integer rows and divides by the pivots once, at the end.
 
 
 def _fval(x, p):
     return Fraction(x) if p is None else x % p
 
 
-def _finv(x, p):
-    return 1 / x if p is None else pow(x, p - 2, p)
-
-
 def _mat_mul(a, b, p):
     bt = list(zip(*b))
     if p is None:
-        return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
+        return [[sum(map(mul, row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) % p for col in bt] for row in a]
 
 
 def _mat_add(a, b, p):
@@ -424,10 +416,15 @@ def _mat_scale(a, c, p):
     return [[(c * x) % p for x in row] for row in a]
 
 
-def _identity(n, p):
-    one = _fval(1, p)
-    zero = _fval(0, p)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def _identity(n):
+    """The n x n identity, with int entries: 0 and 1 lie in Q and in every F_p."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _over_content(row):
+    """An integer row divided by the gcd of its entries (a zero row as it is)."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _rref(rows, p):
@@ -435,18 +432,20 @@ def _rref(rows, p):
 
     Returns (reduced rows, pivot columns); the input is not modified.  The
     form is unique, so the kernels, solutions, inverses and ranks derived
-    from it do not depend on how it was reached.
+    from it do not depend on how it was reached.  Over Q the elimination is
+    fraction-free (Bareiss, Math. Comp. 1968): each row is scaled to a
+    primitive integer row, every other row r with entry f in the pivot
+    column c becomes pv * r - f * (pivot row) over its content, pv the
+    pivot, and only the finished pivot rows are divided by their pivots.
+    Every entry of the result over Q is a Fraction.
     """
     if p is None:
-        a = [[Fraction(x) for x in row] for row in rows]
-
-        def eliminated(row, f, pivot_row):
-            return [x - f * y for x, y in zip(row, pivot_row)]
+        a = []
+        for row in rows:
+            den = math.lcm(*(x.denominator for x in row))
+            a.append(_over_content([x.numerator * (den // x.denominator) for x in row]))
     else:
         a = [[x % p for x in row] for row in rows]
-
-        def eliminated(row, f, pivot_row):
-            return [(x - f * y) % p for x, y in zip(row, pivot_row)]
     n_rows = len(a)
     n_cols = len(a[0]) if a else 0
     pivots = []
@@ -458,13 +457,26 @@ def _rref(rows, p):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        (pivot_row,) = _mat_scale([a[r]], _finv(a[r][c], p), p)
-        a[r] = pivot_row
+        if p is not None:
+            inv = pow(a[r][c], p - 2, p)
+            a[r] = [(x * inv) % p for x in a[r]]
+        pivot_row = a[r]
+        pv = pivot_row[c]
         for i in range(n_rows):
-            if i != r and a[i][c]:
-                a[i] = eliminated(a[i], a[i][c], pivot_row)
+            f = a[i][c]
+            if i == r or not f:
+                continue
+            if p is None:
+                a[i] = _over_content([pv * x - f * y for x, y in zip(a[i], pivot_row)])
+            else:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], pivot_row)]
         pivots.append(c)
         r += 1
+    if p is None:
+        # rows past the last pivot row are zero
+        a = [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)] + [
+            [Fraction(0)] * n_cols for _ in range(n_rows - len(pivots))
+        ]
     return a, pivots
 
 
@@ -500,7 +512,7 @@ def _solve(a_rows, rhs_cols, p):
 def _inverse(a, p):
     """Inverse of a square field matrix by Gauss-Jordan on [A | I]."""
     n = len(a)
-    red, pivots = _rref([list(row) + ident for row, ident in zip(a, _identity(n, p))], p)
+    red, pivots = _rref([list(row) + ident for row, ident in zip(a, _identity(n))], p)
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is singular")
     return [row[n:] for row in red]
@@ -513,11 +525,11 @@ def _rank(rows, p):
 def _poly_eval_matrix(coeffs, m, p):
     """Evaluate an ascending-coefficient polynomial at a square field matrix."""
     n = len(m)
-    acc = _mat_scale(_identity(n, p), _fval(coeffs[-1], p), p)
+    acc = _mat_scale(_identity(n), coeffs[-1], p)
     for c in reversed(coeffs[:-1]):
         acc = _mat_mul(acc, m, p)
         for i in range(n):
-            acc[i][i] = _fval(acc[i][i] + c, p)
+            acc[i][i] = acc[i][i] + c if p is None else (acc[i][i] + c) % p
     return acc
 
 
@@ -528,7 +540,7 @@ def _matrix_minpoly(m, p):
     of the columns vec(M^0), ..., vec(M^d) holds its coordinates there.
     """
     n = len(m)
-    powers = [_identity(n, p)]
+    powers = [_identity(n)]
     for d in range(1, n + 1):
         powers.append(_mat_mul(powers[-1], m, p))
         red, pivots = _rref([[pw[r][c] for pw in powers] for r in range(n) for c in range(n)], p)

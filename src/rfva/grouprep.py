@@ -5,18 +5,20 @@ deterministic breadth-first search, so element and conjugacy-class ordering
 are reproducible across runs (character tables reference classes through
 generator words resolved against this ordering).
 
-Each Rep builds its group tables once, on first use, and keeps them in a
-private cache that is not part of its value: the element index, the inverse
-of every element and the conjugacy classes. Building them costs
-O(|H|*#gens) matrix products and table lookups:
+The search forms e*g for every element e and generator g, and close_group
+keeps what it learns: the index of every element and the right-multiplication
+table, which holds the index of e*g for every e and g. The other group tables
+are built once, on first use, in a private cache that is not part of the
+Rep's value: the inverse of every element and the conjugacy classes. They cost
+O(|H|*#gens^2) table lookups and #gens adjugates, and no matrix products:
 
-* the right-multiplication table holds the index of e*g for every element e
-  and generator g;
-* inverses follow the breadth-first tree from the identity: e = e'g gives
-  e^-1 = g^-1 e'^-1, so only the generators are inverted (by adjugate, in
+* left multiplication by an element h follows the breadth-first tree from the
+  identity: e = e'g gives he = (he')g, a lookup in the right table;
+* inverses follow the same tree: e = e'g gives e^-1 = g^-1 e'^-1, left
+  multiplication by g^-1, so only the generators are inverted (by adjugate, in
   Rep.inverse);
 * each class is the orbit of an element under y -> g^-1 y g for the
-  generators g alone, found by lookups in the two tables above.
+  generators g alone, found by lookups in the right and inverse tables.
 
 Soundness checks raise typed errors, so they also run under python -O.
 """
@@ -38,7 +40,11 @@ class Rep:
     degree: int
     generators: tuple[IntMatrix, ...]
     elements: tuple[IntMatrix, ...]
-    # Hash and group tables, filled on first use; see _tables.
+    # From close_group: index[e] is the position of e in elements, and
+    # right[i][g] the index of elements[i] * generators[g].
+    index: dict[IntMatrix, int] = field(repr=False, compare=False)
+    right: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    # Hash, inverse table and classes, filled on first use; see _tables.
     _cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
@@ -54,21 +60,24 @@ class Rep:
         return len(self.elements)
 
     def element_index(self, m: IntMatrix) -> int:
-        return _tables(self).index[m]
+        return self.index[m]
 
     def inverse(self, m: IntMatrix) -> IntMatrix:
-        """Inverse of a matrix of determinant +-1, by adjugate. _build_tables
-        calls it on the generators only and reaches every other element's
-        inverse by index."""
+        """Inverse of a matrix of determinant +-1, by adjugate; NotInvertible
+        for any other determinant. _build_tables calls it on the generators
+        only and reaches every other element's inverse by index."""
         d = det(m)
+        if d not in (1, -1):
+            raise NotInvertible(f"determinant {d} is not +1 or -1")
         return adjugate(m) if d == 1 else -adjugate(m)
 
     def resolve_word(self, word) -> IntMatrix:
-        """Product of generator images for a word of generator indices."""
-        acc = IntMatrix.identity(self.degree)
+        """Product of generator images for a word of generator indices, read
+        from the right-multiplication table."""
+        i = 0  # the identity
         for g in word:
-            acc = acc * self.generators[g]
-        return acc
+            i = self.right[i][g]
+        return self.elements[i]
 
 
 @dataclass(frozen=True)
@@ -123,28 +132,32 @@ def close_group(generators, element_bound: int = DEFAULT_ELEMENT_BOUND) -> Rep:
             raise NotInvertible("generator determinant must be +1 or -1")
     identity = IntMatrix.identity(degree)
     elements = [identity]
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        next_frontier = []
-        for e in frontier:
-            for g in gens:
-                prod = e * g
-                if prod not in seen:
-                    seen.add(prod)
-                    elements.append(prod)
-                    next_frontier.append(prod)
-                    if len(elements) > element_bound:
-                        raise NotFinite(
-                            f"closure exceeded element bound {element_bound}"
-                        )
-        frontier = next_frontier
-    return Rep(degree=degree, generators=gens, elements=tuple(elements))
+    index = {identity: 0}
+    right = []
+    # elements grows while it is read, so it is read in breadth-first order
+    for e in elements:
+        row = []
+        for g in gens:
+            prod = e * g
+            j = index.get(prod)
+            if j is None:
+                j = index[prod] = len(elements)
+                elements.append(prod)
+                if len(elements) > element_bound:
+                    raise NotFinite(f"closure exceeded element bound {element_bound}")
+            row.append(j)
+        right.append(tuple(row))
+    return Rep(
+        degree=degree,
+        generators=gens,
+        elements=tuple(elements),
+        index=index,
+        right=tuple(right),
+    )
 
 
 @dataclass(frozen=True)
 class _Tables:
-    index: dict[IntMatrix, int]
     inverse: tuple[int, ...]
     classes: ConjClasses
 
@@ -156,25 +169,35 @@ def _tables(rep: Rep) -> _Tables:
     return tables
 
 
+def _left_multiplication(right, start) -> list[int]:
+    """The index of h * e for every element e, h the element at index start.
+
+    elements[0] is the identity, and every later element is first reached as
+    right[i][g] from an earlier i, where h * e * g = (h * e) * g.
+    """
+    out = [None] * len(right)
+    out[0] = start
+    for i, row in enumerate(right):
+        for heg, j in zip(right[out[i]], row):
+            if out[j] is None:
+                out[j] = heg
+    return out
+
+
 def _build_tables(rep: Rep) -> _Tables:
-    elements = rep.elements
-    index = {m: i for i, m in enumerate(elements)}
-    # right[i][g] is the index of elements[i] * generators[g]
-    right = [[index[e * g] for g in rep.generators] for e in elements]
-    gen_inverses = [rep.inverse(g) for g in rep.generators]
-    start = index[IntMatrix.identity(rep.degree)]
-    inverse = [None] * len(elements)
-    inverse[start] = start
-    queue = [start]
-    for i in queue:
-        for g_inv, j in zip(gen_inverses, right[i]):
+    right = rep.right
+    # left[g][i] is the index of generators[g]^-1 * elements[i]
+    left = [_left_multiplication(right, rep.index[rep.inverse(g)]) for g in rep.generators]
+    inverse = [None] * len(right)
+    inverse[0] = 0
+    for i, row in enumerate(right):
+        for g_inv, j in zip(left, row):
             if inverse[j] is None:
-                inverse[j] = index[g_inv * elements[inverse[i]]]
-                queue.append(j)
+                inverse[j] = g_inv[inverse[i]]
     inverse = tuple(inverse)
     classes = _class_orbits(right, inverse)
-    _check_partition(classes, len(elements))
-    return _Tables(index=index, inverse=inverse, classes=classes)
+    _check_partition(classes, len(right))
+    return _Tables(inverse=inverse, classes=classes)
 
 
 def _class_orbits(right, inverse) -> ConjClasses:
@@ -242,10 +265,15 @@ def validate_rep(rep: Rep) -> RepReport:
 
 
 def is_abelian_image(rep: Rep) -> bool:
-    """True iff the image group is abelian (generator pairs suffice)."""
-    gens = rep.generators
+    """True iff the image group is abelian (generator pairs suffice).
+
+    right[0][i] is the index of generator i, so right[right[0][i]][j] is the
+    index of the product of generators i and j.
+    """
+    right = rep.right
+    n = len(rep.generators)
     return all(
-        gens[i] * gens[j] == gens[j] * gens[i]
-        for i in range(len(gens))
-        for j in range(i + 1, len(gens))
+        right[right[0][i]][j] == right[right[0][j]][i]
+        for i in range(n)
+        for j in range(i + 1, n)
     )

@@ -239,11 +239,11 @@ class _ModuleSplitter:
             yield z, True
 
     def clear_denominators(self, z):
-        """Scale a rational matrix to an integer one (reducibility-preserving)."""
+        """Scale a rational matrix to one with int entries (reducibility-preserving)."""
         if self.p is not None:
             return z
         denom = math.lcm(*(x.denominator for row in z for x in row))
-        return [[x * denom for x in row] for row in z]
+        return [[x.numerator * (denom // x.denominator) for x in row] for row in z]
 
     def factor_minpoly(self, z):
         coeffs = _matrix_minpoly(z, self.p)

@@ -271,6 +271,17 @@ def test_importing_the_cli_leaves_sympy_unloaded():
     assert out.stdout == "[]\n"
 
 
+def test_python_dash_m_rfva_runs_the_cli():
+    out = subprocess.run(
+        [sys.executable, "-m", "rfva", "k", "catalog:d4_paper"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == EXIT_OK, out.stderr
+    assert "k = 2" in out.stdout.splitlines()
+
+
 def test_verify_shares_one_exponent_report_per_rep_seed_and_bound(capsys):
     # the report line, the Q-constituent's k and the commutant certificate
     # all ask for the same (rep, seed, bound)

@@ -11,7 +11,14 @@ from sympy.polys.factortools import dup_factor_list
 from sympy.polys.galoistools import gf_factor
 from sympy.polys.matrices import DomainMatrix
 
-from rfva.errors import NotAPower, PrimalityUnknown, RfvaError, SingularMatrix, ZeroSpan
+from rfva.errors import (
+    DimensionMismatch,
+    NotAPower,
+    PrimalityUnknown,
+    RfvaError,
+    SingularMatrix,
+    ZeroSpan,
+)
 from rfva.exactalg import (
     _MR_LIMIT,
     IntMatrix,
@@ -67,6 +74,52 @@ def random_unimodular(rng, n, steps=12):
         c = rng.randint(-2, 2)
         rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
     return IntMatrix.from_rows(rows)
+
+
+# --- IntMatrix arithmetic against naive loops --------------------------------
+
+BIG = 2**70
+BIG_ENTRIES = st.one_of(
+    st.integers(-3, 3), st.integers(BIG - 3, BIG + 3), st.integers(-BIG - 3, -BIG + 3)
+)
+
+
+def _int_rows(data, n_rows, n_cols):
+    return [[data.draw(BIG_ENTRIES) for _ in range(n_cols)] for _ in range(n_rows)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_int_matrix_product_sum_and_apply_match_naive_loops(n, k, m, data):
+    a, b, c = _int_rows(data, n, k), _int_rows(data, k, m), _int_rows(data, n, k)
+    v = data.draw(st.lists(BIG_ENTRIES, min_size=k, max_size=k))
+    product = [[0] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            for t in range(k):
+                product[i][j] += a[i][t] * b[t][j]
+    ma, mb, mc = IntMatrix.from_rows(a), IntMatrix.from_rows(b), IntMatrix.from_rows(c)
+    assert (ma * mb).entries == tuple(map(tuple, product))
+    assert (ma + mc).entries == tuple(
+        tuple(a[i][j] + c[i][j] for j in range(k)) for i in range(n)
+    )
+    assert ma.apply(tuple(v)) == tuple(sum(a[i][t] * v[t] for t in range(k)) for i in range(n))
+    with pytest.raises(DimensionMismatch):
+        ma * IntMatrix.from_rows(_int_rows(data, k + 1, m))
+    for shape in ((n + 1, k), (n, k + 1)):
+        with pytest.raises(DimensionMismatch):
+            ma + IntMatrix.from_rows(_int_rows(data, *shape))
+    with pytest.raises(DimensionMismatch):
+        ma.apply(tuple(v) + (1,))
+
+
+def test_int_matrix_rejects_empty_and_ragged_rows():
+    for entries in ((), ((),), ((), (1,))):
+        with pytest.raises(ValueError, match="at least one row and column"):
+            IntMatrix(entries)
+    for entries in (((1, 2), (3,)), ((1,), (2, 3)), ((1, 2), (3, 4), (5, 6, 7))):
+        with pytest.raises(ValueError, match="ragged"):
+            IntMatrix(entries)
 
 
 # --- worked example values -------------------------------------------------
@@ -559,9 +612,42 @@ def test_rref_kernel_and_rank_match_sympy(rows, p):
         return
     kernel_basis = kernel_fp(rows, p)
     free = [c for c in range(len(rows[0])) if c not in pivots]
-    assert [[v[c] for c in free] for v in kernel_basis] == _identity(len(free), p)
+    assert [[v[c] for c in free] for v in kernel_basis] == _identity(len(free))
     reduced = _sympy_rref(kernel_basis, p)[0] if kernel_basis else []
     assert reduced == _sympy_nullspace(rows, p)
+
+
+RATIONALS = st.one_of(ENTRIES, st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)))
+
+
+@st.composite
+def rational_matrices(draw, max_size=5):
+    """Matrices over Q as the splitter passes them: Fraction entries with
+    denominators 1..12 mixed with ints, some rows zero; half of them are
+    products of rank <= k."""
+    n_rows = draw(st.integers(1, max_size))
+    n_cols = draw(st.integers(1, max_size))
+
+    def block(r, c):
+        return draw(st.lists(st.lists(RATIONALS, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        rows = block(n_rows, n_cols)
+    else:
+        k = draw(st.integers(0, min(n_rows, n_cols)))
+        left, right = block(n_rows, k), block(k, n_cols)
+        rows = [[sum(l[t] * right[t][j] for t in range(k)) for j in range(n_cols)] for l in left]
+    for i in draw(st.sets(st.integers(0, n_rows - 1), max_size=2)):
+        rows[i] = [0] * n_cols
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_rref_over_q_of_rational_rows_matches_sympy(rows):
+    red, pivots = _rref(rows, None)
+    assert (red, pivots) == _sympy_rref(rows, None)
+    assert all(type(x) is Fraction for row in red for x in row)
 
 
 @settings(max_examples=150, deadline=None)

@@ -11,6 +11,7 @@ from rfva.errors import NotFinite, NotInvertible, UnknownName
 from rfva.exactalg import IntMatrix, det
 from rfva.grouprep import (
     ConjClasses,
+    _class_orbits,
     _tables,
     character_of_rep,
     close_group,
@@ -57,6 +58,42 @@ def _classes_by_all_elements(rep):
         reps.append(i)
         members.append(tuple(orbit))
     return ConjClasses(representatives=tuple(reps), members=tuple(members))
+
+
+def _reference_closure(gens):
+    """Reference: the frontier-loop breadth-first closure, element order only."""
+    identity = IntMatrix.identity(gens[0].rows)
+    elements, seen, frontier = [identity], {identity}, [identity]
+    while frontier:
+        next_frontier = []
+        for e in frontier:
+            for g in gens:
+                prod = e * g
+                if prod not in seen:
+                    seen.add(prod)
+                    elements.append(prod)
+                    next_frontier.append(prod)
+        frontier = next_frontier
+    return elements
+
+
+def _reference_tables(rep):
+    """Reference: the element index, right-multiplication table and inverse
+    table recomputed by products, e*g for each entry of the right table and
+    g^-1 * e'^-1 for each inverse along the breadth-first tree."""
+    index = {m: i for i, m in enumerate(rep.elements)}
+    right = [[index[e * g] for g in rep.generators] for e in rep.elements]
+    gen_inverses = [rep.inverse(g) for g in rep.generators]
+    start = index[IntMatrix.identity(rep.degree)]
+    inverse = [None] * rep.order
+    inverse[start] = start
+    queue = [start]
+    for i in queue:
+        for g_inv, j in zip(gen_inverses, right[i]):
+            if inverse[j] is None:
+                inverse[j] = index[g_inv * rep.elements[inverse[i]]]
+                queue.append(j)
+    return index, right, tuple(inverse)
 
 
 def _unimodular_pair(m, rng, ops=3):
@@ -148,6 +185,20 @@ def test_validate_rep():
     assert triv.abelian and triv.order == 1
 
 
+def test_inverse_refuses_determinants_other_than_plus_or_minus_one():
+    rep = catalog_rep("d4_paper")
+    for rows in (
+        [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[-1, 0, 0], [0, 3, 0], [0, 0, 1]],
+    ):
+        with pytest.raises(NotInvertible, match="determinant"):
+            rep.inverse(IntMatrix.from_rows(rows))
+    flip = IntMatrix.from_rows([[-1, 0, 0], [0, 1, 0], [1, 0, 1]])
+    assert flip * rep.inverse(flip) == IntMatrix.identity(3)
+
+
 def test_inverse_and_resolve_word():
     rep = catalog_rep("d4_paper")
     for e in rep.elements:
@@ -188,6 +239,28 @@ def test_classes_match_oracle_on_conjugates(name, seed):
     assert character_of_rep(rep, classes) == character_of_rep(catalog_rep(name))
 
 
+@pytest.mark.parametrize("seed", (0, 1, 2))
+@pytest.mark.parametrize("name", ORACLE_CATALOG)
+def test_closure_tables_match_the_product_reference(name, seed):
+    """The closure's element order, index and right table, and the inverse
+    table and classes built from them, equal the tables recomputed by matrix
+    products; seed 0 is the catalog rep and seeds 1, 2 are Q^-1 g Q conjugates."""
+    gens = catalog_rep(name).generators
+    if seed:
+        q, q_inv = _unimodular_pair(gens[0].rows, random.Random(f"{name}:{seed}"))
+        gens = tuple(q_inv * g * q for g in gens)
+    rep = close_group(gens)
+    assert list(rep.elements) == _reference_closure(rep.generators)
+    index, right, inverse = _reference_tables(rep)
+    assert rep.index == index
+    assert [list(row) for row in rep.right] == right
+    tables = _tables(rep)
+    assert tables.inverse == inverse
+    assert tables.classes == _class_orbits(right, inverse)
+    if seed:
+        assert tables.classes == _classes_by_all_elements(rep)
+
+
 def test_inverse_table_perm_sym5():
     rep = catalog_rep("perm_sym(5)")
     ident = IntMatrix.identity(5)
@@ -216,7 +289,8 @@ OPTIMIZED_CHECKS = """
 import sys
 import rfva.grouprep as gr
 from rfva.catalog import catalog_rep
-from rfva.errors import NotAClassFunction, NotAPartition
+from rfva.errors import NotAClassFunction, NotAPartition, NotInvertible
+from rfva.exactalg import IntMatrix
 
 print("optimize", sys.flags.optimize, __debug__)
 
@@ -237,6 +311,10 @@ try:
     gr.character_of_rep(rep, merged)
 except NotAClassFunction:
     print("class function checked")
+try:
+    rep.inverse(IntMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
+except NotInvertible:
+    print("inverse checked")
 """
 
 
@@ -253,4 +331,5 @@ def test_soundness_checks_run_under_python_O():
         "optimize 1 False",
         "partition checked",
         "class function checked",
+        "inverse checked",
     ]
