@@ -81,6 +81,10 @@ class UnsoundLattice(RfvaError):
     """A constructed family lattice has the wrong index or is not invariant; indicates a bug."""
 
 
+class UnsoundProfile(RfvaError):
+    """An RF profile's witness has another divisibility than its value; indicates a bug."""
+
+
 class UnsoundCommutant(RfvaError):
     """A computed commutant basis matrix does not commute; indicates a bug."""
 

@@ -275,16 +275,78 @@ def _spanned(rows) -> Lattice:
     return Lattice(basis=IntMatrix.from_rows(basis), index=index)
 
 
-def _coprime_intersection(a: Lattice, b: Lattice) -> Lattice:
-    """A ∩ B for coprime indices [Z^m:A] = s and [Z^m:B] = t.
+def intersection(a: Lattice, b: Lattice) -> Lattice:
+    """A ∩ B for any two lattices of one rank.
 
-    sZ^m ⊆ A gives sB ⊆ A ∩ B, and likewise tA ⊆ A ∩ B; conversely, with
-    us + vt = 1, every x in A ∩ B is u(sx) + v(tx).  So A ∩ B = sB + tA.
+    For coprime indices s = [Z^m:A] and t = [Z^m:B]: sZ^m ⊆ A gives
+    sB ⊆ A ∩ B, and likewise tA ⊆ A ∩ B; conversely, with us + vt = 1, every
+    x in A ∩ B is u(sx) + v(tx).  So A ∩ B = sB + tA.  For any indices, the
+    (x, y) with xA = yB form the integer row kernel of [A; -B], and A ∩ B is
+    the span of their xA.
     """
+    if a.dimension != b.dimension:
+        raise DimensionMismatch("intersection of lattices of different ranks")
     s, t = a.index, b.index
-    if math.gcd(s, t) != 1:
-        raise RfvaError(f"indices {s} and {t} are not coprime")
-    return _spanned(b.basis.scale(s).entries + a.basis.scale(t).entries)
+    if math.gcd(s, t) == 1:
+        return _spanned(b.basis.scale(s).entries + a.basis.scale(t).entries)
+    m = a.dimension
+    cols = tuple(zip(*a.basis.entries))
+    kernel = integer_row_kernel(IntMatrix(a.basis.entries + (-b.basis).entries))
+    return _spanned([[sum(map(mul, u[:m], col)) for col in cols] for u in kernel])
+
+
+def shortest_vectors(lat: Lattice) -> tuple[int, list[tuple[int, ...]]]:
+    """lambda_1, the least l1 norm of a nonzero vector of the lattice, and
+    every vector of that norm, one per +-v pair (first nonzero entry
+    positive), in lexicographic order.
+
+    Branch and bound over the triangular HNF basis (Fincke & Pohst, Math.
+    Comp. 1985, here with the l1 norm): entry j of c B is t_j + c_j d_j,
+    with d_j the j-th diagonal entry and t_j fixed by c_0 .. c_(j-1), so the
+    entries are chosen one at a time, least |entry| first, and a branch ends
+    as soon as its partial norm exceeds the least norm found so far.  The
+    last entry takes only the values of least |x| in its residue class.
+    """
+    basis = lat.basis.entries
+    m = len(basis)
+    best = min(sum(map(abs, row)) for row in basis)
+    found = []
+
+    def descend(j, acc, used, started):
+        nonlocal best, found
+        d = basis[j][j]
+        x0 = acc[j] % d
+        if j == m - 1:
+            if not started:
+                values = (d,)
+            elif 2 * x0 == d:
+                values = (x0, -x0)
+            else:
+                values = (min(x0, x0 - d, key=abs),)
+            for x in values:
+                norm = used + abs(x)
+                if norm < best:
+                    best, found = norm, []
+                if norm == best:
+                    found.append(acc[:j] + (x,))
+            return
+        # entries x0 + k d and x0 - (k + 1) d, in order of |x|
+        row = basis[j]
+        for k in count():
+            ups = (x0 + k * d, x0 - (k + 1) * d) if started else (k * d,)
+            live = False
+            for x in ups:
+                if used + abs(x) > best:
+                    continue
+                live = True
+                c = (x - acc[j]) // d
+                nxt = tuple(map(add, acc, (c * b for b in row))) if c else acc
+                descend(j + 1, nxt, used + abs(x), started or x != 0)
+            if not live:
+                return
+
+    descend(0, (0,) * m, 0, False)
+    return best, sorted(found)
 
 
 def row_echelon_transform(m: IntMatrix) -> tuple[list[list[int]], list[list[int]]]:
@@ -351,13 +413,20 @@ def _faddeev_leverrier(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
         ck //= k
         coeffs_desc.append(ck)
         if k < n:
-            horner = horner * m + IntMatrix.identity(n).scale(ck)
-            mk = m * (mk + IntMatrix.identity(n).scale(ck))
+            horner = _plus_scalar(horner * m, ck)
+            mk = m * _plus_scalar(mk, ck)
     if n == 1:
         adj = IntMatrix.identity(1)
     else:
         adj = horner if n % 2 == 1 else -horner
     return tuple(reversed(coeffs_desc)), adj
+
+
+def _plus_scalar(a: IntMatrix, c: int) -> IntMatrix:
+    """A + cI, adding c on the diagonal only."""
+    return IntMatrix(
+        tuple(row[:i] + (row[i] + c,) + row[i + 1 :] for i, row in enumerate(a.entries))
+    )
 
 
 def charpoly(m: IntMatrix) -> IntPoly:

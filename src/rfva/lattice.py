@@ -27,11 +27,12 @@ and its invariance (UnsoundLattice otherwise).
 Enumeration order is fixed (index, then lexicographic basis) so divisibility
 minima are reproducible.
 
-Each FamilySpec enumerates its family once.  enumerate_family serves every
-call on one spec from a cached, index-ordered prefix of the family: for nu and
-inv, one prefix per rank m that grows one whole index at a time, and only as
-far as a caller asks; for com, one list per index budget.  The cache lives as
-long as the spec does.
+Each FamilySpec enumerates its family once.  family_by_index serves every
+call on one spec, index by index, from a cached prefix of the family: for nu
+and inv, one prefix per rank m that grows one whole index at a time, and only
+as far as a caller asks; for com, one list per index budget.  The cache lives
+as long as the spec does, and enumerate_family is the same family as one
+stream of lattices.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import groupby, islice, product
 from typing import Iterator
 
 from .errors import (
@@ -55,7 +56,6 @@ from .exactalg import (
     IntMatrix,
     IntPoly,
     Lattice,
-    _coprime_intersection,
     _divisors,
     _kernel,
     _least_prime_power,
@@ -66,6 +66,7 @@ from .exactalg import (
     _spanned,
     det,
     hnf,
+    intersection,
 )
 from .grouprep import Rep
 from .repdecomp import DEFAULT_SEED, commutant_basis, split_mod_p
@@ -220,27 +221,38 @@ def _sublattice_count(m: int, n: int) -> int:
 
 @dataclass
 class _Prefix:
-    """A nu or inv family's lattices of index <= done, in enumeration order.
+    """A nu or inv family's lattices of index <= done, by index.
 
     nu reads each index from source, the stream of all sublattices of Z^m;
-    inv builds it from the lattices of smaller index, kept in by_index.
+    inv builds it from the lattices of smaller index.
     """
 
     source: Iterator[Lattice] | None = None
     done: int = 0
-    lattices: list = field(default_factory=list)
     by_index: dict = field(default_factory=dict)
 
 
 def enumerate_family(spec: FamilySpec, m: int, max_index: int):
     """Stream the family's lattices of index <= max_index, index-ordered.
 
-    Every call on one spec reads the spec's cached prefix of the family and
-    grows it by whole indices only as far as the caller consumes, so each
-    lattice is enumerated once per spec.  nu reads every sublattice of Z^m;
-    inv builds only the invariant ones, by mod-p submodule steps at prime
-    powers and coprime intersections at other indices (see the module
-    docstring), and checks each with is_invariant_lattice.
+    nu reads every sublattice of Z^m; inv builds only the invariant ones, by
+    mod-p submodule steps at prime powers and intersections at other indices
+    (see the module docstring), and checks each with is_invariant_lattice.
+    The stream reads family_by_index, so every call on one spec shares the
+    spec's cached prefix.
+    """
+    for _, batch in family_by_index(spec, m, max_index):
+        yield from batch
+
+
+def family_by_index(spec: FamilySpec, m: int, max_index: int):
+    """(n, the family's lattices of index n, sorted by basis) for each index
+    n <= max_index at which the family has any, in increasing n.
+
+    Every call on one spec reads the spec's cached family: for nu and inv a
+    prefix that grows by one whole index at a time, and only as far as the
+    caller reads, so each lattice is enumerated once per spec; for com the
+    one list of the commutant images of index <= max_index.
     """
     if spec.kind != "nu" and spec.rep.degree != m:
         raise DimensionMismatch("family representation degree does not match m")
@@ -250,33 +262,29 @@ def enumerate_family(spec: FamilySpec, m: int, max_index: int):
             lats = spec._cache[max_index] = commutant_image_lattices(
                 spec.rep, spec.coefficient_box, max_index
             )
-        yield from lats
+        for n, batch in groupby(lats, key=lambda lat: lat.index):
+            yield n, list(batch)
         return
-    i = 0
-    while True:
+    for n in range(1, max_index + 1):
         prefix = spec._cache.get(m)
         if prefix is None:
             source = enumerate_sublattices(m, sys.maxsize) if spec.kind == "nu" else None
             prefix = spec._cache[m] = _Prefix(source)
-        lats = prefix.lattices
-        while i < len(lats) and lats[i].index <= max_index:
-            yield lats[i]
-            i += 1
-        if i < len(lats) or prefix.done >= max_index:
-            return
-        # Grow by exactly the next index.
-        n = prefix.done + 1
-        if spec.kind == "inv":
-            batch = prefix.by_index[n] = _invariant_batch(spec.rep, prefix, n)
-        else:
-            try:
-                batch = list(islice(prefix.source, _sublattice_count(m, n)))
-            except BaseException:
-                # The source may have lost part of the batch: start this m afresh.
-                spec._cache.pop(m, None)
-                raise
-        lats.extend(batch)
-        prefix.done = n
+        # An interrupted nu batch drops the prefix, so a new one may lag.
+        while prefix.done < n:
+            k = prefix.done + 1
+            if spec.kind == "inv":
+                prefix.by_index[k] = _invariant_batch(spec.rep, prefix, k)
+            else:
+                try:
+                    prefix.by_index[k] = list(islice(prefix.source, _sublattice_count(m, k)))
+                except BaseException:
+                    # The source may have lost part of the batch: start this m afresh.
+                    spec._cache.pop(m, None)
+                    raise
+            prefix.done = k
+        if prefix.by_index[n]:
+            yield n, prefix.by_index[n]
 
 
 def _invariant_batch(rep: Rep, prefix: _Prefix, n: int) -> list[Lattice]:
@@ -293,7 +301,7 @@ def _invariant_batch(rep: Rep, prefix: _Prefix, n: int) -> list[Lattice]:
             batch = _prime_power_batch(rep, prefix, p, e)
         else:
             batch = [
-                _coprime_intersection(a, b)
+                intersection(a, b)
                 for a in prefix.by_index[q]
                 for b in prefix.by_index[n // q]
             ]

@@ -2,8 +2,25 @@
 
 D(v) is the minimal index of a family lattice omitting v; RF(r) is its
 maximum over the punctured l1-ball of radius r (the word metric on Z^m with
-standard generators, a free choice up to equivalence).  exponent_fit is a
-diagnostic only: asymptotic equivalence cannot be decided from finite data.
+standard generators, a free choice up to equivalence).
+
+rf_profile does not scan the ball.  Let L_n be the intersection of the
+family's lattices of index <= n (Bou-Rabee & McReynolds, Bull. LMS 2011).
+Then D(v) = min{n : v not in L_n}, so RF(r) = min{n : lambda_1(L_n) > r},
+with lambda_1 the least l1 norm of a nonzero vector (exactalg.shortest_vectors,
+a branch and bound over the HNF basis after Fincke & Pohst, Math. Comp. 1985).
+RF is a step function that jumps to N at r = lambda_1(L_(N-1)).
+* Witness: for RF(r) = N, the first vector a scan of the l1-spheres meets
+  with D = N, i.e. the first vector of least norm in L_(N-1) in the scan's
+  order: one vector per +-v pair, the one whose first nonzero entry is
+  positive, ordered by (v_0, ..., v_(m-2), -v_(m-1)).  One divisibility call
+  confirms each distinct witness (UnsoundProfile otherwise).
+* Budget: under an index budget B the profile ends before the first r with
+  lambda_1(L_B) <= r, where a vector in every family lattice of index <= B
+  is first met, and is marked partial.
+
+exponent_fit is a diagnostic only: asymptotic equivalence cannot be decided
+from finite data.
 """
 
 from __future__ import annotations
@@ -17,11 +34,21 @@ from .errors import (
     InsufficientData,
     NotIrreducible,
     SearchBoundExceeded,
+    UnsoundProfile,
     ZeroVector,
 )
-from .exactalg import IntMatrix, _isprime, _primes_one_mod, det
+from .exactalg import (
+    IntMatrix,
+    Lattice,
+    _isprime,
+    _least_prime_power,
+    _primes_one_mod,
+    det,
+    intersection,
+    shortest_vectors,
+)
 from .grouprep import Rep
-from .lattice import FamilySpec, enumerate_family
+from .lattice import FamilySpec, enumerate_family, family_by_index
 from .repdecomp import (
     DEFAULT_PRIME_BOUND,
     DEFAULT_SEED,
@@ -75,7 +102,7 @@ def divisibility(v, spec: FamilySpec, index_budget: int = DEFAULT_INDEX_BUDGET) 
     The family is read from the spec's cached, index-ordered prefix (see
     enumerate_family): each FamilySpec enumerates its family once, the prefix
     grows by whole indices as vectors need it, and it lives as long as the
-    spec, so an RF scan should pass one spec to every call.
+    spec, so repeated calls should share one spec.
     """
     v = tuple(int(x) for x in v)
     if all(x == 0 for x in v):
@@ -93,66 +120,61 @@ def divisibility(v, spec: FamilySpec, index_budget: int = DEFAULT_INDEX_BUDGET) 
     )
 
 
-def _ball_shell(m, r):
-    """Vectors of l1-norm exactly r, one per +-v pair (first nonzero > 0)."""
-
-    def rec(i, remaining, prefix, started):
-        if i == m - 1:
-            if started:
-                for s in (remaining, -remaining) if remaining else (0,):
-                    yield tuple(prefix + [s])
-            elif remaining > 0:
-                yield tuple(prefix + [remaining])
-            return
-        lo = 0 if not started else -remaining
-        for a in range(lo, remaining + 1):
-            yield from rec(i + 1, remaining - abs(a), prefix + [a], started or a != 0)
-
-    if r == 0:
-        return
-    yield from rec(0, r, [], False)
-
-
 def rf_profile(
     spec: FamilySpec,
     m: int,
     r_max: int,
     index_budget: int = DEFAULT_INDEX_BUDGET,
 ) -> RFProfile:
-    """Exact RF over l1-balls, using D(v) = D(-v) to halve the scan.
+    """Exact RF over l1-balls from the intersections L_n (module docstring).
 
-    Every D(v) reads the one cached family prefix of spec, so the family is
-    enumerated once for the whole scan.
-
-    On BudgetExceeded the profile computed so far is returned with
-    partial=True.
+    L_n grows one index at a time, intersected only with the lattices that
+    do not already contain it (for nu and inv, none of those of an index with
+    two prime factors), and lambda_1 is computed once per new L_n.  The
+    witness is the lexicographically first vector of least norm in L_(N-1),
+    which is the first in the scan's order too: if p + (c,) and p + (-c,),
+    p nonzero, both have the least norm, their sum and difference show
+    |c| = |p|_1, so (0, ..., 0, 2|c|) has it as well and precedes both in
+    either order.
     """
     if m < 1 or r_max < 1:
         raise ValueError("m and r_max must be at least 1")
+    batches = family_by_index(spec, m, index_budget)
+    lat = Lattice(basis=IntMatrix.identity(m), index=1)
+    lam, shortest = shortest_vectors(lat)
+    value = witness = None
     out_r, out_v, out_w = [], [], []
-    best = 0
-    best_witness = None
-    partial = False
     for r in range(1, r_max + 1):
-        try:
-            for vec in _ball_shell(m, r):
-                d = divisibility(vec, spec, index_budget)
-                if d > best:
-                    best = d
-                    best_witness = (vec, d)
-        except BudgetExceeded:
-            partial = True
-            break
+        while lam <= r:
+            batch = next(batches, None)
+            if batch is None:
+                return RFProfile(spec, tuple(out_r), tuple(out_v), tuple(out_w), partial=True)
+            n, lats = batch
+            if spec.kind != "com" and n > 1:
+                p, e = _least_prime_power(n)
+                if p**e != n:
+                    # a nu or inv lattice of index p^e * q, p not dividing
+                    # q > 1, is the intersection of family lattices of
+                    # indices p^e and q, so it holds L_(n-1)
+                    continue
+            grown = lat
+            for other in lats:
+                if not all(other.contains(row) for row in grown.basis.entries):
+                    grown = intersection(grown, other)
+            if grown is not lat:
+                value, witness = n, shortest[0]
+                lat = grown
+                lam, shortest = shortest_vectors(lat)
+        if not out_w or out_w[-1] != (witness, value):
+            d = divisibility(witness, spec, index_budget)
+            if d != value:
+                raise UnsoundProfile(
+                    f"RF({r}) = {value} has witness {witness}, whose divisibility is {d}"
+                )
         out_r.append(r)
-        out_v.append(best)
-        out_w.append(best_witness)
-    return RFProfile(
-        spec=spec,
-        radii=tuple(out_r),
-        values=tuple(out_v),
-        witnesses=tuple(out_w),
-        partial=partial,
-    )
+        out_v.append(value)
+        out_w.append((witness, value))
+    return RFProfile(spec, tuple(out_r), tuple(out_v), tuple(out_w))
 
 
 def exponent_fit(profile: RFProfile):

@@ -1,10 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 from sympy.polys.factortools import dup_factor_list
@@ -23,7 +24,6 @@ from rfva.exactalg import (
     _MR_LIMIT,
     IntMatrix,
     IntPoly,
-    _coprime_intersection,
     _divisors,
     _identity,
     _inverse,
@@ -41,12 +41,14 @@ from rfva.exactalg import (
     factor_over_prime_field,
     hnf,
     integer_row_kernel,
+    intersection,
     kernel_fp,
     kernel_q,
     minpoly,
     poly_kth_root,
     row_echelon_transform,
     saturate,
+    shortest_vectors,
     snf,
 )
 
@@ -906,18 +908,113 @@ def small_lattices(max_index=6):
     )
 
 
-@settings(max_examples=60, deadline=None)
+def _lattice(rows):
+    return hnf(IntMatrix.from_rows(rows))
+
+
+@settings(max_examples=80, deadline=None)
 @given(small_lattices(), small_lattices())
-def test_coprime_intersection_by_counting_points(a, b):
-    """A ∩ B is read off the points of a period box."""
+@example(_lattice([[2, 0], [0, 1]]), _lattice([[2, 0], [0, 2]]))  # indices 2, 4
+@example(_lattice([[2, 1], [0, 2]]), _lattice([[2, 0], [0, 3]]))  # indices 4, 6
+@example(_lattice([[1, 1], [0, 4]]), _lattice([[2, 1], [0, 3]]))  # indices 4, 6
+@example(_lattice([[2, 1], [0, 2]]), _lattice([[2, 1], [0, 2]]))  # equal
+def test_intersection_by_counting_points(a, b):
+    """A ∩ B, for coprime indices or not, is read off the points of a period box."""
     period = a.index * b.index
     box = [(x, y) for x in range(period) for y in range(period)]
     common = [v for v in box if a.contains(v) and b.contains(v)]
-    meet_index = period**2 // len(common)
-    if math.gcd(a.index, b.index) != 1:
-        with pytest.raises(RfvaError):
-            _coprime_intersection(a, b)
-        return
-    meet = _coprime_intersection(a, b)
-    assert meet.index == meet_index == a.index * b.index
+    meet = intersection(a, b)
+    assert meet.index == period**2 // len(common)
+    if math.gcd(a.index, b.index) == 1:
+        assert meet.index == a.index * b.index
     assert [v for v in box if meet.contains(v)] == common
+    assert meet == intersection(b, a)
+
+
+def test_intersection_in_rank_three_and_of_mismatched_ranks():
+    a = _lattice([[2, 0, 1], [0, 2, 0], [0, 0, 3]])
+    b = _lattice([[1, 1, 0], [0, 4, 0], [0, 0, 2]])
+    period = a.index * b.index
+    box = [(x, y, z) for x in range(period) for y in range(period) for z in range(period)]
+    meet = intersection(a, b)
+    common = [v for v in box if a.contains(v) and b.contains(v)]
+    assert meet.index == period**3 // len(common)
+    assert [v for v in box if meet.contains(v)] == common
+    with pytest.raises(DimensionMismatch):
+        intersection(a, _lattice([[2, 0], [0, 1]]))
+
+
+def _random_hnf_lattice(rng, m):
+    """A random full-rank lattice of rank m, entries small, via its HNF."""
+    while True:
+        rows = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(m)]
+        mat = IntMatrix.from_rows(rows)
+        if 0 < abs(det(mat)) <= 40:
+            return hnf(mat)
+
+
+def _canonical(v):
+    """v or -v, whichever has its first nonzero entry positive."""
+    lead = next(x for x in v if x)
+    return v if lead > 0 else tuple(-x for x in v)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_shortest_vectors_match_a_box_search(m):
+    rng = random.Random(100 + m)
+    for _ in range(12 if m < 4 else 6):
+        lat = _random_hnf_lattice(rng, m)
+        # every lattice vector of l1 norm <= the least basis row's lies in the box
+        bound = min(sum(map(abs, row)) for row in lat.basis.entries)
+        span = range(-bound, bound + 1)
+        points = [
+            v
+            for v in product(span, repeat=m)
+            if any(v) and sum(map(abs, v)) <= bound and lat.contains(v)
+        ]
+        lam = min(sum(map(abs, v)) for v in points)
+        expected = sorted({_canonical(v) for v in points if sum(map(abs, v)) == lam})
+        assert shortest_vectors(lat) == (lam, expected)
+
+
+def test_shortest_vectors_of_small_examples():
+    assert shortest_vectors(_lattice([[1]])) == (1, [(1,)])
+    assert shortest_vectors(_lattice([[7]])) == (7, [(7,)])
+    assert shortest_vectors(_lattice([[1, 0], [0, 1]])) == (1, [(0, 1), (1, 0)])
+    # x = y mod 2: the last entry of (1, y) is 1 or -1, a tie at half of d = 2
+    assert shortest_vectors(_lattice([[1, 1], [0, 2]])) == (2, [(0, 2), (1, -1), (1, 1), (2, 0)])
+    # v_0 + v_1 + v_2 = 0 mod 3
+    assert shortest_vectors(_lattice([[1, 0, 2], [0, 1, 2], [0, 0, 3]])) == (
+        2,
+        [(0, 1, -1), (1, -1, 0), (1, 0, -1)],
+    )
+
+
+def _reference_faddeev_leverrier(m):
+    """The recursion with a dense scalar matrix added at each step."""
+    n = m.rows
+    coeffs_desc = [1]
+    mk = m
+    horner = IntMatrix.identity(n)
+    for k in range(1, n + 1):
+        ck = -mk.trace() // k
+        coeffs_desc.append(ck)
+        if k < n:
+            horner = horner * m + IntMatrix.identity(n).scale(ck)
+            mk = m * (mk + IntMatrix.identity(n).scale(ck))
+    if n == 1:
+        return tuple(reversed(coeffs_desc)), IntMatrix.identity(1)
+    return tuple(reversed(coeffs_desc)), horner if n % 2 == 1 else -horner
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+).map(IntMatrix.from_rows))
+def test_charpoly_and_adjugate_match_the_dense_recursion(m):
+    coeffs, adj = _reference_faddeev_leverrier(m)
+    assert charpoly(m).coeffs == coeffs
+    assert adjugate(m) == adj
+    assert adjugate(m) == IntMatrix.from_rows(sympy.Matrix([list(r) for r in m.entries]).adjugate().tolist())

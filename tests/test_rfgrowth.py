@@ -1,21 +1,30 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import rfva.repdecomp as rd
+import rfva.rfgrowth as rg
 from rfva.catalog import catalog_rep
+from rfva.cli import EXIT_COMPUTE, EXIT_OK, run
 from rfva.errors import (
     BudgetExceeded,
     InsufficientData,
     NotIrreducible,
     PrimeSearchFailed,
     SearchBoundExceeded,
+    UnsoundProfile,
     ZeroVector,
 )
+from rfva.exactalg import IntMatrix, det, hnf, shortest_vectors
 from rfva.grouprep import close_group
 from rfva.lattice import FamilySpec, upper_bound_witness
 from rfva.rfgrowth import (
+    DEFAULT_INDEX_BUDGET,
     RFProfile,
     chebyshev_psi,
     divisibility,
@@ -26,6 +35,7 @@ from rfva.rfgrowth import (
 )
 
 NU = FamilySpec("nu")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_divisibility_on_z_examples():
@@ -150,6 +160,214 @@ def test_rf_profile_d4_invariant_family():
 def test_rf_profile_rot4_radius_one():
     prof = rf_profile(FamilySpec("inv", catalog_rep("rot(4)")), 2, 1)
     assert prof.values == (2,)
+
+
+def _ball_shell(m, r):
+    """Vectors of l1-norm exactly r, one per +-v pair (first nonzero > 0)."""
+
+    def rec(i, remaining, prefix, started):
+        if i == m - 1:
+            if started:
+                for s in (remaining, -remaining) if remaining else (0,):
+                    yield tuple(prefix + [s])
+            elif remaining > 0:
+                yield tuple(prefix + [remaining])
+            return
+        lo = 0 if not started else -remaining
+        for a in range(lo, remaining + 1):
+            yield from rec(i + 1, remaining - abs(a), prefix + [a], started or a != 0)
+
+    if r == 0:
+        return
+    yield from rec(0, r, [], False)
+
+
+def _scan_profile(spec, m, r_max, index_budget=DEFAULT_INDEX_BUDGET):
+    """The RF profile by definition: D(v) for every vector of every l1-sphere,
+    one per +-v pair, keeping the first vector that raises the maximum."""
+    out_r, out_v, out_w = [], [], []
+    best = 0
+    best_witness = None
+    partial = False
+    for r in range(1, r_max + 1):
+        try:
+            for vec in _ball_shell(m, r):
+                d = divisibility(vec, spec, index_budget)
+                if d > best:
+                    best = d
+                    best_witness = (vec, d)
+        except BudgetExceeded:
+            partial = True
+            break
+        out_r.append(r)
+        out_v.append(best)
+        out_w.append(best_witness)
+    return RFProfile(spec, tuple(out_r), tuple(out_v), tuple(out_w), partial)
+
+
+def _spec(kind, name):
+    return FamilySpec(kind, rep=catalog_rep(name) if name else None)
+
+
+def _conjugate(rep, seed):
+    """Q^-1 phi Q for a seeded unimodular Q, a product of elementary matrices."""
+    rng = random.Random(seed)
+    m = rep.degree
+    q = q_inv = IntMatrix.identity(m)
+    for _ in range(3 * m):
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        e = [[int(a == b) for b in range(m)] for a in range(m)]
+        e_inv = [row[:] for row in e]
+        e[i][j], e_inv[i][j] = c, -c
+        q, q_inv = q * IntMatrix.from_rows(e), IntMatrix.from_rows(e_inv) * q_inv
+    conj = close_group([q_inv * g * q for g in rep.generators])
+    assert conj.generators != rep.generators
+    return conj
+
+
+ORACLE_CASES = [
+    ("inv", "d4_paper", 3, 24),
+    ("inv", "quaternion_paper", 4, 8),
+    ("nu", None, 3, 12),
+    ("nu", None, 1, 12),
+    ("com", "d4_paper", 3, 6),
+    ("inv", "rot(4)", 2, 30),
+]
+
+
+@pytest.mark.parametrize("kind,name,m,r_max", ORACLE_CASES)
+def test_rf_profile_matches_the_ball_scan(kind, name, m, r_max):
+    got = rf_profile(_spec(kind, name), m, r_max)
+    assert got == _scan_profile(_spec(kind, name), m, r_max)
+    assert got.radii == tuple(range(1, r_max + 1)) and not got.partial
+
+
+@pytest.mark.parametrize(
+    "kind,name,r_max,seed",
+    [
+        ("inv", "d4_paper", 24, 1),
+        ("inv", "d4_paper", 24, 2),
+        ("inv", "quaternion_paper", 8, 3),
+        ("com", "d4_paper", 6, 4),
+        ("com", "d4_paper", 6, 5),
+        ("inv", "rot(4)", 30, 6),
+    ],
+)
+def test_rf_profile_of_a_conjugate_matches_the_ball_scan(kind, name, r_max, seed):
+    rep = _conjugate(catalog_rep(name), seed)
+    got = rf_profile(FamilySpec(kind, rep=rep), rep.degree, r_max)
+    assert got == _scan_profile(FamilySpec(kind, rep=rep), rep.degree, r_max)
+
+
+@pytest.mark.parametrize(
+    "argv,kind,budget,r_max,csv",
+    [
+        (
+            ["--index-budget", "8", "rf", "catalog:d4_paper", "--family", "inv", "--rmax", "6"],
+            "inv",
+            8,
+            6,
+            "r,rf,witness_vector,witness_index\n"
+            "1,2,0 0 1,2,partial=1\n"
+            "2,8,0 2 0,8,partial=1\n"
+            "3,8,0 2 0,8,partial=1\n",
+        ),
+        (
+            ["--index-budget", "30", "rf", "catalog:d4_paper", "--family", "com", "--rmax", "4"],
+            "com",
+            30,
+            4,
+            "r,rf,witness_vector,witness_index\n1,8,0 1 0,8,partial=1\n",
+        ),
+    ],
+)
+def test_partial_profiles_match_the_ball_scan(capsys, argv, kind, budget, r_max, csv):
+    assert run(argv + ["--csv", "-"]) == EXIT_COMPUTE
+    captured = capsys.readouterr()
+    assert captured.out == csv
+    assert captured.err == "warning: profile truncated by index budget\n"
+    spec = _spec(kind, "d4_paper")
+    got = rf_profile(spec, 3, r_max, index_budget=budget)
+    assert got.partial
+    assert got == _scan_profile(_spec(kind, "d4_paper"), 3, r_max, index_budget=budget)
+
+
+def test_rf_profile_confirms_each_distinct_witness_once(monkeypatch):
+    calls = []
+
+    def counting(v, spec, index_budget=DEFAULT_INDEX_BUDGET):
+        calls.append(v)
+        return divisibility(v, spec, index_budget)
+
+    monkeypatch.setattr(rg, "divisibility", counting)
+    prof = rf_profile(FamilySpec("inv", catalog_rep("d4_paper")), 3, 24)
+    assert calls == sorted(set(calls), key=calls.index)
+    assert calls == [vec for vec, _ in dict.fromkeys(prof.witnesses)]
+
+
+def test_a_witness_with_another_divisibility_is_refused(monkeypatch):
+    monkeypatch.setattr(rg, "divisibility", lambda v, spec, index_budget: 3)
+    with pytest.raises(UnsoundProfile, match=r"RF\(1\) = 2 has witness \(0, 0, 1\)"):
+        rf_profile(FamilySpec("inv", catalog_rep("d4_paper")), 3, 4)
+
+
+OPTIMIZED_CHECK = """
+import sys
+import rfva.rfgrowth as rg
+from rfva.catalog import catalog_rep
+from rfva.errors import UnsoundProfile
+from rfva.lattice import FamilySpec
+
+print("optimize", sys.flags.optimize, __debug__)
+real = rg.divisibility
+rg.divisibility = lambda v, spec, index_budget: real(v, spec, index_budget) + 1
+try:
+    rg.rf_profile(FamilySpec("inv", catalog_rep("d4_paper")), 3, 4)
+except UnsoundProfile as exc:
+    print("profile checked:", exc)
+"""
+
+
+def test_the_witness_check_runs_under_python_O():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECK],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines() == [
+        "optimize 1 False",
+        "profile checked: RF(1) = 2 has witness (0, 0, 1), whose divisibility is 3",
+    ]
+
+
+def test_d4_invariant_profile_to_radius_2519(capsys):
+    """The jumps of RF for d4_paper's invariant family, far beyond a ball scan."""
+    assert run(["rf", "catalog:d4_paper", "--family", "inv", "--rmax", "2519"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2519
+    values = [int(line.split(" = ")[1]) for line in lines]
+    jumps = {r: v for r, v in enumerate(values, 1) if r == 1 or v != values[r - 2]}
+    assert jumps == {1: 2, 2: 8, 4: 9, 12: 25, 60: 32, 120: 49, 840: 81}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_the_first_shortest_vector_is_the_first_a_sphere_scan_meets(m):
+    """rf_profile takes the lexicographically first shortest vector as the
+    witness; the scan took the first one in _ball_shell order."""
+    rng = random.Random(200 + m)
+    tested = 0
+    while tested < 12:
+        rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+        if not 0 < abs(det(IntMatrix.from_rows(rows))) <= 60:
+            continue
+        tested += 1
+        lat = hnf(IntMatrix.from_rows(rows))
+        lam, shortest = shortest_vectors(lat)
+        assert shortest[0] == next(v for v in _ball_shell(m, lam) if lat.contains(v))
 
 
 def _sampled(prof, radii):
