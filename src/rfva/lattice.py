@@ -94,6 +94,8 @@ class FamilySpec:
             raise UnknownName(f"unknown family kind {self.kind!r}")
         if self.kind in ("inv", "com") and self.rep is None:
             raise UnknownName(f"family {self.kind!r} needs a representation")
+        if self.coefficient_box < 0:
+            raise ValueError("the coefficient box must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -183,32 +185,25 @@ def is_invariant_lattice(lat: Lattice, rep: Rep) -> bool:
 
 
 def commutant_image_lattices(rep: Rep, box: int, max_index: int):
-    """HNF-distinct images of box-bounded integer commutant combinations."""
-    basis = commutant_basis(rep).matrices
-    c = len(basis)
-    seen = set()
-    found = []
-    coeffs = [-box] * c
-    while True:
-        b = IntMatrix.from_rows([[0] * rep.degree] * rep.degree)
-        for cf, e in zip(coeffs, basis):
-            b = b + e.scale(cf)
+    """HNF-distinct images Im B of index <= max_index, sorted by (index, basis),
+    for B = sum c_i E_i over the commutant basis with every |c_i| <= box.
+
+    Im(-B) = Im(B), so one coefficient vector of each pair +-c is visited: the
+    one whose last nonzero entry is positive (the zero vector gives B = 0).
+    """
+    if box < 0:
+        raise ValueError("the coefficient box must be non-negative")
+    comm = commutant_basis(rep)
+    found = {}
+    for coeffs in product(range(-box, box + 1), repeat=len(comm.matrices)):
+        if next((c for c in reversed(coeffs) if c), 0) <= 0:
+            continue
+        b = comm.combination(coeffs)
         d = det(b)
         if d != 0 and abs(d) <= max_index:
             lat = lattice_from_matrix(b)
-            if lat.basis not in seen:
-                seen.add(lat.basis)
-                found.append(lat)
-        # odometer over the coefficient box
-        pos = 0
-        while pos < c and coeffs[pos] == box:
-            coeffs[pos] = -box
-            pos += 1
-        if pos == c:
-            break
-        coeffs[pos] += 1
-    found.sort(key=lambda lat: (lat.index, lat.basis.entries))
-    return found
+            found.setdefault(lat.basis, lat)
+    return sorted(found.values(), key=lambda lat: (lat.index, lat.basis.entries))
 
 
 def _sublattice_count(m: int, n: int) -> int:

@@ -21,7 +21,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 
 from .errors import (
     BadPrime,
@@ -91,6 +92,17 @@ class CommutantBasis:
     """Z-basis of the integer matrices B with B g = g B for all generators g."""
 
     matrices: tuple
+
+    @cached_property
+    def _entries(self):
+        """Entry (r, s) of every basis matrix, as one tuple per entry."""
+        return tuple(tuple(zip(*rows)) for rows in zip(*(e.entries for e in self.matrices)))
+
+    def combination(self, coeffs) -> IntMatrix:
+        """sum c_i E_i over the basis, one integer dot product per entry."""
+        return IntMatrix(
+            tuple(tuple(sum(map(mul, coeffs, entry)) for entry in row) for row in self._entries)
+        )
 
 
 def _commutation_system(generators, m):

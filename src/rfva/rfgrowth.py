@@ -214,32 +214,35 @@ def lower_bound_certificate(
 ) -> LowerBoundReport:
     """Finite verification of D_Com(v_s) >= s^k for v_s = lcm(1..s) e_1.
 
-    Three independent checks: lcm arithmetic (v_s lies in x Z^m for x <= s),
-    sampled commutant certificates (det B = x^k and x Z^m inside Im B), and
-    the box-enumerated Com family (every enumerated lattice omitting v_s has
-    index >= s^k).  The last is over the enumerated family only.
+    Three checks: lcm arithmetic (v_s lies in x Z^m for x <= s), sampled
+    commutant certificates (det B = x^k and x Z^m inside Im B), and the
+    box-enumerated Com family (every enumerated lattice omitting v_s has
+    index >= s^k).  Every nonsingular draw B counts toward samples, but each
+    distinct B is certified once per call and its verdict reused for its
+    repeats.  The Com box visits one coefficient vector of each +-c pair, as
+    Im(-B) = Im(B), and the last check is over the enumerated family only.
     """
-    if min(s_max, samples) < 1:
+    if min(s_max, samples, coefficient_box) < 1:
         raise ValueError("all bounds must be positive")
     if not q_split(rep, seed=seed).irreducible:
         raise NotIrreducible("the lower bound needs a Q-irreducible representation")
     k = exponent_k(rep, seed=seed, prime_bound=prime_bound)
     m = rep.degree
-    basis = commutant_basis(rep).matrices
+    comm = commutant_basis(rep)
     rng = random.Random(seed)
+    verdicts = {}
     passed = 0
     total = 0
     while total < samples:
-        coeffs = [rng.randint(-5, 5) for _ in basis]
-        b = IntMatrix.from_rows([[0] * m] * m)
-        for cf, e in zip(coeffs, basis):
-            b = b + e.scale(cf)
+        b = comm.combination([rng.randint(-5, 5) for _ in comm.matrices])
         if det(b) == 0:
             continue
         total += 1
-        cert = commutant_certificate(rep, b, seed=seed, prime_bound=prime_bound)
-        if cert.passed and cert.det == cert.x**cert.k:
-            passed += 1
+        ok = verdicts.get(b)
+        if ok is None:
+            cert = commutant_certificate(rep, b, seed=seed, prime_bound=prime_bound)
+            ok = verdicts[b] = cert.passed and cert.det == cert.x**cert.k
+        passed += ok
     spec = FamilySpec("com", rep=rep, coefficient_box=coefficient_box)
     com_lattices = list(enumerate_family(spec, m, index_budget))
     s_values, vectors, arith, enum_ok = [], [], [], []

@@ -7,12 +7,14 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rfva.lattice as lattice_mod
 import rfva.repdecomp as rd
 from rfva.catalog import catalog_matrix, catalog_rep
 from rfva.errors import DimensionMismatch, PrimeSearchFailed, SingularMatrix, ZeroVector
-from rfva.exactalg import IntMatrix
+from rfva.exactalg import IntMatrix, det, hnf
 from rfva.grouprep import close_group
 from rfva.lattice import (
     FamilySpec,
@@ -24,7 +26,7 @@ from rfva.lattice import (
     lattice_from_matrix,
     upper_bound_witness,
 )
-from rfva.repdecomp import exponent_k
+from rfva.repdecomp import commutant_basis, exponent_k
 from rfva.rfgrowth import rf_profile
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -114,6 +116,79 @@ def test_scalar_lattices_in_every_family():
         assert any(l.basis == IntMatrix.identity(3).scale(2) for l in fam)
     com = commutant_image_lattices(d4, 2, 8)
     assert any(l.basis == IntMatrix.identity(3).scale(2) for l in com)
+
+
+def _odometer_image_lattices(rep, box, max_index):
+    """The Com box walk as first written: every coefficient vector, by odometer."""
+    basis = commutant_basis(rep).matrices
+    c = len(basis)
+    seen = set()
+    found = []
+    coeffs = [-box] * c
+    while True:
+        b = IntMatrix.from_rows([[0] * rep.degree] * rep.degree)
+        for cf, e in zip(coeffs, basis):
+            b = b + e.scale(cf)
+        d = det(b)
+        if d != 0 and abs(d) <= max_index:
+            lat = lattice_from_matrix(b)
+            if lat.basis not in seen:
+                seen.add(lat.basis)
+                found.append(lat)
+        pos = 0
+        while pos < c and coeffs[pos] == box:
+            coeffs[pos] = -box
+            pos += 1
+        if pos == c:
+            break
+        coeffs[pos] += 1
+    found.sort(key=lambda lat: (lat.index, lat.basis.entries))
+    return found
+
+
+@pytest.mark.parametrize("seed", (None, 11, 12))
+@pytest.mark.parametrize(
+    "name",
+    (
+        "d4_paper",
+        "quaternion_paper",
+        "std_sym(3)",
+        "std_sym(4)",
+        "std_sym(5)",
+        "perm_sym(3)",
+        "perm_sym(4)",
+        "rot(4)",
+        "product(rot(4),trivial(1))",
+    ),
+)
+def test_half_box_matches_the_odometer(name, seed):
+    rep = catalog_rep(name)
+    if seed is not None:
+        q, q_inv = _unimodular_pair(rep.degree, random.Random(seed))
+        rep = close_group([q_inv * g * q for g in rep.generators])
+    for box in (0, 1, 2):
+        for budget in (8, 256):
+            got = commutant_image_lattices(rep, box, budget)
+            assert got == _odometer_image_lattices(rep, box, budget), (box, budget)
+            assert bool(got) == (box > 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4))
+def test_a_negated_matrix_has_the_same_image(seed, n):
+    rng = random.Random(seed)
+    b = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
+    assume(det(b) != 0)
+    assert hnf(b.scale(-1).transpose()) == hnf(b.transpose())
+
+
+def test_a_negative_coefficient_box_is_refused():
+    rep = catalog_rep("quaternion_paper")
+    with pytest.raises(ValueError, match="coefficient box"):
+        FamilySpec("com", rep, coefficient_box=-1)
+    with pytest.raises(ValueError, match="coefficient box"):
+        commutant_image_lattices(rep, -1, 8)
+    assert commutant_image_lattices(rep, 0, 8) == []
 
 
 def test_witness_examples():

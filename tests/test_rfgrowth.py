@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -13,6 +14,7 @@ from rfva.catalog import catalog_rep
 from rfva.cli import EXIT_COMPUTE, EXIT_OK, run
 from rfva.errors import (
     BudgetExceeded,
+    CertificateFailed,
     InsufficientData,
     NotIrreducible,
     PrimeSearchFailed,
@@ -22,9 +24,10 @@ from rfva.errors import (
 )
 from rfva.exactalg import IntMatrix, det, hnf, shortest_vectors
 from rfva.grouprep import close_group
-from rfva.lattice import FamilySpec, upper_bound_witness
+from rfva.lattice import FamilySpec, enumerate_family, upper_bound_witness
 from rfva.rfgrowth import (
     DEFAULT_INDEX_BUDGET,
+    LowerBoundReport,
     RFProfile,
     chebyshev_psi,
     divisibility,
@@ -457,6 +460,168 @@ def test_lower_bound_certificate_computes_the_commutant_basis_once(monkeypatch, 
     # a second certificate on an equal rep reuses the memoized basis
     lower_bound_certificate(close_group(rep.generators), 2, samples=3, coefficient_box=1)
     assert len(solved) == 1
+
+
+def _certify_every_draw(rep, s_max, samples, seed=rd.DEFAULT_SEED, coefficient_box=2):
+    """lower_bound_certificate as first written: one certificate per draw."""
+    k = rd.exponent_k(rep, seed=seed)
+    m = rep.degree
+    basis = rd.commutant_basis(rep).matrices
+    rng = random.Random(seed)
+    passed = 0
+    total = 0
+    while total < samples:
+        coeffs = [rng.randint(-5, 5) for _ in basis]
+        b = IntMatrix.from_rows([[0] * m] * m)
+        for cf, e in zip(coeffs, basis):
+            b = b + e.scale(cf)
+        if det(b) == 0:
+            continue
+        total += 1
+        cert = rg.commutant_certificate(rep, b, seed=seed)
+        if cert.passed and cert.det == cert.x**cert.k:
+            passed += 1
+    spec = FamilySpec("com", rep=rep, coefficient_box=coefficient_box)
+    com_lattices = list(enumerate_family(spec, m, DEFAULT_INDEX_BUDGET))
+    s_values, vectors, arith, enum_ok = [], [], [], []
+    for s in range(1, s_max + 1):
+        l = math.lcm(*range(1, s + 1))
+        v = tuple(l if i == 0 else 0 for i in range(m))
+        s_values.append(s)
+        vectors.append(v)
+        arith.append(all(l % x == 0 for x in range(1, s + 1)))
+        enum_ok.append(all(lat.index >= s**k for lat in com_lattices if not lat.contains(v)))
+    return LowerBoundReport(
+        k=k,
+        s_values=tuple(s_values),
+        vectors=tuple(vectors),
+        arithmetic_ok=tuple(arith),
+        enumeration_ok=tuple(enum_ok),
+        certificates_passed=passed,
+        certificates_total=total,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, conjugated_by, samples",
+    (
+        ("quaternion_paper", None, 200),
+        ("std_sym(3)", None, 200),
+        ("std_sym(4)", None, 200),
+        ("quaternion_paper", 21, 60),
+        ("std_sym(3)", 22, 60),
+        ("std_sym(4)", 23, 60),
+    ),
+)
+def test_lower_bound_certificate_matches_one_certificate_per_draw(name, conjugated_by, samples):
+    rep = catalog_rep(name)
+    if conjugated_by is not None:
+        rep = _conjugate(rep, conjugated_by)
+    report = lower_bound_certificate(rep, 4, samples=samples)
+    assert report == _certify_every_draw(rep, 4, samples)
+    assert report.certificates_passed == report.certificates_total == samples
+
+
+def _counting_certificates(monkeypatch, verdict=None):
+    """Replace rg.commutant_certificate by a recorder of each B it certifies;
+    verdict(b, cert) may return another certificate or raise."""
+    real = rg.commutant_certificate
+    calls = []
+
+    def counting(rep, b, **kwargs):
+        calls.append(b)
+        cert = real(rep, b, **kwargs)
+        return cert if verdict is None else verdict(b, cert)
+
+    monkeypatch.setattr(rg, "commutant_certificate", counting)
+    return calls
+
+
+def test_each_distinct_sampled_matrix_is_certified_once(monkeypatch):
+    rep = catalog_rep("std_sym(4)")
+    calls = _counting_certificates(monkeypatch)
+    report = lower_bound_certificate(rep, 2, samples=200)
+    # the commutant is Z*I, so the 200 draws are the 10 matrices c*I, c != 0
+    assert len(calls) == len(set(calls)) == 10
+    assert report.certificates_total == report.certificates_passed == 200
+    # nothing is kept between calls
+    lower_bound_certificate(rep, 2, samples=200)
+    assert len(calls) == 20
+
+
+def test_a_failed_matrix_fails_each_of_its_draws(monkeypatch):
+    rep = catalog_rep("std_sym(4)")
+    bad = IntMatrix.identity(3).scale(-2)
+
+    def fail_bad(b, cert):
+        if b != bad:
+            return cert
+        return dataclasses.replace(cert, checks=cert.checks + (("stub", False),))
+
+    calls = _counting_certificates(monkeypatch, fail_bad)
+    report = lower_bound_certificate(rep, 2, samples=200)
+    assert calls.count(bad) == 1
+    del calls[:]
+    assert report == _certify_every_draw(rep, 2, 200)
+    # the oracle certified every draw, so calls holds each draw of bad
+    failed = report.certificates_total - report.certificates_passed
+    assert failed == calls.count(bad) > 1
+
+
+def test_a_raised_certificate_failure_propagates(monkeypatch):
+    rep = catalog_rep("quaternion_paper")
+
+    def refuse(b, cert):
+        raise CertificateFailed("stub refusal", cert)
+
+    calls = _counting_certificates(monkeypatch, refuse)
+    with pytest.raises(CertificateFailed, match="stub refusal"):
+        lower_bound_certificate(rep, 2, samples=5)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("box", (-1, 0))
+def test_lower_bound_refuses_an_empty_coefficient_box(box):
+    with pytest.raises(ValueError, match="positive"):
+        lower_bound_certificate(catalog_rep("quaternion_paper"), 2, samples=5, coefficient_box=box)
+
+
+OPTIMIZED_BOX_CHECK = """
+import sys
+from rfva.catalog import catalog_rep
+from rfva.lattice import FamilySpec
+from rfva.rfgrowth import lower_bound_certificate
+
+print("optimize", sys.flags.optimize, __debug__)
+rep = catalog_rep("quaternion_paper")
+try:
+    FamilySpec("com", rep, coefficient_box=-1)
+except ValueError as exc:
+    print("family refused:", exc)
+for box in (-1, 0):
+    try:
+        lower_bound_certificate(rep, 2, samples=5, coefficient_box=box)
+    except ValueError as exc:
+        print("certificate refused:", exc)
+"""
+
+
+def test_the_coefficient_box_checks_run_under_python_O():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_BOX_CHECK],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.splitlines() == [
+        "optimize 1 False",
+        "family refused: the coefficient box must be non-negative",
+        "certificate refused: all bounds must be positive",
+        "certificate refused: all bounds must be positive",
+    ]
 
 
 def test_lower_bound_needs_irreducible():
