@@ -1,8 +1,12 @@
 """Exact linear algebra and polynomial arithmetic over Z, Q and prime fields.
 
 Everything here is exact: matrices carry arbitrary-precision integers (or
-residues mod a prime), rational work goes through fractions.Fraction, and no
-operation ever rounds.  Conventions fixed once for the whole package:
+residues mod a prime), and no operation ever rounds.  Elimination over Q is
+fraction-free on integer rows, and the kernels and inverses it gives are
+int matrices with one recorded scale; a fractions.Fraction is formed only
+for a result that is rational by contract (_rref, _solve, kernel_q,
+saturate's input, a non-integral _quotient).  Conventions fixed once for
+the whole package:
 
 * lattices are stored by a row-style Hermite normal form (rows are basis
   vectors, basis upper triangular, entries above the diagonal reduced into
@@ -457,9 +461,11 @@ def minpoly(m: IntMatrix) -> IntPoly:
 
 # ---------------------------------------------------------------------------
 # linear algebra over a field: lists of rows over Q (p None; entries int or
-# Fraction, and the results of elimination Fraction) or over F_p (p prime,
-# entries in [0, p)).  Elimination over Q is fraction-free: it runs on
-# primitive integer rows and divides by the pivots once, at the end.
+# Fraction) or over F_p (p prime, entries in [0, p)).  Elimination over Q is
+# fraction-free: _pivot_rows keeps every pivot row a primitive integer row,
+# and the kernels, inverses and minimal polynomials read their results off
+# those rows as int entries with one common scale.  _rref and kernel_q,
+# whose results are Fractions, divide at the end.
 
 
 def _fval(x, p):
@@ -471,12 +477,6 @@ def _mat_mul(a, b, p):
     if p is None:
         return [[sum(map(mul, row, col)) for col in bt] for row in a]
     return [[sum(map(mul, row, col)) % p for col in bt] for row in a]
-
-
-def _mat_add(a, b, p):
-    if p is None:
-        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _mat_scale(a, c, p):
@@ -496,17 +496,27 @@ def _over_content(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _rref(rows, p):
-    """Reduced row echelon form of a matrix over Q (p None) or F_p.
+def _quotient(x, y, p):
+    """x / y in the field: mod p, or over Q the int x // y when y divides x
+    and the Fraction x / y otherwise."""
+    if p is not None:
+        return x * pow(y, -1, p) % p
+    q, r = divmod(x, y)
+    return Fraction(x, y) if r else q
 
-    Returns (reduced rows, pivot columns); the input is not modified.  The
-    form is unique, so the kernels, solutions, inverses and ranks derived
-    from it do not depend on how it was reached.  Over Q the elimination is
-    fraction-free (Bareiss, Math. Comp. 1968): each row is scaled to a
-    primitive integer row, every other row r with entry f in the pivot
-    column c becomes pv * r - f * (pivot row) over its content, pv the
-    pivot, and only the finished pivot rows are divided by their pivots.
-    Every entry of the result over Q is a Fraction.
+
+def _pivot_rows(rows, p):
+    """The nonzero rows of the reduced row echelon form, each up to a scale,
+    and the pivot columns; the input is not modified.
+
+    Over F_p the rows are the reduced rows themselves (pivot entries 1).
+    Over Q the elimination is fraction-free (Bareiss, Math. Comp. 1968):
+    each row is scaled to a primitive integer row, and every other row r
+    with entry f in the pivot column c becomes pv * r - f * (pivot row) over
+    its content, pv the pivot.  Reduced row i is then row i divided by its
+    pivot entry; since row i is primitive, |pivot entry| is the least common
+    denominator of reduced row i, so the rows are fixed by the row space up
+    to sign.
     """
     if p is None:
         a = []
@@ -541,27 +551,50 @@ def _rref(rows, p):
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], pivot_row)]
         pivots.append(c)
         r += 1
+    # rows past the last pivot row are zero
+    return a[: len(pivots)], pivots
+
+
+def _rref(rows, p):
+    """Reduced row echelon form of a matrix over Q (p None) or F_p.
+
+    Returns (reduced rows, pivot columns); the input is not modified.  The
+    form is unique, so the kernels, solutions, inverses and ranks derived
+    from it do not depend on how it was reached.  Every entry of the result
+    over Q is a Fraction.
+    """
+    red, pivots = _pivot_rows(rows, p)
+    zero = [_fval(0, p)] * (len(rows[0]) if rows else 0)
     if p is None:
-        # rows past the last pivot row are zero
-        a = [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)] + [
-            [Fraction(0)] * n_cols for _ in range(n_rows - len(pivots))
-        ]
-    return a, pivots
+        red = [[Fraction(x, row[c]) for x in row] for row, c in zip(red, pivots)]
+    return red + [zero[:] for _ in range(len(rows) - len(pivots))], pivots
+
+
+def _scaled_kernel(rows, p):
+    """(basis of {v : A v = 0}, s), one vector per free column of the RREF.
+
+    Vector fc is s times the one that is 1 at fc, 0 at the other free
+    columns and minus reduced row i's entry at fc at pivot i.  s is 1 over
+    F_p; over Q it is the least s > 0 that makes every vector integral, the
+    lcm of the pivot entries of _pivot_rows, so the vectors are int tuples
+    fixed by the kernel alone.
+    """
+    red, pivots = _pivot_rows(rows, p)
+    n_cols = len(rows[0])
+    scale = 1 if p is not None else math.lcm(*(row[c] for row, c in zip(red, pivots)))
+    basis = []
+    for fc in (c for c in range(n_cols) if c not in pivots):
+        v = [0] * n_cols
+        v[fc] = scale
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc] % p if p is not None else -row[fc] * (scale // row[pc])
+        basis.append(tuple(v))
+    return basis, scale
 
 
 def _kernel(rows, p):
-    """Basis of {v : A v = 0}, one vector per free column of the RREF."""
-    red, pivots = _rref(rows, p)
-    n_cols = len(rows[0])
-    one, zero = _fval(1, p), _fval(0, p)
-    basis = []
-    for fc in (c for c in range(n_cols) if c not in pivots):
-        v = [zero] * n_cols
-        v[fc] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = _fval(-red[i][fc], p)
-        basis.append(tuple(v))
-    return basis
+    """Basis of {v : A v = 0}: _scaled_kernel's vectors (int tuples)."""
+    return _scaled_kernel(rows, p)[0]
 
 
 def _solve(a_rows, rhs_cols, p):
@@ -578,17 +611,24 @@ def _solve(a_rows, rhs_cols, p):
     return sols
 
 
-def _inverse(a, p):
-    """Inverse of a square field matrix by Gauss-Jordan on [A | I]."""
+def _scaled_inverse(a, p):
+    """(s A^-1, s) for a square field matrix A, by Gauss-Jordan on [A | I].
+
+    s is 1 over F_p; over Q it is the least s > 0 that makes s A^-1
+    integral, so s A^-1 has int entries.  SingularMatrix if A is singular.
+    """
     n = len(a)
-    red, pivots = _rref([list(row) + ident for row, ident in zip(a, _identity(n))], p)
+    red, pivots = _pivot_rows([list(row) + ident for row, ident in zip(a, _identity(n))], p)
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    return [row[n:] for row in red]
+    if p is not None:
+        return [row[n:] for row in red], 1
+    scale = math.lcm(*(row[i] for i, row in enumerate(red)))
+    return [[x * (scale // row[i]) for x in row[n:]] for i, row in enumerate(red)], scale
 
 
 def _rank(rows, p):
-    return len(_rref(rows, p)[1])
+    return len(_pivot_rows(rows, p)[1])
 
 
 def _poly_eval_matrix(coeffs, m, p):
@@ -605,16 +645,20 @@ def _poly_eval_matrix(coeffs, m, p):
 def _matrix_minpoly(m, p):
     """Monic minimal polynomial (ascending coefficients) of a field matrix.
 
-    Finds the least d with M^d in the span of I, M, ..., M^(d-1); the RREF
-    of the columns vec(M^0), ..., vec(M^d) holds its coordinates there.
+    Finds the least d with M^d in the span of I, M, ..., M^(d-1); the
+    pivot rows of the columns vec(M^0), ..., vec(M^d) hold its coordinates
+    there.  Over Q a coefficient is an int when it is integral (always, for
+    an integer matrix) and a Fraction otherwise.
     """
     n = len(m)
     powers = [_identity(n)]
     for d in range(1, n + 1):
         powers.append(_mat_mul(powers[-1], m, p))
-        red, pivots = _rref([[pw[r][c] for pw in powers] for r in range(n) for c in range(n)], p)
+        red, pivots = _pivot_rows(
+            [[pw[r][c] for pw in powers] for r in range(n) for c in range(n)], p
+        )
         if len(pivots) == d:
-            return [_fval(-red[i][d], p) for i in range(d)] + [_fval(1, p)]
+            return [_quotient(-row[d], row[i], p) for i, row in enumerate(red)] + [1]
     raise UnsoundMinpoly(f"no annihilating polynomial of degree <= {n} (Cayley-Hamilton)")
 
 
@@ -683,7 +727,9 @@ def kernel(m) -> list[tuple]:
 
 
 def kernel_q(rows: list[list[Fraction]]) -> list[tuple[Fraction, ...]]:
-    return _kernel(rows, None)
+    """The RREF kernel basis over Q, with Fraction entries."""
+    vecs, scale = _scaled_kernel(rows, None)
+    return [tuple(Fraction(x, scale) for x in v) for v in vecs]
 
 
 def kernel_fp(rows: list[list[int]], p: int) -> list[tuple[int, ...]]:

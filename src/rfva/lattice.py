@@ -60,8 +60,8 @@ from .exactalg import (
     _kernel,
     _least_prime_power,
     _matrix_minpoly,
+    _pivot_rows,
     _primes_one_mod,
-    _rref,
     _solve,
     _spanned,
     det,
@@ -401,10 +401,10 @@ def _spin(u, actions, p, d):
     rows, rank = [u], 1
     while rank <= d:
         images = [_apply_mod(a, v, p) for a in actions for v in rows]
-        grown, pivots = _rref(rows + images, p)
+        grown, pivots = _pivot_rows(rows + images, p)
         if len(pivots) == rank:
-            return tuple(tuple(r) for r in grown[:rank])
-        rows, rank = grown[: len(pivots)], len(pivots)
+            return tuple(tuple(r) for r in grown)
+        rows, rank = grown, len(pivots)
     return None
 
 

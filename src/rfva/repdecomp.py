@@ -45,18 +45,16 @@ from .errors import (
 from .exactalg import (
     IntMatrix,
     IntPoly,
-    _fval,
-    _inverse,
     _isprime,
-    _mat_add,
     _mat_mul,
-    _mat_scale,
     _matrix_minpoly,
+    _pivot_rows,
     _poly_eval_matrix,
     _primes_one_mod,
+    _quotient,
     _rank,
-    _rref,
-    _solve,
+    _scaled_inverse,
+    _scaled_kernel,
     adjugate,
     charpoly,
     det,
@@ -149,32 +147,99 @@ def commutant_basis(rep: Rep) -> CommutantBasis:
 
 
 class _ModuleSplitter:
-    """Splits F^m (p prime) or Q^m (p=None) into irreducible invariant parts.
+    """Splits F_p^m (p prime) or Q^m (p=None) into irreducible invariant parts.
 
-    Subspaces are tracked by bases of ambient vectors.  Splitting elements are
-    drawn from the commutant of the restricted action; proper invariant
-    subspaces obtained from polynomial kernels are completed to direct-sum
-    decompositions by the Maschke projection, solved for inside that same
-    commutant from the trace form (see invariant_complement).
+    A subspace is held by a basis of int ambient rows: over F_p in [0, p),
+    and over Q without the common denominator of a rational basis, which
+    cancels in coordinates.  Each basis gets one coordinate map, cached:
+    pivot columns P where its d x d minor M is nonsingular, and s M^-1 with
+    s = 1 over F_p and s the least common denominator of M^-1 over Q.  The
+    coordinates of v in the span are v[P] (s M^-1) / s, and restricting a
+    matrix is one such product per basis vector plus one back-product check
+    that the image lies in the span.  Over Q the restricted generators, the
+    commutation system, the commutant, the candidates and the complement's
+    Gram system are int matrices up to one recorded scale each; no kernel,
+    minimal polynomial or split depends on the scales, so none of this
+    forms a Fraction.
+
+    Splitting elements are drawn from the commutant of the restricted
+    action; proper invariant subspaces obtained from polynomial kernels are
+    completed to direct-sum decompositions by the Maschke projection, solved
+    for inside that same commutant from the trace form (see
+    invariant_complement).
     """
 
     def __init__(self, rep: Rep, p: int | None, rng: random.Random):
         self.rep = rep
         self.p = p
         self.rng = rng
+        self._maps = {}  # basis -> (pivot columns, s M^-1 by columns, s, basis columns)
 
     # -- subspace plumbing
 
     def kernel(self, rows):
-        return kernel_q(rows) if self.p is None else kernel_fp(rows, self.p)
+        """(kernel basis, s): kernel_fp's vectors and 1, or over Q the int
+        vectors of _scaled_kernel, s times the RREF kernel basis."""
+        if self.p is None:
+            return _scaled_kernel(rows, None)
+        return kernel_fp(rows, self.p), 1
+
+    def coordinate_map(self, basis):
+        """(P, s M^-1 by columns, s, basis by columns), once per basis."""
+        key = tuple(map(tuple, basis))
+        found = self._maps.get(key)
+        if found is None:
+            d = len(key)
+            pivots = _pivot_rows(key, self.p)[1]
+            if len(pivots) != d:
+                raise UnsoundSplit(f"a {d}-dimensional subspace basis has rank {len(pivots)}")
+            inverse, scale = _scaled_inverse([[row[c] for c in pivots] for row in key], self.p)
+            found = self._maps[key] = (pivots, list(zip(*inverse)), scale, list(zip(*key)))
+        return found
+
+    def scaled_action(self, mat, basis):
+        """(s R, s) for R the action of mat on span(basis) in basis
+        coordinates (column t: the coordinates of mat(basis[t])) and s the
+        basis's coordinate scale; UnsoundSplit if an image leaves the span."""
+        p = self.p
+        pivots, inverse_cols, scale, basis_cols = self.coordinate_map(basis)
+        columns = []
+        for b in basis:
+            image = mat.apply(b)
+            head = [image[c] for c in pivots]
+            coords = [sum(map(mul, head, col)) for col in inverse_cols]
+            back = [sum(map(mul, coords, col)) for col in basis_cols]
+            if p is None:
+                ok = all(x == scale * y for x, y in zip(back, image))
+            else:
+                coords = [x % p for x in coords]
+                ok = all((x - y) % p == 0 for x, y in zip(back, image))
+            if not ok:
+                raise UnsoundSplit(
+                    f"a matrix maps the {len(basis)}-dimensional subspace outside itself"
+                )
+            columns.append(coords)
+        return [list(row) for row in zip(*columns)], scale
 
     def restrict(self, mat, basis):
-        """Action of an ambient matrix on a subspace, in basis coordinates."""
-        cols = _solve(list(zip(*basis)), [mat.apply(tuple(v)) for v in basis], self.p)
-        return [list(row) for row in zip(*cols)]  # column t = coords of image of basis[t]
+        """Action of an ambient matrix on a subspace, in basis coordinates.
+
+        Column t holds the coordinates of mat(basis[t]); over Q an entry is
+        an int when it is integral and a Fraction otherwise.
+        """
+        action, scale = self.scaled_action(mat, basis)
+        if scale == 1:
+            return action
+        return [[_quotient(x, scale, None) for x in row] for row in action]
 
     def coords_to_ambient(self, coord_vecs, basis):
-        return [tuple(v) for v in _mat_mul(coord_vecs, basis, self.p)]
+        rows = _mat_mul(coord_vecs, basis, self.p)
+        if self.p is None:
+            # one common scale is free over Q: keep the rows small
+            g = math.gcd(*(x for row in rows for x in row))
+            if g > 1:
+                rows = [[x // g for x in row] for row in rows]
+        return [tuple(row) for row in rows]
 
     def invariant_complement(self, basis, w_coords, commutant):
         """Invariant complement of span(w_coords) inside span(basis).
@@ -188,22 +253,24 @@ class _ModuleSplitter:
         of C, with G c = (tr(proj0 X_i))_i and G_ij = tr(X_i X_j).  G is
         nonsingular: C is semisimple over Q, and mod p = 1 (mod |H|) it is a
         product of matrix algebras whose trace multiplicities divide |H|.
+        Over Q the X_j, the vectors of w_coords and proj0 may each carry a
+        scale, and pbar is formed times the lcm of the Gram pivots: the
+        kernel is the same.
         """
         p = self.p
         d = len(basis)
         e = len(w_coords)
         # extend W to a coordinate basis, project onto W along the extension
-        ext = [[_fval(x, p) for x in w] for w in w_coords]
+        ext = [list(w) for w in w_coords]
         for j in range(d):
             if len(ext) == d:
                 break
-            unit = [_fval(1 if i == j else 0, p) for i in range(d)]
+            unit = [int(i == j) for i in range(d)]
             if _rank(ext + [unit], p) == len(ext) + 1:
                 ext.append(unit)
         t_mat = [list(col) for col in zip(*ext)]  # columns are the new basis
-        e_proj = [[_fval(1 if (i == j and i < e) else 0, p) for j in range(d)] for i in range(d)]
-        t_inv = _inverse(t_mat, p)
-        proj0 = _mat_mul(_mat_mul(t_mat, e_proj, p), t_inv, p)
+        t_inv = _scaled_inverse(t_mat, p)[0]
+        proj0 = _mat_mul([row[:e] for row in t_mat], t_inv[:e], p)  # T diag(1, 0) T^-1
         # commutant bases come from an RREF kernel and are mostly zero, so
         # tr(X Y) = sum of X[i][j] Y[j][i] runs over the nonzero entries of X
         sparse = [
@@ -212,15 +279,20 @@ class _ModuleSplitter:
         ]
         columns = commutant + [proj0]
         gram = [[sum(x * y[j][i] for i, j, x in s) for y in columns] for s in sparse]
-        # one elimination of [G | rhs], not _solve, which sets free unknowns to 0
-        red, pivots = _rref(gram, p)
+        # one elimination of [G | rhs]: the solution must be unique
+        red, pivots = _pivot_rows(gram, p)
         c = len(commutant)
         if pivots != list(range(c)):
             raise UnsoundSplit(f"the trace form on a {c}-dimensional commutant is degenerate")
-        pbar = [[_fval(0, p)] * d for _ in range(d)]
-        for row, z in zip(red, commutant):
-            pbar = _mat_add(pbar, _mat_scale(z, row[c], p), p)
-        comp_coords = self.kernel(pbar)
+        # c_j = red[j][c] / red[j][j]; over Q pbar is formed times their lcm
+        scale = 1 if p is not None else math.lcm(*(row[j] for j, row in enumerate(red)))
+        weights = [row[c] * (scale // row[j]) for j, row in enumerate(red)]
+        pbar = [
+            [sum(map(mul, weights, entry)) for entry in zip(*rows)] for rows in zip(*commutant)
+        ]
+        if p is not None:
+            pbar = [[x % p for x in row] for row in pbar]
+        comp_coords = self.kernel(pbar)[0]
         if len(comp_coords) != d - e:
             raise UnsoundSplit(
                 f"averaged projection has kernel dimension {len(comp_coords)}, not {d - e}"
@@ -229,40 +301,48 @@ class _ModuleSplitter:
 
     # -- splitting element candidates
 
-    def candidate_stream(self, commutant):
-        """Deterministic sweep first, then seeded random small combinations."""
+    def candidate_stream(self, commutant, scale):
+        """Deterministic sweep first, then seeded random small combinations.
+
+        Over Q the commutant holds s X_i, s its common scale, and a
+        candidate z = sum c_i X_i comes as z times the least common
+        denominator of its entries: that is z' / gcd(s, content z') for
+        z' = sum c_i (s X_i), an int matrix with the same minimal
+        polynomial factors up to scaling.
+        """
+        p = self.p
         c = len(commutant)
-        d = len(commutant[0])
+        if p is None:
+            lo, hi = -10, 10
+
+            def clear(z):
+                g = math.gcd(scale, *(x for row in z for x in row))
+                return [[x // g for x in row] for row in z] if g > 1 else z
+
+        else:
+            lo, hi = 0, p - 1
+
+            def clear(z):
+                return [[x % p for x in row] for row in z]
+
         for z in commutant:
-            yield z, False
+            yield clear(z), False
         for i in range(c):
             for j in range(i + 1, c):
-                yield _mat_add(commutant[i], commutant[j], self.p), False
-                yield _mat_add(
-                    commutant[i], _mat_scale(commutant[j], _fval(-1, self.p), self.p), self.p
-                ), False
-        hi = (self.p - 1) if self.p is not None else 10
-        lo = 0 if self.p is not None else -10
+                a, b = commutant[i], commutant[j]
+                yield clear([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]), False
+                yield clear([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]), False
+        entries = [list(zip(*rows)) for rows in zip(*commutant)]
         while True:
             coeffs = [self.rng.randint(lo, hi) for _ in range(c)]
-            z = [[_fval(0, self.p)] * d for _ in range(d)]
-            for cf, e in zip(coeffs, commutant):
-                z = _mat_add(z, _mat_scale(e, _fval(cf, self.p), self.p), self.p)
-            yield z, True
-
-    def clear_denominators(self, z):
-        """Scale a rational matrix to one with int entries (reducibility-preserving)."""
-        if self.p is not None:
-            return z
-        denom = math.lcm(*(x.denominator for row in z for x in row))
-        return [[x.numerator * (denom // x.denominator) for x in row] for row in z]
+            yield clear([[sum(map(mul, coeffs, e)) for e in row] for row in entries]), True
 
     def factor_minpoly(self, z):
         coeffs = _matrix_minpoly(z, self.p)
         if self.p is None:
             if any(x.denominator != 1 for x in coeffs):
                 raise UnsoundSplit("minimal polynomial of an integer matrix is not integral")
-            content, factors = factor_over_integers(IntPoly(tuple(int(x) for x in coeffs)))
+            content, factors = factor_over_integers(IntPoly(tuple(coeffs)))
             if content != 1:
                 raise UnsoundSplit(f"monic minimal polynomial has content {content}")
             return [(f.coeffs, mult) for f, mult in factors]
@@ -273,19 +353,16 @@ class _ModuleSplitter:
         d = len(basis)
         if d == 1:
             return [list(basis)]
-        gens = [self.restrict(g, basis) for g in self.rep.generators]
-        commutant = [
-            [list(v[r * d : (r + 1) * d]) for r in range(d)]
-            for v in self.kernel(_commutation_system(gens, d))
-        ]
+        gens = [self.scaled_action(g, basis)[0] for g in self.rep.generators]
+        vecs, scale = self.kernel(_commutation_system(gens, d))
+        commutant = [[list(v[r * d : (r + 1) * d]) for r in range(d)] for v in vecs]
         if len(commutant) == 1:
             return [list(basis)]
         consecutive = streak = tries = 0
-        for z, is_random in self.candidate_stream(commutant):
+        for z, is_random in self.candidate_stream(commutant, scale):
             if tries == SPLIT_TRY_BUDGET:
                 break
             tries += 1
-            z = self.clear_denominators(z)
             factors = self.factor_minpoly(z)
             nontrivial = len(factors) > 1 or factors[0][1] > 1
             if not nontrivial:
@@ -298,7 +375,7 @@ class _ModuleSplitter:
             consecutive = 0
             f0 = factors[0][0]
             fz = _poly_eval_matrix(list(f0), z, self.p)
-            w_coords = self.kernel(fz)
+            w_coords = self.kernel(fz)[0]
             if not (0 < len(w_coords) < d):
                 continue
             comp_coords = self.invariant_complement(basis, w_coords, commutant)
@@ -489,8 +566,7 @@ def q_split(rep: Rep, seed: int = DEFAULT_SEED) -> QSplit:
     """
     m = rep.degree
     splitter = _ModuleSplitter(rep, None, random.Random(seed))
-    full = [tuple(Fraction(1 if i == j else 0) for i in range(m)) for j in range(m)]
-    parts = splitter.split(full)
+    parts = splitter.split([tuple(int(i == j) for i in range(m)) for j in range(m)])
     if len(parts) == 1:
         comp = QComponent(
             dimension=m, basis_numerator=IntMatrix.identity(m), denominator=1, rep=rep
@@ -499,31 +575,31 @@ def q_split(rep: Rep, seed: int = DEFAULT_SEED) -> QSplit:
     all_vecs = [v for part in parts for v in part]
     if len(all_vecs) != m:
         raise UnsoundSplit(f"Q-constituent bases hold {len(all_vecs)} vectors, not {m}")
-    s_mat = [[Fraction(all_vecs[j][i]) for j in range(m)] for i in range(m)]
-    s_inv = _inverse(s_mat, None)
+    # S has the basis vectors as columns; the projection onto part i along
+    # the others is S E_i S^-1, whose transpose times s is
+    # (rows of s S^-1 at part i)^T (the part's vectors)
+    s_inv, scale = _scaled_inverse([list(col) for col in zip(*all_vecs)], None)
     components = []
     offset = 0
     for part in parts:
         d = len(part)
-        e_mat = [
-            [Fraction(1 if (i == j and offset <= i < offset + d) else 0) for j in range(m)]
-            for i in range(m)
-        ]
+        block = s_inv[offset : offset + d]
         offset += d
-        proj = _mat_mul(_mat_mul(s_mat, e_mat, None), s_inv, None)
-        # the projection commutes with the action, so P(Z^m) is H-invariant
-        denom = math.lcm(*(x.denominator for row in proj for x in row))
-        int_rows = [[int(proj[i][j] * denom) for i in range(m)] for j in range(m)]
+        scaled_t = _mat_mul(list(zip(*block)), part, None)
+        # the projection commutes with the action, so P(Z^m) is H-invariant;
+        # its transpose times its least common denominator has int rows
+        common = math.gcd(scale, *(x for row in scaled_t for x in row))
+        denom = scale // common
+        int_rows = [[x // common for x in row] for row in scaled_t]
         h, _ = row_echelon_transform(IntMatrix.from_rows(int_rows))
         num_rows = [r for r in h if any(x != 0 for x in r)]
         if len(num_rows) != d:
             raise UnsoundSplit(f"projected lattice has rank {len(num_rows)}, not {d}")
         basis_num = IntMatrix.from_rows(num_rows)
-        basis_vecs = [
-            tuple(Fraction(x, denom) for x in basis_num.row(t)) for t in range(d)
-        ]
-        child_gens = [splitter.restrict(g, basis_vecs) for g in rep.generators]
-        if any(x.denominator != 1 for g in child_gens for row in g for x in row):
+        # the rows of basis_num / denom span the lattice, and denom cancels
+        # in coordinates
+        child_gens = [splitter.restrict(g, basis_num.entries) for g in rep.generators]
+        if any(not isinstance(x, int) for g in child_gens for row in g for x in row):
             raise UnsoundSplit("a generator acts non-integrally on a projected lattice")
         child = close_group(
             [IntMatrix.from_rows(g) for g in child_gens], element_bound=rep.order + 1

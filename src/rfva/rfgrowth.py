@@ -235,13 +235,14 @@ def lower_bound_certificate(
     total = 0
     while total < samples:
         b = comm.combination([rng.randint(-5, 5) for _ in comm.matrices])
-        if det(b) == 0:
-            continue
-        total += 1
+        # only a nonsingular B is stored, so a stored one needs no det
         ok = verdicts.get(b)
         if ok is None:
+            if det(b) == 0:
+                continue
             cert = commutant_certificate(rep, b, seed=seed, prime_bound=prime_bound)
             ok = verdicts[b] = cert.passed and cert.det == cert.x**cert.k
+        total += 1
         passed += ok
     spec = FamilySpec("com", rep=rep, coefficient_box=coefficient_box)
     com_lattices = list(enumerate_family(spec, m, index_budget))

@@ -45,6 +45,42 @@ def test_decompose_fields(capsys):
     assert "(2, 2)" in capsys.readouterr().out
 
 
+# The printed basis of an isotypic Q split depends on the exact candidate
+# stream: these are the outputs of the Fraction splitter, byte for byte.
+ISOTYPIC_Q_SPLITS = {
+    "product(std_sym(4),std_sym(4))": (
+        'Q-constituent degrees: (3, 3)\n'
+        'component 0: dim 3, denominator 1, image order 24\n'
+        '  basis (1, 0, 0, 0, 0, 0)\n'
+        '  basis (0, 1, 0, 0, 0, 0)\n'
+        '  basis (0, 0, 1, 0, 0, 0)\n'
+        'component 1: dim 3, denominator 1, image order 24\n'
+        '  basis (0, 0, 0, 1, 0, 0)\n'
+        '  basis (0, 0, 0, 0, 1, 0)\n'
+        '  basis (0, 0, 0, 0, 0, 1)\n'
+    ),
+    "product(quaternion_paper,quaternion_paper)": (
+        'Q-constituent degrees: (4, 4)\n'
+        'component 0: dim 4, denominator 1, image order 8\n'
+        '  basis (0, 0, 0, 0, 1, 0, 0, 0)\n'
+        '  basis (0, 0, 0, 0, 0, 1, 0, 0)\n'
+        '  basis (0, 0, 0, 0, 0, 0, 1, 0)\n'
+        '  basis (0, 0, 0, 0, 0, 0, 0, 1)\n'
+        'component 1: dim 4, denominator 1, image order 8\n'
+        '  basis (1, 0, 0, 0, 0, 0, 0, 0)\n'
+        '  basis (0, 1, 0, 0, 0, 0, 0, 0)\n'
+        '  basis (0, 0, 1, 0, 0, 0, 0, 0)\n'
+        '  basis (0, 0, 0, 1, 0, 0, 0, 0)\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ISOTYPIC_Q_SPLITS))
+def test_isotypic_q_splits_print_the_pinned_bases(name, capsys):
+    assert run(["decompose", f"catalog:{name}", "--field", "q"]) == EXIT_OK
+    assert capsys.readouterr().out == ISOTYPIC_Q_SPLITS[name]
+
+
 def test_rf_csv_stdout(capsys):
     assert run(["rf", "z:1", "--rmax", "6", "--csv", "-"]) == EXIT_OK
     out = capsys.readouterr().out

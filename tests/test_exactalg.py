@@ -26,13 +26,14 @@ from rfva.exactalg import (
     IntPoly,
     _divisors,
     _identity,
-    _inverse,
     _isprime,
     _least_prime_power,
     _matrix_minpoly,
     _poly_eval_matrix,
     _rank,
     _rref,
+    _scaled_inverse,
+    _scaled_kernel,
     _solve,
     adjugate,
     charpoly,
@@ -680,17 +681,43 @@ def test_solve_matches_sympy(rows, p, data):
 @settings(max_examples=100, deadline=None)
 @given(field_matrices(square=True), st.sampled_from(FIELDS))
 def test_inverse_matches_sympy(rows, p):
+    """_scaled_inverse gives s A^-1 and s, s = 1 over F_p and the least
+    common denominator of A^-1 over Q, with int entries."""
     n = len(rows)
     if len(_sympy_rref(rows, p)[1]) < n:
         with pytest.raises(SingularMatrix):
-            _inverse(rows, p)
+            _scaled_inverse(rows, p)
         return
+    inverse, scale = _scaled_inverse(rows, p)
+    assert all(type(x) is int for row in inverse for x in row)
     if p is None:
         expected = sympy.Matrix(rows).inv()
         expected = [[_ours(x, p) for x in expected.row(i)] for i in range(n)]
+        assert scale == math.lcm(*(x.denominator for row in expected for x in row))
+        assert inverse == [[x * scale for x in row] for row in expected]
     else:
         expected = [[_ours(x, p) for x in r] for r in _domain_matrix(rows, p).inv().to_list()]
-    assert _inverse(rows, p) == expected
+        assert (inverse, scale) == (expected, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(field_matrices(), rational_matrices()))
+def test_scaled_kernel_is_the_least_integral_multiple_of_the_rref_kernel(rows):
+    vectors, scale = _scaled_kernel(rows, None)
+    expected = _sympy_nullspace(rows, None)
+    assert scale == math.lcm(*(x.denominator for v in expected for x in v))
+    assert vectors == [tuple(x * scale for x in v) for v in expected]
+    assert all(type(x) is int for v in vectors for x in v)
+    # the kernel alone fixes the result: a scaled copy of the rows gives it too
+    assert _scaled_kernel([[-3 * x for x in row] for row in rows], None) == (vectors, scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_matrices(square=True, max_size=4))
+def test_matrix_minpoly_over_q_of_an_integer_matrix_has_int_coefficients(rows):
+    coeffs = _matrix_minpoly(rows, None)
+    assert all(type(x) is int for x in coeffs)
+    assert _poly_eval_matrix(coeffs, rows, None) == [[0] * len(rows)] * len(rows)
 
 
 @settings(max_examples=100, deadline=None)

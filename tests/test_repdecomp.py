@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -27,15 +28,22 @@ from rfva.exactalg import (
     IntMatrix,
     IntPoly,
     _fval,
-    _inverse,
     _kernel,
-    _mat_add,
     _mat_mul,
     _mat_scale,
+    _matrix_minpoly,
+    _poly_eval_matrix,
     _rank,
+    _rref,
+    _solve,
     det,
+    factor_over_integers,
+    factor_over_prime_field,
+    kernel_fp,
+    kernel_q,
+    row_echelon_transform,
 )
-from rfva.grouprep import _tables, close_group, is_abelian_image
+from rfva.grouprep import _tables, close_group, conjugacy_classes, is_abelian_image
 from rfva.repdecomp import (
     CharacterTable,
     commutant_basis,
@@ -430,7 +438,7 @@ def _assert_complements_match_oracle(monkeypatch, rep):
 
     with monkeypatch.context() as patch:
         patch.setattr(rd._ModuleSplitter, "invariant_complement", recording)
-        full = [tuple(Fraction(int(i == j)) for i in range(rep.degree)) for j in range(rep.degree)]
+        full = [tuple(int(i == j) for i in range(rep.degree)) for j in range(rep.degree)]
         rd._ModuleSplitter(rep, None, random.Random(0)).split(full)
         for p in primes:
             split_mod_p.__wrapped__(rep, p)  # past the cache, so the split runs
@@ -549,10 +557,10 @@ real_minpoly = ea._matrix_minpoly
 ea._matrix_minpoly = lambda m, p: [Fraction(1, 2), Fraction(1)]
 expect(UnsoundMinpoly, "minpoly integral", ea.minpoly, ea.IntMatrix.identity(2))
 ea._matrix_minpoly = real_minpoly
-real_rref = ea._rref
-ea._rref = lambda rows, p: (rows, list(range(len(rows[0]))))
+real_pivot_rows = ea._pivot_rows
+ea._pivot_rows = lambda rows, p: (rows, list(range(len(rows[0]))))
 expect(UnsoundMinpoly, "cayley-hamilton", ea.minpoly, ea.IntMatrix.identity(2))
-ea._rref = real_rref
+ea._pivot_rows = real_pivot_rows
 
 real_root = rd.poly_kth_root
 rd.exponent_k = lambda rep, seed, prime_bound: 0
@@ -599,3 +607,310 @@ def test_split_and_certificate_checks_run_under_python_O():
         "certificate checked: x^k = 1 is not divisible by f(0) = 6",
         "charpoly checked: charpoly step 2: 3 is not divisible by 2",
     ]
+
+
+
+# --- subspaces that are not invariant ----------------------------------------
+
+NOT_INVARIANT_CHECKS = """
+import random
+import sys
+import rfva.repdecomp as rd
+from rfva.catalog import catalog_rep
+from rfva.errors import UnsoundSplit
+
+print("optimize", sys.flags.optimize, __debug__)
+# span(e1) under rot(4)'s rotation, span(e1, e2) under d4_paper's generators;
+# split returns a 1-dimensional basis as it is, and split_mod_p's traces and
+# q_split's actions restrict it
+for name, basis in (("rot(4)", [(1, 0)]), ("d4_paper", [(1, 0, 0), (0, 1, 0)])):
+    rep = catalog_rep(name)
+    for p in (None, rd.exponent_report(rep).primes[0]):
+        splitter = rd._ModuleSplitter(rep, p, random.Random(0))
+        for label, call in (("restrict", lambda: splitter.restrict(rep.generators[0], basis)),
+                            ("split", lambda: splitter.split(basis))):
+            try:
+                call()
+            except UnsoundSplit as exc:
+                print(name, p, label, "checked:", exc)
+"""
+
+
+def test_a_subspace_that_is_not_invariant_is_refused_under_python_O():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", NOT_INVARIANT_CHECKS],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    one = "a matrix maps the 1-dimensional subspace outside itself"
+    two = "a matrix maps the 2-dimensional subspace outside itself"
+    assert out.stdout.splitlines() == [
+        "optimize 1 False",
+        f"rot(4) None restrict checked: {one}",
+        f"rot(4) 5 restrict checked: {one}",
+        f"d4_paper None restrict checked: {two}",
+        f"d4_paper None split checked: {two}",
+        f"d4_paper 17 restrict checked: {two}",
+        f"d4_paper 17 split checked: {two}",
+    ]
+
+
+def test_restrict_of_an_invariant_subspace_matches_a_linear_solve():
+    """Each constituent of a split, over Q and mod p, in the coordinates of
+    its basis: the coordinate map and _solve agree, and an integral action
+    comes back as ints."""
+    for rep in (D4, Q8, catalog_rep("perm_sym(4)")):
+        for p in (None,) + exponent_report(rep).primes[:1]:
+            splitter = rd._ModuleSplitter(rep, p, random.Random(0))
+            full = [tuple(int(i == j) for i in range(rep.degree)) for j in range(rep.degree)]
+            for basis in splitter.split(full):
+                for g in rep.elements[:12]:
+                    cols = _solve(list(zip(*basis)), [g.apply(v) for v in basis], p)
+                    expected = [list(row) for row in zip(*cols)]
+                    assert splitter.restrict(g, basis) == expected
+        for comp in q_split(rep).components:
+            splitter = rd._ModuleSplitter(rep, None, random.Random(0))
+            child = [splitter.restrict(g, comp.basis_numerator.entries) for g in rep.generators]
+            assert all(type(x) is int for g in child for row in g for x in row)
+            assert [IntMatrix.from_rows(g) for g in child] == list(comp.rep.generators)
+
+# --- the Fraction splitter, as a reference -----------------------------------
+# The module splitter before it ran on int coordinates: restrict solves
+# [basis | images] for every call, and over Q every subspace basis, commutant
+# matrix and candidate holds Fractions.  split_mod_p and q_split must give
+# equal results on the int splitter.
+
+
+def _mat_add(a, b, p):
+    if p is None:
+        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _inverse(a, p):
+    """Inverse of a square field matrix by Gauss-Jordan on [A | I]."""
+    n = len(a)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    red, pivots = _rref([list(row) + e for row, e in zip(a, ident)], p)
+    assert pivots[:n] == list(range(n))
+    return [row[n:] for row in red]
+
+
+class _FractionSplitter:
+    def __init__(self, rep, p, rng):
+        self.rep, self.p, self.rng = rep, p, rng
+
+    def kernel(self, rows):
+        return kernel_q(rows) if self.p is None else kernel_fp(rows, self.p)
+
+    def restrict(self, mat, basis):
+        cols = _solve(list(zip(*basis)), [mat.apply(tuple(v)) for v in basis], self.p)
+        return [list(row) for row in zip(*cols)]
+
+    def coords_to_ambient(self, coord_vecs, basis):
+        return [tuple(v) for v in _mat_mul(coord_vecs, basis, self.p)]
+
+    def invariant_complement(self, basis, w_coords, commutant):
+        p = self.p
+        d, e = len(basis), len(w_coords)
+        ext = [[_fval(x, p) for x in w] for w in w_coords]
+        for j in range(d):
+            if len(ext) == d:
+                break
+            unit = [_fval(1 if i == j else 0, p) for i in range(d)]
+            if _rank(ext + [unit], p) == len(ext) + 1:
+                ext.append(unit)
+        t_mat = [list(col) for col in zip(*ext)]
+        e_proj = [[_fval(1 if (i == j and i < e) else 0, p) for j in range(d)] for i in range(d)]
+        proj0 = _mat_mul(_mat_mul(t_mat, e_proj, p), _inverse(t_mat, p), p)
+        sparse = [
+            [(i, j, x) for i, row in enumerate(z) for j, x in enumerate(row) if x]
+            for z in commutant
+        ]
+        columns = commutant + [proj0]
+        gram = [[sum(x * y[j][i] for i, j, x in s) for y in columns] for s in sparse]
+        red, pivots = _rref(gram, p)
+        c = len(commutant)
+        assert pivots == list(range(c))
+        pbar = [[_fval(0, p)] * d for _ in range(d)]
+        for row, z in zip(red, commutant):
+            pbar = _mat_add(pbar, _mat_scale(z, row[c], p), p)
+        comp_coords = self.kernel(pbar)
+        assert len(comp_coords) == d - e
+        return comp_coords
+
+    def candidate_stream(self, commutant):
+        c, d = len(commutant), len(commutant[0])
+        for z in commutant:
+            yield z, False
+        for i in range(c):
+            for j in range(i + 1, c):
+                yield _mat_add(commutant[i], commutant[j], self.p), False
+                yield _mat_add(
+                    commutant[i], _mat_scale(commutant[j], _fval(-1, self.p), self.p), self.p
+                ), False
+        hi = (self.p - 1) if self.p is not None else 10
+        lo = 0 if self.p is not None else -10
+        while True:
+            coeffs = [self.rng.randint(lo, hi) for _ in range(c)]
+            z = [[_fval(0, self.p)] * d for _ in range(d)]
+            for cf, e in zip(coeffs, commutant):
+                z = _mat_add(z, _mat_scale(e, _fval(cf, self.p), self.p), self.p)
+            yield z, True
+
+    def clear_denominators(self, z):
+        if self.p is not None:
+            return z
+        denom = math.lcm(*(x.denominator for row in z for x in row))
+        return [[x.numerator * (denom // x.denominator) for x in row] for row in z]
+
+    def factor_minpoly(self, z):
+        coeffs = _matrix_minpoly(z, self.p)
+        if self.p is None:
+            content, factors = factor_over_integers(IntPoly(tuple(int(x) for x in coeffs)))
+            assert content == 1
+            return [(f.coeffs, mult) for f, mult in factors]
+        return factor_over_prime_field(tuple(coeffs), self.p)
+
+    def split(self, basis):
+        d = len(basis)
+        if d == 1:
+            return [list(basis)]
+        gens = [self.restrict(g, basis) for g in self.rep.generators]
+        commutant = [
+            [list(v[r * d : (r + 1) * d]) for r in range(d)]
+            for v in self.kernel(rd._commutation_system(gens, d))
+        ]
+        if len(commutant) == 1:
+            return [list(basis)]
+        consecutive = tries = 0
+        for z, is_random in self.candidate_stream(commutant):
+            if tries == rd.SPLIT_TRY_BUDGET:
+                break
+            tries += 1
+            z = self.clear_denominators(z)
+            factors = self.factor_minpoly(z)
+            if not (len(factors) > 1 or factors[0][1] > 1):
+                if is_random and len(factors[0][0]) > 1:
+                    consecutive += 1
+                    if consecutive >= rd.CONSECUTIVE_IRREDUCIBLE and self.p is None:
+                        return [list(basis)]
+                continue
+            consecutive = 0
+            fz = _poly_eval_matrix(list(factors[0][0]), z, self.p)
+            w_coords = self.kernel(fz)
+            if not (0 < len(w_coords) < d):
+                continue
+            comp_coords = self.invariant_complement(basis, w_coords, commutant)
+            w_basis = self.coords_to_ambient(w_coords, basis)
+            c_basis = self.coords_to_ambient(comp_coords, basis)
+            return self.split(w_basis) + self.split(c_basis)
+        raise AssertionError("the reference split is inconclusive")
+
+
+def _reference_split_mod_p(rep, p, seed=0):
+    splitter = _FractionSplitter(rep, p, random.Random(seed))
+    parts = splitter.split([tuple(int(i == j) for i in range(rep.degree)) for j in range(rep.degree)])
+    classes = conjugacy_classes(rep)
+    keyed = {}
+    for basis in parts:
+        traces = []
+        for ci in classes.representatives:
+            r = splitter.restrict(rep.elements[ci], basis)
+            traces.append(sum(r[i][i] for i in range(len(basis))) % p)
+        keyed.setdefault((len(basis), tuple(traces)), []).append(tuple(tuple(v) for v in basis))
+    groups = tuple(
+        rd.ConstituentGroup(dimension=key[0], multiplicity=len(bases), bases=tuple(bases))
+        for key, bases in keyed.items()
+    )
+    return rd.Constituents(field=p, groups=groups)
+
+
+def _reference_q_split(rep, seed=0):
+    m = rep.degree
+    splitter = _FractionSplitter(rep, None, random.Random(seed))
+    parts = splitter.split([tuple(Fraction(int(i == j)) for i in range(m)) for j in range(m)])
+    if len(parts) == 1:
+        return rd.QSplit((rd.QComponent(m, IntMatrix.identity(m), 1, rep),))
+    all_vecs = [v for part in parts for v in part]
+    s_mat = [[Fraction(all_vecs[j][i]) for j in range(m)] for i in range(m)]
+    s_inv = _inverse(s_mat, None)
+    components = []
+    offset = 0
+    for part in parts:
+        d = len(part)
+        e_mat = [
+            [Fraction(int(i == j and offset <= i < offset + d)) for j in range(m)]
+            for i in range(m)
+        ]
+        offset += d
+        proj = _mat_mul(_mat_mul(s_mat, e_mat, None), s_inv, None)
+        denom = math.lcm(*(x.denominator for row in proj for x in row))
+        int_rows = [[int(proj[i][j] * denom) for i in range(m)] for j in range(m)]
+        h, _ = row_echelon_transform(IntMatrix.from_rows(int_rows))
+        basis_num = IntMatrix.from_rows([r for r in h if any(r)])
+        basis_vecs = [tuple(Fraction(x, denom) for x in basis_num.row(t)) for t in range(d)]
+        child_gens = [splitter.restrict(g, basis_vecs) for g in rep.generators]
+        child = close_group([IntMatrix.from_rows(g) for g in child_gens], element_bound=rep.order + 1)
+        components.append(rd.QComponent(d, basis_num, denom, child))
+    return rd.QSplit(tuple(components))
+
+
+SPLIT_ORACLE_REPS = ORACLE_CATALOG + (
+    "product(std_sym(4),std_sym(4))",
+    "product(quaternion_paper,quaternion_paper)",
+)
+
+
+def _record(monkeypatch, splitter_class, method):
+    """The field and the matrix argument of every call of a one-argument
+    splitter method (split's basis, factor_minpoly's candidate), in order."""
+    seen = []
+    real = getattr(splitter_class, method)
+
+    def recording(self, arg):
+        seen.append((self.p, [list(row) for row in arg]))
+        return real(self, arg)
+
+    monkeypatch.setattr(splitter_class, method, recording)
+    return seen
+
+
+def _assert_splits_match_the_reference(monkeypatch, rep):
+    """Equal results at each exponent_report prime, at 241 when it is 1 mod
+    |H|, and over Q: from equal candidate streams, and from subspace bases
+    equal to the reference's up to one scale each."""
+    primes = exponent_report(rep).primes
+    if 241 % rep.order == 1:
+        primes += (241,)
+    new = [_record(monkeypatch, rd._ModuleSplitter, m) for m in ("split", "factor_minpoly")]
+    old = [_record(monkeypatch, _FractionSplitter, m) for m in ("split", "factor_minpoly")]
+    for p in primes:
+        assert split_mod_p.__wrapped__(rep, p) == _reference_split_mod_p(rep, p), p
+    assert q_split.__wrapped__(rep) == _reference_q_split(rep)
+    assert new[1] == old[1]
+    assert [p for p, _ in new[0]] == [p for p, _ in old[0]]
+    for (p, basis), (_, reference) in zip(new[0], old[0]):
+        if p is None:
+            scale = next(Fraction(x) / y for x, y in zip(basis[0], reference[0]) if y)
+            reference = [[scale * y for y in row] for row in reference]
+        assert basis == reference
+
+
+@pytest.mark.parametrize("name", SPLIT_ORACLE_REPS)
+def test_splits_match_the_fraction_splitter(monkeypatch, name):
+    _assert_splits_match_the_reference(monkeypatch, catalog_rep(name))
+
+
+@pytest.mark.parametrize(
+    ("name", "seed"),
+    [(n, s) for n in ("d4_paper", "quaternion_paper", "perm_sym(4)", "std_sym(4)") for s in (1, 2, 3)]
+    + [(n, 1) for n in ("product(d4_paper,quaternion_paper)",) + SPLIT_ORACLE_REPS[-2:]],
+)
+def test_splits_of_conjugates_match_the_fraction_splitter(monkeypatch, name, seed):
+    gens = catalog_rep(name).generators
+    q, q_inv = _unimodular_pair(gens[0].rows, random.Random(f"split:{name}:{seed}"))
+    _assert_splits_match_the_reference(monkeypatch, close_group([q_inv * g * q for g in gens]))

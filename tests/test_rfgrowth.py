@@ -549,6 +549,24 @@ def test_each_distinct_sampled_matrix_is_certified_once(monkeypatch):
     assert len(calls) == 20
 
 
+def test_a_stored_matrix_is_not_checked_for_singularity_again(monkeypatch):
+    """det runs once per draw that is not a stored B: every singular draw
+    and the first draw of each nonsingular B."""
+    rep = catalog_rep("std_sym(4)")
+    seen = []
+    monkeypatch.setattr(rg, "det", lambda b: seen.append(b) or det(b))
+    report = lower_bound_certificate(rep, 2, samples=200)
+    # the commutant is Z*I, so each draw is one coefficient c and B = c*I
+    rng = random.Random(rd.DEFAULT_SEED)
+    draws = []
+    while sum(1 for c in draws if c) < 200:
+        draws.append(rng.randint(-5, 5))
+    expected = [c for i, c in enumerate(draws) if c == 0 or c not in draws[:i]]
+    assert seen == [IntMatrix.identity(3).scale(c) for c in expected]
+    assert draws.count(0) > 0 and len(expected) == draws.count(0) + 10
+    assert report == _certify_every_draw(rep, 2, 200)
+
+
 def test_a_failed_matrix_fails_each_of_its_draws(monkeypatch):
     rep = catalog_rep("std_sym(4)")
     bad = IntMatrix.identity(3).scale(-2)
