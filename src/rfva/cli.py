@@ -4,7 +4,9 @@ Representations are named as `catalog:NAME`, `z:m` (free abelian of rank m,
 i.e. the trivial action), or a path to a JSON representation file.  All
 randomness flows from --seed (default 0); identical argv plus seed gives
 byte-identical CSV output.  Exit codes: 0 success, 1 computational failure
-(budget or bound exceeded, inconclusive split), 2 invalid input.
+(budget or bound exceeded, inconclusive split, or a verify line that prints
+FAIL), 2 invalid input, 3 internal failure (one of the tool's own soundness
+checks failed, which indicates a bug; _INTERNAL_ERRORS).
 """
 
 from __future__ import annotations
@@ -17,13 +19,24 @@ from dataclasses import dataclass
 from . import catalog, lattice, repdecomp, rfgrowth
 from .errors import (
     BudgetExceeded,
+    CertificateFailed,
     InconclusiveSplit,
+    InconsistentSplit,
+    InexactDivision,
     IoFailure,
+    NotAClassFunction,
+    NotAPartition,
     NotFinite,
     PrimeSearchFailed,
     RfvaError,
     SearchBoundExceeded,
     UnknownName,
+    UnsoundCommutant,
+    UnsoundLattice,
+    UnsoundMinpoly,
+    UnsoundProfile,
+    UnsoundSplit,
+    UnsoundWitness,
 )
 from .exactalg import IntMatrix
 from .grouprep import (
@@ -38,6 +51,7 @@ from .grouprep import (
 EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 _COMPUTE_ERRORS = (
     BudgetExceeded,
@@ -45,6 +59,20 @@ _COMPUTE_ERRORS = (
     NotFinite,
     PrimeSearchFailed,
     SearchBoundExceeded,
+)
+# a check inside the tool failed: a bug, not a mistake in the command line
+_INTERNAL_ERRORS = (
+    CertificateFailed,
+    InconsistentSplit,
+    InexactDivision,
+    NotAClassFunction,
+    NotAPartition,
+    UnsoundCommutant,
+    UnsoundLattice,
+    UnsoundMinpoly,
+    UnsoundProfile,
+    UnsoundSplit,
+    UnsoundWitness,
 )
 
 
@@ -265,6 +293,21 @@ def _check(label: str, ok: bool, failures: list) -> None:
         failures.append(label)
 
 
+def _certificate_check(rep, b, cfg) -> tuple[str, bool]:
+    """The label and verdict of the commutant-certificate line for b; a
+    failed certificate fails its line, which names the failure when the
+    certificate was not built."""
+    try:
+        cert = repdecomp.commutant_certificate(
+            rep, b, seed=cfg.seed, prime_bound=cfg.prime_search_bound
+        )
+    except CertificateFailed as exc:
+        if exc.certificate is None:
+            return f"commutant certificate ({exc})", False
+        cert = exc.certificate
+    return f"commutant certificate (det {cert.det} = {cert.x}^{cert.k})", cert.passed
+
+
 def _cmd_verify(args, cfg):
     rep, table, examples = _resolve_rep(args.rep, cfg)
     failures = []
@@ -314,14 +357,7 @@ def _cmd_verify(args, cfg):
         dec = repdecomp.k_from_character_table(rep, table)
         _check("character-table k agrees", dec.k == report.k, failures)
     for b in examples:
-        cert = repdecomp.commutant_certificate(
-            rep, b, seed=cfg.seed, prime_bound=cfg.prime_search_bound
-        )
-        _check(
-            f"commutant certificate (det {cert.det} = {cert.x}^{cert.k})",
-            cert.passed,
-            failures,
-        )
+        _check(*_certificate_check(rep, b, cfg), failures)
         conj = repdecomp.conjugate_rep(rep, b)
         _check("conjugated rep preserves order", conj.order == rep.order, failures)
     for j in range(rep.degree):
@@ -454,6 +490,9 @@ def run(argv=None) -> int:
     except _COMPUTE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except _INTERNAL_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (RfvaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, count, zip_longest
+from itertools import combinations, compress, count, zip_longest
 from operator import add, mul
 
 from .errors import (
@@ -507,9 +507,15 @@ def _quotient(x, y, p):
 
 def _pivot_rows(rows, p):
     """The nonzero rows of the reduced row echelon form, each up to a scale,
-    and the pivot columns; the input is not modified.
+    and the pivot columns; the input is not modified (the elimination runs
+    on a copy).
 
     Over F_p the rows are the reduced rows themselves (pivot entries 1).
+    The nonzero entries (j, y) of the pivot row are listed once per pivot,
+    and every other row with entry f in the pivot column gets
+    row[j] - f * y at those j alone, in place: the commutation systems
+    solved here are mostly zeros.
+
     Over Q the elimination is fraction-free (Bareiss, Math. Comp. 1968):
     each row is scaled to a primitive integer row, and every other row r
     with entry f in the pivot column c becomes pv * r - f * (pivot row) over
@@ -536,19 +542,23 @@ def _pivot_rows(rows, p):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        if p is not None:
-            inv = pow(a[r][c], p - 2, p)
-            a[r] = [(x * inv) % p for x in a[r]]
-        pivot_row = a[r]
-        pv = pivot_row[c]
-        for i in range(n_rows):
-            f = a[i][c]
-            if i == r or not f:
-                continue
-            if p is None:
+        if p is None:
+            pivot_row = a[r]
+            pv = pivot_row[c]
+            for i in range(n_rows):
+                f = a[i][c]
+                if i == r or not f:
+                    continue
                 a[i] = _over_content([pv * x - f * y for x, y in zip(a[i], pivot_row)])
-            else:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], pivot_row)]
+        else:
+            inv = pow(a[r][c], p - 2, p)
+            pivot_row = a[r] = [(x * inv) % p for x in a[r]]
+            support = list(compress(enumerate(pivot_row), pivot_row))
+            for row in a:
+                f = row[c]
+                if f and row is not pivot_row:
+                    for j, y in support:
+                        row[j] = (row[j] - f * y) % p
         pivots.append(c)
         r += 1
     # rows past the last pivot row are zero

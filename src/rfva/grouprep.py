@@ -5,12 +5,20 @@ deterministic breadth-first search, so element and conjugacy-class ordering
 are reproducible across runs (character tables reference classes through
 generator words resolved against this ordering).
 
-The search forms e*g for every element e and generator g, and close_group
-keeps what it learns: the index of every element and the right-multiplication
-table, which holds the index of e*g for every e and g. The other group tables
-are built once, on first use, in a private cache that is not part of the
-Rep's value: the inverse of every element and the conjugacy classes. They cost
-O(|H|*#gens^2) table lookups and #gens adjugates, and no matrix products:
+The search forms e*g for every element e and generator g.  Row i of e*g is
+(row i of e)*g, and row i of e is the image of the i-th unit row under e, so
+the rows of all elements are the orbits of the m unit rows: at most m*|H|
+rows, and usually far fewer (at most 2m for a signed permutation group).  So
+each generator keeps a table from a row to that row times g, and multiplies
+each distinct row once, by dot products; e*g then costs m table lookups, and
+the product is looked up by its entries.
+
+close_group keeps what it learns: the index of every element and the
+right-multiplication table, which holds the index of e*g for every e and g.
+The other group tables are built once, on first use, in a private cache that
+is not part of the Rep's value: the inverse of every element and the
+conjugacy classes.  They cost O(|H|*#gens^2) table lookups and #gens
+adjugates, and no matrix products:
 
 * left multiplication by an element h follows the breadth-first tree from the
   identity: e = e'g gives he = (he')g, a lookup in the right table;
@@ -26,6 +34,7 @@ Soundness checks raise typed errors, so they also run under python -O.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .errors import NotAClassFunction, NotAPartition, NotFinite, NotInvertible
 from .exactalg import IntMatrix, adjugate, det
@@ -113,8 +122,22 @@ class RepReport:
     abelian: bool
 
 
+class _RightProduct(dict):
+    """row -> row * g for one generator g; each distinct row is multiplied
+    once, by dot products with the columns of g, and then looked up."""
+
+    def __init__(self, g: IntMatrix):
+        super().__init__()
+        self.g_cols = tuple(zip(*g.entries))
+
+    def __missing__(self, row):
+        out = self[row] = tuple([sum(map(mul, row, col)) for col in self.g_cols])
+        return out
+
+
 def close_group(generators, element_bound: int = DEFAULT_ELEMENT_BOUND) -> Rep:
-    """BFS closure of the generator images under multiplication.
+    """BFS closure of the generator images under multiplication, e * g read
+    row by row from one _RightProduct per generator (see the module notes).
 
     Raises NotInvertible unless every generator has determinant +-1, and
     NotFinite when the closure exceeds element_bound.
@@ -130,19 +153,24 @@ def close_group(generators, element_bound: int = DEFAULT_ELEMENT_BOUND) -> Rep:
             raise NotInvertible("generators must be square of equal degree")
         if det(g) not in (1, -1):
             raise NotInvertible("generator determinant must be +1 or -1")
+    times = [_RightProduct(g).__getitem__ for g in gens]
     identity = IntMatrix.identity(degree)
     elements = [identity]
     index = {identity: 0}
+    # the same positions, keyed by the entries
+    position = {identity.entries: 0}
     right = []
     # elements grows while it is read, so it is read in breadth-first order
     for e in elements:
         row = []
-        for g in gens:
-            prod = e * g
-            j = index.get(prod)
+        for times_g in times:
+            prod = tuple(map(times_g, e.entries))
+            j = position.get(prod)
             if j is None:
-                j = index[prod] = len(elements)
-                elements.append(prod)
+                j = position[prod] = len(elements)
+                new = IntMatrix(prod)
+                index[new] = j
+                elements.append(new)
                 if len(elements) > element_bound:
                     raise NotFinite(f"closure exceeded element bound {element_bound}")
             row.append(j)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from .errors import (
     BudgetExceeded,
+    CertificateFailed,
     InsufficientData,
     NotIrreducible,
     SearchBoundExceeded,
@@ -219,7 +220,8 @@ def lower_bound_certificate(
     box-enumerated Com family (every enumerated lattice omitting v_s has
     index >= s^k).  Every nonsingular draw B counts toward samples, but each
     distinct B is certified once per call and its verdict reused for its
-    repeats.  The Com box visits one coefficient vector of each +-c pair, as
+    repeats; a B whose certificate fails (CertificateFailed) fails each of
+    its draws.  The Com box visits one coefficient vector of each +-c pair, as
     Im(-B) = Im(B), and the last check is over the enumerated family only.
     """
     if min(s_max, samples, coefficient_box) < 1:
@@ -240,8 +242,11 @@ def lower_bound_certificate(
         if ok is None:
             if det(b) == 0:
                 continue
-            cert = commutant_certificate(rep, b, seed=seed, prime_bound=prime_bound)
-            ok = verdicts[b] = cert.passed and cert.det == cert.x**cert.k
+            try:
+                ok = commutant_certificate(rep, b, seed=seed, prime_bound=prime_bound).passed
+            except CertificateFailed:
+                ok = False
+            verdicts[b] = ok
         total += 1
         passed += ok
     spec = FamilySpec("com", rep=rep, coefficient_box=coefficient_box)

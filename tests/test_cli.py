@@ -7,10 +7,32 @@ from pathlib import Path
 
 import pytest
 
-from rfva import repdecomp
-from rfva.catalog import catalog_rep
-from rfva.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, emit_csv, load_rep_file, run
-from rfva.errors import InconclusiveSplit, IoFailure
+from rfva import cli, errors, repdecomp, rfgrowth
+from rfva.catalog import catalog_matrix, catalog_rep
+from rfva.cli import (
+    EXIT_COMPUTE,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    emit_csv,
+    load_rep_file,
+    run,
+)
+from rfva.errors import (
+    CertificateFailed,
+    InconclusiveSplit,
+    InconsistentSplit,
+    InexactDivision,
+    IoFailure,
+    NotAClassFunction,
+    NotAPartition,
+    UnsoundCommutant,
+    UnsoundLattice,
+    UnsoundMinpoly,
+    UnsoundProfile,
+    UnsoundSplit,
+    UnsoundWitness,
+)
 from rfva.lattice import FamilySpec
 from rfva.rfgrowth import RFProfile, rf_profile
 
@@ -133,6 +155,88 @@ def test_verify_lemmas_compares_dimensions_over_primes(monkeypatch, capsys):
     assert run(["verify", "catalog:quaternion_paper"]) == EXIT_COMPUTE
     out = capsys.readouterr().out
     assert "FAIL: constituent dimensions stable over primes (17, 41, 73)" in out
+
+
+def _refuse(certificate=None):
+    def stub(*_, **__):
+        raise CertificateFailed("stub refusal", certificate)
+
+    return stub
+
+
+def test_verify_lemmas_prints_fail_for_a_failed_certificate(monkeypatch, capsys):
+    assert run(["verify", "catalog:quaternion_paper"]) == EXIT_OK
+    passing = capsys.readouterr().out.splitlines()
+    cert = repdecomp.commutant_certificate(
+        catalog_rep("quaternion_paper"), catalog_matrix("quaternion_commutant")
+    )
+    failed = dataclasses.replace(cert, checks=cert.checks + (("stub", False),))
+    monkeypatch.setattr(repdecomp, "commutant_certificate", _refuse(certificate=failed))
+    assert run(["verify", "catalog:quaternion_paper"]) == EXIT_COMPUTE
+    lines = capsys.readouterr().out.splitlines()
+    label = f"commutant certificate (det {cert.det} = {cert.x}^{cert.k})"
+    assert lines == [line.replace(f"PASS: {label}", f"FAIL: {label}") for line in passing]
+    assert f"PASS: {label}" in passing
+    # a certificate that was not built names the failure
+    monkeypatch.setattr(repdecomp, "commutant_certificate", _refuse())
+    assert run(["verify", "catalog:quaternion_paper"]) == EXIT_COMPUTE
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "FAIL: commutant certificate (stub refusal)" if label in line else line
+        for line in passing
+    ]
+
+
+def test_verify_lowerbound_prints_fail_for_a_failed_certificate(monkeypatch, capsys):
+    argv = [
+        "verify", "catalog:quaternion_paper",
+        "--suite", "lowerbound", "--smax", "2", "--samples", "10",
+    ]
+    assert run(argv) == EXIT_OK
+    passing = capsys.readouterr().out.splitlines()
+    assert passing[-1] == "PASS: commutant certificates (10 samples)"
+    monkeypatch.setattr(rfgrowth, "commutant_certificate", _refuse())
+    assert run(argv) == EXIT_COMPUTE
+    assert capsys.readouterr().out.splitlines() == passing[:-1] + [
+        "FAIL: commutant certificates (10 samples)"
+    ]
+
+
+# one error class per line; each indicates a bug in the tool
+INTERNAL_ERRORS = (
+    CertificateFailed,
+    InconsistentSplit,
+    InexactDivision,
+    NotAClassFunction,
+    NotAPartition,
+    UnsoundCommutant,
+    UnsoundLattice,
+    UnsoundMinpoly,
+    UnsoundProfile,
+    UnsoundSplit,
+    UnsoundWitness,
+)
+
+
+@pytest.mark.parametrize("error", INTERNAL_ERRORS, ids=lambda e: e.__name__)
+def test_an_internal_failure_exits_with_its_own_code(monkeypatch, capsys, error):
+    def fail(*_, **__):
+        raise error("stub failure")
+
+    monkeypatch.setattr(repdecomp, "exponent_report", fail)
+    assert run(["k", "catalog:d4_paper"]) == EXIT_INTERNAL == 3
+    assert _one_error_line(capsys) == "error: stub failure"
+    assert capsys.readouterr().out == ""
+
+
+def test_the_internal_errors_are_those_that_indicate_a_bug():
+    bugs = {
+        cls
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and "indicates a bug" in (cls.__doc__ or "")
+    }
+    assert set(INTERNAL_ERRORS) == bugs | {CertificateFailed} == set(cli._INTERNAL_ERRORS)
+    assert not set(INTERNAL_ERRORS) & set(cli._COMPUTE_ERRORS)
 
 
 def test_verify_lowerbound(capsys):

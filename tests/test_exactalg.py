@@ -12,6 +12,7 @@ from sympy.polys.factortools import dup_factor_list
 from sympy.polys.galoistools import gf_factor
 from sympy.polys.matrices import DomainMatrix
 
+from rfva.catalog import catalog_rep
 from rfva.errors import (
     DimensionMismatch,
     NotAPower,
@@ -29,6 +30,7 @@ from rfva.exactalg import (
     _isprime,
     _least_prime_power,
     _matrix_minpoly,
+    _pivot_rows,
     _poly_eval_matrix,
     _rank,
     _rref,
@@ -52,6 +54,10 @@ from rfva.exactalg import (
     shortest_vectors,
     snf,
 )
+
+from rfva.grouprep import close_group
+from rfva.repdecomp import _commutation_system, exponent_report
+from test_grouprep import ORACLE_CATALOG, _unimodular_pair
 
 QUAT_B = IntMatrix.from_rows(
     [[1, -1, -2, 0], [1, 1, 0, 2], [2, 0, 1, -1], [0, -2, 1, 1]]
@@ -651,6 +657,41 @@ def test_rref_over_q_of_rational_rows_matches_sympy(rows):
     red, pivots = _rref(rows, None)
     assert (red, pivots) == _sympy_rref(rows, None)
     assert all(type(x) is Fraction for row in red for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices(), st.sampled_from(FIELDS), rational_matrices())
+def test_pivot_rows_leaves_its_input_unchanged(rows, p, rational_rows):
+    """Over F_p the elimination updates rows in place, on its own copy."""
+    for rows, p in ((rows, p), (rational_rows, None)):
+        before = [list(row) for row in rows]
+        red, _ = _pivot_rows(rows, p)
+        assert rows == before
+        for row in red:
+            row[:] = [None] * len(row)
+        assert rows == before
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("name", ORACLE_CATALOG + ("perm_sym(6)",))
+def test_commutation_system_kernels_match_the_sympy_nullspace(name, seed):
+    """kernel_fp on the commutation system of the generators, at the
+    exponent_report primes: one vector per free column, 1 there and 0 at the
+    other free columns, spanning sympy's nullspace; the system unchanged."""
+    gens = catalog_rep(name).generators
+    if seed:
+        q, q_inv = _unimodular_pair(gens[0].rows, random.Random(f"commutation:{name}"))
+        gens = tuple(q_inv * g * q for g in gens)
+    rep = close_group(gens)
+    rows = _commutation_system([g.entries for g in rep.generators], rep.degree)
+    before = [list(row) for row in rows]
+    for p in exponent_report(rep).primes:
+        kernel_basis = kernel_fp(rows, p)
+        assert rows == before
+        pivots = _sympy_rref(rows, p)[1]
+        free = [c for c in range(len(rows[0])) if c not in pivots]
+        assert [[v[c] for c in free] for v in kernel_basis] == _identity(len(free))
+        assert _sympy_rref(kernel_basis, p)[0] == _sympy_nullspace(rows, p)
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import rfva.grouprep as gr
 from rfva.catalog import catalog_rep
 from rfva.errors import NotFinite, NotInvertible, UnknownName
 from rfva.exactalg import IntMatrix, det
@@ -239,6 +240,18 @@ def test_classes_match_oracle_on_conjugates(name, seed):
     assert character_of_rep(rep, classes) == character_of_rep(catalog_rep(name))
 
 
+def _assert_tables_match_the_product_reference(gens):
+    rep = close_group(gens)
+    assert list(rep.elements) == _reference_closure(rep.generators)
+    index, right, inverse = _reference_tables(rep)
+    assert rep.index == index
+    assert [list(row) for row in rep.right] == right
+    tables = _tables(rep)
+    assert tables.inverse == inverse
+    assert tables.classes == _class_orbits(right, inverse)
+    return rep
+
+
 @pytest.mark.parametrize("seed", (0, 1, 2))
 @pytest.mark.parametrize("name", ORACLE_CATALOG)
 def test_closure_tables_match_the_product_reference(name, seed):
@@ -249,16 +262,46 @@ def test_closure_tables_match_the_product_reference(name, seed):
     if seed:
         q, q_inv = _unimodular_pair(gens[0].rows, random.Random(f"{name}:{seed}"))
         gens = tuple(q_inv * g * q for g in gens)
-    rep = close_group(gens)
-    assert list(rep.elements) == _reference_closure(rep.generators)
-    index, right, inverse = _reference_tables(rep)
-    assert rep.index == index
-    assert [list(row) for row in rep.right] == right
-    tables = _tables(rep)
-    assert tables.inverse == inverse
-    assert tables.classes == _class_orbits(right, inverse)
+    rep = _assert_tables_match_the_product_reference(gens)
     if seed:
-        assert tables.classes == _classes_by_all_elements(rep)
+        assert _tables(rep).classes == _classes_by_all_elements(rep)
+
+
+@pytest.mark.parametrize("name", ("std_sym(5)", "perm_sym(5)", "quaternion_paper"))
+def test_closure_tables_match_the_product_reference_on_dense_conjugates(name):
+    """Conjugates by 12 row operations: the elements have rows with more and
+    with fewer than half of their entries nonzero, and entries beyond +-1."""
+    gens = catalog_rep(name).generators
+    q, q_inv = _unimodular_pair(gens[0].rows, random.Random(f"dense:{name}"), ops=12)
+    rep = _assert_tables_match_the_product_reference(tuple(q_inv * g * q for g in gens))
+    assert _tables(rep).classes == _classes_by_all_elements(rep)
+    rows = {row for e in rep.elements for row in e.entries}
+    nonzero = {sum(map(bool, row)) for row in rows}
+    assert min(nonzero) * 2 <= rep.degree < max(nonzero) * 2
+    assert max(abs(x) for row in rows for x in row) > 1
+
+
+@pytest.mark.parametrize(
+    "name", ("perm_sym(5)", "std_sym(5)", "product(d4_paper,quaternion_paper)", "rot(4)")
+)
+def test_closure_multiplies_each_distinct_row_once_per_generator(monkeypatch, name):
+    """The rows of the elements are the orbits of the unit rows, and each of
+    them is multiplied by each generator once; a signed permutation group
+    has at most 2m of them."""
+    gens = catalog_rep(name).generators
+    calls = []
+    real = gr._RightProduct.__missing__
+
+    def counting(self, row):
+        calls.append((id(self), row))
+        return real(self, row)
+
+    monkeypatch.setattr(gr._RightProduct, "__missing__", counting)
+    rep = close_group(gens)
+    rows = {row for e in rep.elements for row in e.entries}
+    assert len(calls) == len(set(calls)) == len(rows) * len(rep.generators)
+    if name in ("perm_sym(5)", "rot(4)"):
+        assert len(rows) <= 2 * rep.degree
 
 
 def test_inverse_table_perm_sym5():

@@ -586,16 +586,29 @@ def test_a_failed_matrix_fails_each_of_its_draws(monkeypatch):
     assert failed == calls.count(bad) > 1
 
 
-def test_a_raised_certificate_failure_propagates(monkeypatch):
-    rep = catalog_rep("quaternion_paper")
+@pytest.mark.parametrize("with_certificate", (True, False))
+def test_a_raised_certificate_failure_fails_each_of_its_draws(monkeypatch, with_certificate):
+    """commutant_certificate raises CertificateFailed for a failed check, so
+    the suite counts the raise as that B's verdict instead of aborting."""
+    rep = catalog_rep("std_sym(4)")
+    bad = IntMatrix.identity(3).scale(-2)
 
-    def refuse(b, cert):
-        raise CertificateFailed("stub refusal", cert)
+    def refuse_bad(b, cert):
+        if b != bad:
+            return cert
+        raise CertificateFailed("stub refusal", cert if with_certificate else None)
 
-    calls = _counting_certificates(monkeypatch, refuse)
-    with pytest.raises(CertificateFailed, match="stub refusal"):
-        lower_bound_certificate(rep, 2, samples=5)
-    assert len(calls) == 1
+    calls = _counting_certificates(monkeypatch, refuse_bad)
+    report = lower_bound_certificate(rep, 2, samples=200)
+    assert calls.count(bad) == 1
+    monkeypatch.undo()
+    draws = _counting_certificates(monkeypatch)
+    passing = _certify_every_draw(rep, 2, 200)
+    # the oracle certified every draw, so draws holds each draw of bad
+    failed = report.certificates_total - report.certificates_passed
+    assert failed == draws.count(bad) > 1
+    assert passing.certificates_passed == 200
+    assert dataclasses.replace(report, certificates_passed=200) == passing
 
 
 @pytest.mark.parametrize("box", (-1, 0))
