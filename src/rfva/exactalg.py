@@ -179,17 +179,15 @@ class Lattice:
 
     def contains(self, v) -> bool:
         """Membership by forward substitution on the triangular HNF basis."""
+        basis = self.basis.entries
         v = list(v)
-        n = self.basis.rows
-        if len(v) != n:
+        if len(v) != len(basis):
             raise DimensionMismatch("vector length does not match lattice rank")
-        for i in range(n):
-            d = self.basis[i, i]
-            if v[i] % d != 0:
+        for i, row in enumerate(basis):
+            c, r = divmod(v[i], row[i])
+            if r:
                 return False
-            c = v[i] // d
             if c:
-                row = self.basis.row(i)
                 v = [a - c * b for a, b in zip(v, row)]
         return all(x == 0 for x in v)
 
@@ -396,41 +394,45 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _trace(rows) -> int:
+    """Sum of the diagonal of a square matrix given by its rows."""
+    return sum(row[i] for i, row in enumerate(rows))
+
+
 @lru_cache(maxsize=None)
 def _faddeev_leverrier(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
     """Charpoly coefficients (ascending) and the adjugate, both exact.
 
-    The scalar divisions in the recursion are exact for integer input.  With
-    charpoly = X^n + c_1 X^(n-1) + ... + c_n the adjugate is
-    (-1)^(n+1) * (M^(n-1) + c_1 M^(n-2) + ... + c_(n-1) I).  Memoized, so a
+    With charpoly = X^n + c_1 X^(n-1) + ... + c_n, N_0 = I and
+    N_k = A N_(k-1) + c_k I, where c_k = -tr(A N_(k-1)) / k; the division is
+    exact for integer input, and the adjugate is (-1)^(n+1) N_(n-1).  Each
+    N_k is a polynomial in A, so A N_k = N_k A and one product per step,
+    N_k A against the columns of A, gives the next A N_k.  The recursion runs
+    on integer rows; only the adjugate becomes an IntMatrix.  Memoized, so a
     charpoly and an adjugate of one matrix share one run; the result is
     immutable.
     """
     n = m.rows
+    a_cols = tuple(zip(*m.entries))
     coeffs_desc = [1]
-    mk = m
-    horner = IntMatrix.identity(n)  # accumulates M^(k-1) + c_1 M^(k-2) + ...
+    horner = _identity(n)  # N_(k-1)
+    step = [list(row) for row in m.entries]  # A N_(k-1)
     for k in range(1, n + 1):
-        ck = -mk.trace()
+        ck = -_trace(step)
         if ck % k != 0:
             raise InexactDivision(f"charpoly step {k}: {ck} is not divisible by {k}")
         ck //= k
         coeffs_desc.append(ck)
         if k < n:
-            horner = _plus_scalar(horner * m, ck)
-            mk = m * _plus_scalar(mk, ck)
-    if n == 1:
-        adj = IntMatrix.identity(1)
+            for i, row in enumerate(step):
+                row[i] += ck
+            horner = step
+            step = [[sum(map(mul, row, col)) for col in a_cols] for row in horner]
+    if n % 2 == 1:
+        adj = IntMatrix(tuple(map(tuple, horner)))
     else:
-        adj = horner if n % 2 == 1 else -horner
+        adj = IntMatrix(tuple(tuple(-x for x in row) for row in horner))
     return tuple(reversed(coeffs_desc)), adj
-
-
-def _plus_scalar(a: IntMatrix, c: int) -> IntMatrix:
-    """A + cI, adding c on the diagonal only."""
-    return IntMatrix(
-        tuple(row[:i] + (row[i] + c,) + row[i + 1 :] for i, row in enumerate(a.entries))
-    )
 
 
 def charpoly(m: IntMatrix) -> IntPoly:
@@ -444,8 +446,6 @@ def adjugate(m: IntMatrix) -> IntMatrix:
     """Adjugate matrix: M * adjugate(M) = det(M) * identity, exactly."""
     if not m.is_square():
         raise DimensionMismatch("adjugate of a non-square matrix")
-    if m.rows == 1:
-        return IntMatrix.identity(1)
     return _faddeev_leverrier(m)[1]
 
 

@@ -46,7 +46,6 @@ from typing import Iterator
 from .errors import (
     DimensionMismatch,
     PrimeSearchFailed,
-    SingularMatrix,
     UnknownName,
     UnsoundLattice,
     UnsoundWitness,
@@ -113,9 +112,8 @@ class Witness:
 
 
 def lattice_from_matrix(b: IntMatrix) -> Lattice:
-    """Im B = B(Z^m), the Z-span of the columns, as a canonical HNF lattice."""
-    if det(b) == 0:
-        raise SingularMatrix("image lattice needs a nonsingular matrix")
+    """Im B = B(Z^m), the Z-span of the columns, as a canonical HNF lattice;
+    hnf raises SingularMatrix for a singular B."""
     return hnf(b.transpose())
 
 

@@ -45,8 +45,10 @@ from .errors import (
 from .exactalg import (
     IntMatrix,
     IntPoly,
+    _identity,
     _isprime,
     _mat_mul,
+    _mat_scale,
     _matrix_minpoly,
     _pivot_rows,
     _poly_eval_matrix,
@@ -745,7 +747,8 @@ class Certificate:
     f is the (degree n) minimal polynomial of B, the charpoly is f^k, x is the
     field norm of the eigenvalue, and the recorded checks witness
     det B = x^k, B*M = -f(0)*I for M = sum_{i>=1} a_i B^{i-1},
-    Adj(B) = -(x^k/f(0))*M, and x*Z^m inside Im(B).
+    Adj(B) = -(x^k/f(0))*M, and x*Z^m inside Im(B), the last by the integer
+    preimage Y = -(x/f(0))*M with B*Y = x*I.
     """
 
     k: int
@@ -766,10 +769,19 @@ def commutant_certificate(
     seed: int = DEFAULT_SEED,
     prime_bound: int = DEFAULT_PRIME_BOUND,
 ) -> Certificate:
-    """Check the constructive lemma for a matrix commuting with the action."""
+    """Check the constructive lemma for a matrix commuting with the action.
+
+    The products run on integer rows.  x*Z^m inside Im(B) is shown by a
+    witness: for an integer Y with B*Y = x*I, the column Y e_j is a preimage
+    of x*e_j.
+    """
     if b.rows != rep.degree or not b.is_square():
         raise NotCommuting("matrix degree does not match the representation")
-    if any(b * g != g * b for g in rep.generators):
+    b_rows = b.entries
+    if any(
+        _mat_mul(b_rows, g.entries, None) != _mat_mul(g.entries, b_rows, None)
+        for g in rep.generators
+    ):
         raise NotCommuting("matrix does not commute with all generators")
     d = det(b)
     if d == 0:
@@ -785,24 +797,24 @@ def commutant_certificate(
     n = f.degree
     a0 = f(0)
     x = a0 if n % 2 == 0 else -a0
-    m_dim = rep.degree
-    ident = IntMatrix.identity(m_dim)
-    m_mat = IntMatrix.from_rows([[0] * m_dim] * m_dim)
-    b_pow = ident
-    for i in range(1, n + 1):
-        m_mat = m_mat + b_pow.scale(f.coeffs[i])
-        b_pow = b_pow * b
+    ident = _identity(rep.degree)
+    # M = a_1 I + a_2 B + ... + a_n B^(n-1), by Horner from a_n = 1
+    m_rows = ident
+    for a in reversed(f.coeffs[1:-1]):
+        m_rows = _mat_mul(m_rows, b_rows, None)
+        for i, row in enumerate(m_rows):
+            row[i] += a
     checks = []
     checks.append(("det_is_x_pow_k", d == x**k))
-    checks.append(("b_times_m", b * m_mat == ident.scale(-a0)))
+    checks.append(("b_times_m", _mat_mul(b_rows, m_rows, None) == _mat_scale(ident, -a0, None)))
     if x**k % a0 != 0:
         raise InexactDivision(f"x^k = {x**k} is not divisible by f(0) = {a0}")
-    checks.append(("adjugate", adjugate(b) == m_mat.scale(-(x**k // a0))))
-    lat = hnf(b.transpose())
-    x_units = all(
-        lat.contains(tuple(x if i == j else 0 for i in range(m_dim)))
-        for j in range(m_dim)
-    )
+    adj = [list(row) for row in adjugate(b).entries]
+    checks.append(("adjugate", adj == _mat_scale(m_rows, -(x**k // a0), None)))
+    # the preimage Y = -(x/f(0)) M of x I; integral, as x = +-f(0)
+    x_units = x % a0 == 0 and _mat_mul(
+        b_rows, _mat_scale(m_rows, -(x // a0), None), None
+    ) == _mat_scale(ident, x, None)
     checks.append(("x_lattice_in_image", x_units))
     cert = Certificate(k=k, n=n, f=f, x=x, det=d, checks=tuple(checks))
     if not cert.passed:

@@ -1086,3 +1086,32 @@ def test_charpoly_and_adjugate_match_the_dense_recursion(m):
     assert charpoly(m).coeffs == coeffs
     assert adjugate(m) == adj
     assert adjugate(m) == IntMatrix.from_rows(sympy.Matrix([list(r) for r in m.entries]).adjugate().tolist())
+
+
+def _seeded_square(n, rng, singular):
+    """An n x n integer matrix; a singular one repeats a combination of rows."""
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    if singular:
+        if n == 1:
+            rows = [[0]]
+        else:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1 % (n - 1)])]
+    return IntMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_one_product_recursion_matches_sympy(n):
+    rng = random.Random(f"faddeev-leverrier:{n}")
+    singular_seen = 0
+    for draw in range(12):
+        m = _seeded_square(n, rng, singular=draw % 3 == 0)
+        sm = sympy.Matrix([list(r) for r in m.entries])
+        cp = sympy.Poly(sm.charpoly().as_expr(), sympy.Symbol("lambda"))
+        assert charpoly(m).coeffs == tuple(int(c) for c in reversed(cp.all_coeffs()))
+        adj = adjugate(m)
+        assert adj == IntMatrix.from_rows(sm.adjugate().tolist())
+        d = det(m)
+        assert m * adj == IntMatrix.identity(n).scale(d)
+        singular_seen += d == 0
+    assert singular_seen >= 4

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import random
@@ -17,8 +18,11 @@ from rfva.catalog import (
 from rfva.errors import (
     BadPrime,
     CertificateFailed,
+    InexactDivision,
+    NotAPower,
     NotCommuting,
     NotInvariant,
+    NotIrreducible,
     NotOrthonormal,
     PrimeSearchFailed,
     SingularMatrix,
@@ -36,11 +40,15 @@ from rfva.exactalg import (
     _rank,
     _rref,
     _solve,
+    adjugate,
+    charpoly,
     det,
     factor_over_integers,
     factor_over_prime_field,
+    hnf,
     kernel_fp,
     kernel_q,
+    poly_kth_root,
     row_echelon_transform,
 )
 from rfva.grouprep import _tables, close_group, conjugacy_classes, is_abelian_image
@@ -397,6 +405,118 @@ def test_certificate_fails_closed(monkeypatch):
     }
 
 
+def _reference_certificate(rep, b, seed=rd.DEFAULT_SEED, prime_bound=rd.DEFAULT_PRIME_BOUND):
+    """The certificate on IntMatrix products, with x*Z^m inside Im(B) read
+    from the HNF of the columns of B, one membership test per x*e_j."""
+    if b.rows != rep.degree or not b.is_square():
+        raise NotCommuting("matrix degree does not match the representation")
+    if any(b * g != g * b for g in rep.generators):
+        raise NotCommuting("matrix does not commute with all generators")
+    d = det(b)
+    if d == 0:
+        raise SingularMatrix("certificate requires a nonsingular matrix")
+    if not q_split(rep, seed=seed).irreducible:
+        raise NotIrreducible("the representation is not irreducible over Q")
+    k = exponent_k(rep, seed=seed, prime_bound=prime_bound)
+    try:
+        f = poly_kth_root(charpoly(b), k)
+    except NotAPower as exc:
+        raise CertificateFailed(f"charpoly is not a k-th power: {exc}") from exc
+    n = f.degree
+    a0 = f(0)
+    x = a0 if n % 2 == 0 else -a0
+    m_dim = rep.degree
+    ident = IntMatrix.identity(m_dim)
+    m_mat = IntMatrix.from_rows([[0] * m_dim] * m_dim)
+    b_pow = ident
+    for i in range(1, n + 1):
+        m_mat = m_mat + b_pow.scale(f.coeffs[i])
+        b_pow = b_pow * b
+    checks = [
+        ("det_is_x_pow_k", d == x**k),
+        ("b_times_m", b * m_mat == ident.scale(-a0)),
+    ]
+    if x**k % a0 != 0:
+        raise InexactDivision(f"x^k = {x**k} is not divisible by f(0) = {a0}")
+    checks.append(("adjugate", adjugate(b) == m_mat.scale(-(x**k // a0))))
+    lat = hnf(b.transpose())
+    x_units = all(
+        lat.contains(tuple(x if i == j else 0 for i in range(m_dim))) for j in range(m_dim)
+    )
+    checks.append(("x_lattice_in_image", x_units))
+    cert = rd.Certificate(k=k, n=n, f=f, x=x, det=d, checks=tuple(checks))
+    if not cert.passed:
+        raise CertificateFailed("certificate checks failed", cert)
+    return cert
+
+
+def _outcome(certify, rep, b):
+    """The certificate, or the failed certificate a CertificateFailed carries."""
+    try:
+        return "passed", certify(rep, b)
+    except CertificateFailed as exc:
+        return "failed", exc.certificate
+
+
+def _certificate_cases():
+    """name -> (rep, distinct nonsingular B of 200 seeded draws) for catalog
+    reps and a Q^-1 (.) Q conjugate of each, B conjugated along."""
+    cases = {}
+    for name in ("quaternion_paper", "std_sym(4)", "rot(4)"):
+        rep = catalog_rep(name)
+        basis = commutant_basis(rep).matrices
+        rng = random.Random(f"certificate:{name}")
+        draws = []
+        for _ in range(200):
+            b = basis[0].scale(0)
+            for e in basis:
+                b = b + e.scale(rng.randint(-5, 5))
+            draws.append(b)
+        distinct = [b for b in dict.fromkeys(draws) if det(b) != 0]
+        q, q_inv = _unimodular_pair(rep.degree, rng, ops=6)
+        conj = close_group([q_inv * g * q for g in rep.generators])
+        cases[name] = (rep, distinct)
+        cases[f"conjugate:{name}"] = (conj, [q_inv * b * q for b in distinct])
+    return cases
+
+
+CERTIFICATE_CASES = _certificate_cases()
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+def test_certificate_matches_the_intmatrix_reference(case):
+    rep, bs = CERTIFICATE_CASES[case]
+    assert bs
+    for b in bs:
+        assert _outcome(commutant_certificate, rep, b) == _outcome(_reference_certificate, rep, b)
+
+
+# One source mutation per check: each changes only what that check compares.
+CHECK_MUTATIONS = {
+    "det_is_x_pow_k": ("d == x**k", "d + 1 == x**k"),
+    "b_times_m": ("_mat_scale(ident, -a0, None)", "_mat_scale(ident, 1 - a0, None)"),
+    "adjugate": ("-(x**k // a0)", "1 - (x**k // a0)"),
+    "x_lattice_in_image": ("_mat_scale(ident, x, None)", "_mat_scale(ident, x + 1, None)"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECK_MUTATIONS))
+def test_each_certificate_check_can_fail_alone(check):
+    old, new = CHECK_MUTATIONS[check]
+    source = inspect.getsource(rd.commutant_certificate)
+    assert source.count(old) == 1
+    namespace = dict(vars(rd))
+    exec(compile(source.replace(old, new), rd.__file__, "exec"), namespace)
+    mutated = namespace["commutant_certificate"]
+    for case in ("quaternion_paper", "conjugate:quaternion_paper"):
+        rep, bs = CERTIFICATE_CASES[case]
+        for b in bs[:10]:
+            assert commutant_certificate(rep, b).passed
+            verdict, cert = _outcome(mutated, rep, b)
+            assert verdict == "failed"
+            assert dict(cert.checks) == {name: name != check for name in CHECK_MUTATIONS}
+
+
 # --- the Reynolds average ----------------------------------------------------
 
 
@@ -572,8 +692,8 @@ expect(
     catalog_rep("quaternion_paper"),
     catalog_matrix("quaternion_commutant"),
 )
-real_trace = ea.IntMatrix.trace
-ea.IntMatrix.trace = lambda self: real_trace(self) + 1
+real_trace = ea._trace
+ea._trace = lambda rows: real_trace(rows) + 1
 expect(InexactDivision, "charpoly", ea.charpoly, ea.IntMatrix.identity(2))
 """
 
