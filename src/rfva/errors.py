@@ -78,7 +78,7 @@ class UnsoundWitness(RfvaError):
 
 
 class UnsoundLattice(RfvaError):
-    """A constructed family lattice has the wrong index or is not invariant; indicates a bug."""
+    """A constructed family lattice or intersection fails its own check; indicates a bug."""
 
 
 class UnsoundProfile(RfvaError):

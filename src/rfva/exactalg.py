@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations, compress, count, zip_longest
 from operator import add, mul
 
@@ -31,6 +31,7 @@ from .errors import (
     PrimalityUnknown,
     RfvaError,
     SingularMatrix,
+    UnsoundLattice,
     UnsoundMinpoly,
     ZeroSpan,
 )
@@ -248,13 +249,19 @@ def _hermite(rows) -> tuple[list[list[int]], list[int]]:
     rows = [list(r) for r in rows]
     pivots = _echelon(rows)
     rows = rows[: len(pivots)]
+    _reduce_above(rows, pivots)
+    return rows, pivots
+
+
+def _reduce_above(rows, pivots) -> None:
+    """Reduce the entries above each positive pivot of echelon rows into
+    [0, pivot), in place; row i has its pivot in column pivots[i]."""
     for lower, j in enumerate(pivots):
         pivot_row = rows[lower]
         for i in range(lower):
             q = rows[i][j] // pivot_row[j]
             if q:
                 rows[i] = [a - q * b for a, b in zip(rows[i], pivot_row)]
-    return rows, pivots
 
 
 def hnf(m: IntMatrix) -> Lattice:
@@ -280,21 +287,54 @@ def _spanned(rows) -> Lattice:
 def intersection(a: Lattice, b: Lattice) -> Lattice:
     """A ∩ B for any two lattices of one rank.
 
-    For coprime indices s = [Z^m:A] and t = [Z^m:B]: sZ^m ⊆ A gives
-    sB ⊆ A ∩ B, and likewise tA ⊆ A ∩ B; conversely, with us + vt = 1, every
-    x in A ∩ B is u(sx) + v(tx).  So A ∩ B = sB + tA.  For any indices, the
-    (x, y) with xA = yB form the integer row kernel of [A; -B], and A ∩ B is
-    the span of their xA.
+    For coprime indices s = [Z^m:A] and t = [Z^m:B], the basis is built row
+    by row (Chinese remainder theorem).  With u = s^-1 mod t and
+    v = (1 - us)/t, so that us + vt = 1, row i is
+    vt d_B,i a_i + us d_A,i b_i, for a_i, b_i row i of the HNF bases and
+    d_A,i, d_B,i their pivots; its pivot is d_A,i d_B,i.  The entries above
+    the pivots are then reduced.  The rows lie in A, as sZ^m ⊆ A, and in B,
+    as tZ^m ⊆ B, and form an HNF basis of index st, which is also the index
+    of A ∩ B; so they span A ∩ B.  Both facts are checked on the result
+    (UnsoundLattice otherwise), and they prove it.
+
+    For any indices, the (x, y) with xA = yB form the integer row kernel of
+    [A; -B], and A ∩ B is the span of their xA.
     """
     if a.dimension != b.dimension:
         raise DimensionMismatch("intersection of lattices of different ranks")
     s, t = a.index, b.index
     if math.gcd(s, t) == 1:
-        return _spanned(b.basis.scale(s).entries + a.basis.scale(t).entries)
+        rows = _crt_rows(a, b)
+        in_hnf = all(
+            row[i] > 0 and not any(row[:i]) and all(0 <= above[i] < row[i] for above in rows[:i])
+            for i, row in enumerate(rows)
+        )
+        if not in_hnf or math.prod(row[i] for i, row in enumerate(rows)) != s * t:
+            raise UnsoundLattice(f"intersection rows {rows} are not an HNF basis of index {s * t}")
+        for row in rows:
+            if not a.contains(row):
+                raise UnsoundLattice(f"intersection row {row} is not in A")
+            if not b.contains(row):
+                raise UnsoundLattice(f"intersection row {row} is not in B")
+        return Lattice(basis=IntMatrix.from_rows(rows), index=s * t)
     m = a.dimension
     cols = tuple(zip(*a.basis.entries))
     kernel = integer_row_kernel(IntMatrix(a.basis.entries + (-b.basis).entries))
     return _spanned([[sum(map(mul, u[:m], col)) for col in cols] for u in kernel])
+
+
+def _crt_rows(a: Lattice, b: Lattice) -> list[list[int]]:
+    """The HNF basis rows of A ∩ B for coprime indices, built as the
+    intersection docstring says; intersection checks them."""
+    s, t = a.index, b.index
+    u = pow(s, -1, t)
+    v = (1 - u * s) // t
+    rows = []
+    for i, (ra, rb) in enumerate(zip(a.basis.entries, b.basis.entries)):
+        x, y = v * t * rb[i], u * s * ra[i]
+        rows.append([x * c + y * d for c, d in zip(ra, rb)])
+    _reduce_above(rows, range(len(rows)))
+    return rows
 
 
 def shortest_vectors(lat: Lattice) -> tuple[int, list[tuple[int, ...]]]:
@@ -399,7 +439,6 @@ def _trace(rows) -> int:
     return sum(row[i] for i, row in enumerate(rows))
 
 
-@lru_cache(maxsize=None)
 def _faddeev_leverrier(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
     """Charpoly coefficients (ascending) and the adjugate, both exact.
 
@@ -408,9 +447,9 @@ def _faddeev_leverrier(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
     exact for integer input, and the adjugate is (-1)^(n+1) N_(n-1).  Each
     N_k is a polynomial in A, so A N_k = N_k A and one product per step,
     N_k A against the columns of A, gives the next A N_k.  The recursion runs
-    on integer rows; only the adjugate becomes an IntMatrix.  Memoized, so a
-    charpoly and an adjugate of one matrix share one run; the result is
-    immutable.
+    on integer rows; only the adjugate becomes an IntMatrix.  Nothing is
+    kept between calls: a caller that needs both results takes them from
+    one call, through charpoly_and_adjugate.
     """
     n = m.rows
     a_cols = tuple(zip(*m.entries))
@@ -440,6 +479,14 @@ def charpoly(m: IntMatrix) -> IntPoly:
     if not m.is_square():
         raise DimensionMismatch("charpoly of a non-square matrix")
     return IntPoly(_faddeev_leverrier(m)[0])
+
+
+def charpoly_and_adjugate(m: IntMatrix) -> tuple[IntPoly, IntMatrix]:
+    """charpoly(m) and adjugate(m), from one Faddeev-LeVerrier run."""
+    if not m.is_square():
+        raise DimensionMismatch("charpoly and adjugate of a non-square matrix")
+    coeffs, adj = _faddeev_leverrier(m)
+    return IntPoly(coeffs), adj
 
 
 def adjugate(m: IntMatrix) -> IntMatrix:

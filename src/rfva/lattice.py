@@ -24,6 +24,14 @@ dividing r) is the intersection of one of index p^e and one of index r, by
 the Chinese remainder theorem.  Every built lattice is checked for its index
 and its invariance (UnsoundLattice otherwise).
 
+No mod-p work is repeated.  The eigenvalues mod p are the roots of the
+generators' integer characteristic polynomials, computed once per family
+and reduced once per prime; each lattice's action matrices are computed
+once and read by the steps at the next m powers of p; a spin multiplies only
+the vectors that join its echelon basis, and a line inside a submodule
+already found is not spun; and exactalg.intersection writes the basis of a
+coprime intersection down row by row, then checks it.
+
 Enumeration order is fixed (index, then lexicographic basis) so divisibility
 minima are reproducible.
 
@@ -41,6 +49,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import groupby, islice, product
+from operator import mul
 from typing import Iterator
 
 from .errors import (
@@ -58,11 +67,10 @@ from .exactalg import (
     _divisors,
     _kernel,
     _least_prime_power,
-    _matrix_minpoly,
-    _pivot_rows,
     _primes_one_mod,
     _solve,
     _spanned,
+    charpoly,
     det,
     hnf,
     intersection,
@@ -217,12 +225,20 @@ class _Prefix:
     """A nu or inv family's lattices of index <= done, by index.
 
     nu reads each index from source, the stream of all sublattices of Z^m;
-    inv builds it from the lattices of smaller index.
+    inv builds it from the lattices of smaller index.  inv also keeps what
+    its mod-p steps would otherwise redo at every index: the generators'
+    integer characteristic polynomials (charpolys), their roots mod each
+    prime met so far (roots, by prime), and the action matrices of each
+    lattice a prime-power step has read (actions, by basis), which the
+    steps at the next m powers of that prime read again.
     """
 
     source: Iterator[Lattice] | None = None
     done: int = 0
     by_index: dict = field(default_factory=dict)
+    charpolys: list[IntPoly] = field(default_factory=list)
+    roots: dict = field(default_factory=dict)
+    actions: dict = field(default_factory=dict)
 
 
 def enumerate_family(spec: FamilySpec, m: int, max_index: int):
@@ -261,8 +277,11 @@ def family_by_index(spec: FamilySpec, m: int, max_index: int):
     for n in range(1, max_index + 1):
         prefix = spec._cache.get(m)
         if prefix is None:
-            source = enumerate_sublattices(m, sys.maxsize) if spec.kind == "nu" else None
-            prefix = spec._cache[m] = _Prefix(source)
+            if spec.kind == "nu":
+                prefix = _Prefix(source=enumerate_sublattices(m, sys.maxsize))
+            else:
+                prefix = _Prefix(charpolys=[charpoly(g) for g in spec.rep.generators])
+            spec._cache[m] = prefix
         # An interrupted nu batch drops the prefix, so a new one may lag.
         while prefix.done < n:
             k = prefix.done + 1
@@ -311,12 +330,16 @@ def _prime_power_batch(rep: Rep, prefix: _Prefix, p: int, e: int) -> list[Lattic
     """Invariant lattices of index p^e, unsorted: for each invariant M of
     index p^(e-d), the preimages in M of the codimension-d submodules of M/pM
     whose annihilators are cyclic (see the module docstring)."""
-    roots = [_roots_mod(g, p) for g in rep.generators]
+    roots = prefix.roots.get(p)
+    if roots is None:
+        roots = prefix.roots[p] = _roots_mod(prefix.charpolys, p)
     found = {}
     for d in range(1, min(e, rep.degree) + 1):
         for lat in prefix.by_index[p ** (e - d)]:
             basis = lat.basis.entries
-            actions = [[_coordinates(lat, g.apply(b)) for b in basis] for g in rep.generators]
+            actions = prefix.actions.get(lat.basis)
+            if actions is None:
+                actions = prefix.actions[lat.basis] = _action(lat, rep)
             if d == 1:
                 duals = _eigenlines(actions, roots, p)
             else:
@@ -330,14 +353,28 @@ def _prime_power_batch(rep: Rep, prefix: _Prefix, p: int, e: int) -> list[Lattic
     return list(found.values())
 
 
-def _roots_mod(g: IntMatrix, p: int) -> list[int]:
-    """The eigenvalues of g in F_p: the roots of its minimal polynomial mod p.
+def _roots_mod(polys: list[IntPoly], p: int) -> list[list[int]]:
+    """The roots in F_p of each integer polynomial, reduced mod p.
 
-    They are also the eigenvalues mod p of g in the basis of any invariant
-    lattice, as the characteristic polynomial over Z is the same.
+    For the generators' characteristic polynomials these are their
+    eigenvalues in F_p, and also the eigenvalues mod p of their actions in
+    the basis of any invariant lattice, whose characteristic polynomials
+    over Z are the same.
     """
-    poly = IntPoly(tuple(_matrix_minpoly([list(r) for r in g.entries], p)))
-    return [lam for lam in range(p) if poly(lam) % p == 0]
+    roots = []
+    for f in polys:
+        coeffs = [c % p for c in f.coeffs]
+        roots.append(
+            [lam for lam in range(p) if sum(c * lam**i for i, c in enumerate(coeffs)) % p == 0]
+        )
+    return roots
+
+
+def _action(lat: Lattice, rep: Rep) -> list[list[list[int]]]:
+    """For each generator g, the matrix whose row i holds the coordinates
+    of g b_i in the HNF basis b of an invariant lattice."""
+    basis = lat.basis.entries
+    return [[_coordinates(lat, g.apply(b)) for b in basis] for g in rep.generators]
 
 
 def _coordinates(lat: Lattice, v) -> list[int]:
@@ -362,12 +399,12 @@ def _line_reps(k: int, p: int):
 
 
 def _apply_mod(a, u, p):
-    return [sum(x * y for x, y in zip(row, u)) % p for row in a]
+    return [sum(map(mul, row, u)) % p for row in a]
 
 
 def _combine(coeffs, vectors):
     """sum c_i v_i over the integers."""
-    return [sum(c * v[j] for c, v in zip(coeffs, vectors)) for j in range(len(vectors[0]))]
+    return [sum(map(mul, coeffs, col)) for col in zip(*vectors)]
 
 
 def _eigenlines(actions, roots, p):
@@ -395,26 +432,66 @@ def _eigenlines(actions, roots, p):
 
 def _spin(u, actions, p, d):
     """The smallest submodule holding u, as RREF rows, or None if its
-    dimension exceeds d."""
-    rows, rank = [u], 1
-    while rank <= d:
-        images = [_apply_mod(a, v, p) for a in actions for v in rows]
-        grown, pivots = _pivot_rows(rows + images, p)
-        if len(pivots) == rank:
-            return tuple(tuple(r) for r in grown)
-        rows, rank = grown, len(pivots)
-    return None
+    dimension exceeds d.
+
+    The RREF rows grow one vector at a time: a vector is reduced against
+    them, and if anything is left it is scaled to pivot 1, cleared from the
+    other rows' entries in its pivot column, and joins them.  Only the
+    vectors that join are multiplied by the A in actions, once each, and
+    their images wait in a queue; the span is a submodule when the queue is
+    empty, and the spin stops as soon as a (d+1)-th vector would join.
+    """
+    rows = {}  # pivot column -> the RREF row with pivot 1 there
+    queue = [list(u)]
+    while queue:
+        v = queue.pop()
+        for c, row in rows.items():
+            if v[c]:
+                f = v[c]
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        if len(rows) == d:
+            return None
+        inv = pow(v[lead], -1, p)
+        v = [x * inv % p for x in v]
+        for c, row in rows.items():
+            if row[lead]:
+                f = row[lead]
+                rows[c] = [(x - f * y) % p for x, y in zip(row, v)]
+        rows[lead] = v
+        queue += [_apply_mod(a, v, p) for a in actions]
+    return tuple(tuple(rows[c]) for c in sorted(rows))
+
+
+def _in_span(u, rows, p):
+    """Whether u lies in the F_p-span of RREF rows."""
+    rest = list(u)
+    for row in rows:
+        f = rest[row.index(1)]  # the entry at the row's pivot, its first nonzero
+        if f:
+            rest = [(x - f * y) % p for x, y in zip(rest, row)]
+    return not any(rest)
 
 
 def _cyclic_submodules(actions, p, d):
     """The d-dimensional submodules of u -> A u mod p (A in actions) that
     one vector spins up: every simple one among them.
 
-    One vector per line of F_p^m is tried; p^d is at most the index, so
-    for d >= 2 the lines are few.
+    One vector per line of F_p^m is spun, except a vector inside a
+    submodule already found: its spin lies in that one, so it is the same
+    submodule or one of dimension < d, which is dropped anyway.  p^d is at
+    most the index, so for d >= 2 the lines are few.
     """
-    found = {_spin(u, actions, p, d) for u in _line_reps(len(actions[0]), p)}
-    return [sub for sub in found if sub is not None and len(sub) == d]
+    found = []
+    for u in _line_reps(len(actions[0]), p):
+        if any(_in_span(u, sub, p) for sub in found):
+            continue
+        sub = _spin(u, actions, p, d)
+        if sub is not None:
+            found.append(sub)
+    return [sub for sub in found if len(sub) == d]
 
 
 def upper_bound_witness(

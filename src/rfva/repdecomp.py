@@ -58,7 +58,7 @@ from .exactalg import (
     _scaled_inverse,
     _scaled_kernel,
     adjugate,
-    charpoly,
+    charpoly_and_adjugate,
     det,
     factor_over_integers,
     factor_over_prime_field,
@@ -771,7 +771,8 @@ def commutant_certificate(
 ) -> Certificate:
     """Check the constructive lemma for a matrix commuting with the action.
 
-    The products run on integer rows.  x*Z^m inside Im(B) is shown by a
+    The products run on integer rows, and the charpoly and the adjugate of
+    B come from one Faddeev-LeVerrier run.  x*Z^m inside Im(B) is shown by a
     witness: for an integer Y with B*Y = x*I, the column Y e_j is a preimage
     of x*e_j.
     """
@@ -789,7 +790,7 @@ def commutant_certificate(
     if not q_split(rep, seed=seed).irreducible:
         raise NotIrreducible("the representation is not irreducible over Q")
     k = exponent_k(rep, seed=seed, prime_bound=prime_bound)
-    cp = charpoly(b)
+    cp, adj = charpoly_and_adjugate(b)
     try:
         f = poly_kth_root(cp, k)
     except NotAPower as exc:
@@ -809,8 +810,8 @@ def commutant_certificate(
     checks.append(("b_times_m", _mat_mul(b_rows, m_rows, None) == _mat_scale(ident, -a0, None)))
     if x**k % a0 != 0:
         raise InexactDivision(f"x^k = {x**k} is not divisible by f(0) = {a0}")
-    adj = [list(row) for row in adjugate(b).entries]
-    checks.append(("adjugate", adj == _mat_scale(m_rows, -(x**k // a0), None)))
+    adj_rows = [list(row) for row in adj.entries]
+    checks.append(("adjugate", adj_rows == _mat_scale(m_rows, -(x**k // a0), None)))
     # the preimage Y = -(x/f(0)) M of x I; integral, as x = +-f(0)
     x_units = x % a0 == 0 and _mat_mul(
         b_rows, _mat_scale(m_rows, -(x // a0), None), None

@@ -37,6 +37,7 @@ from rfva.exactalg import (
     _scaled_inverse,
     _scaled_kernel,
     _solve,
+    _spanned,
     adjugate,
     charpoly,
     det,
@@ -1010,6 +1011,40 @@ def test_intersection_in_rank_three_and_of_mismatched_ranks():
     assert [v for v in box if meet.contains(v)] == common
     with pytest.raises(DimensionMismatch):
         intersection(a, _lattice([[2, 0], [0, 1]]))
+
+
+@st.composite
+def coprime_lattice_pairs(draw):
+    """(A, B) of one rank m = 1..4 with coprime indices: the diagonal of A
+    has only primes of one part of {2, 3, 5, 7}, that of B the rest, and the
+    entries above the diagonals are arbitrary."""
+    m = draw(st.integers(1, 4))
+    primes = draw(st.permutations((2, 3, 5, 7)))
+    cut = draw(st.integers(1, 3))
+
+    def lattice(ps):
+        diagonal = st.sampled_from((1, *ps, ps[0] ** 2, math.prod(ps)))
+        rows = [
+            [0] * i + [draw(diagonal)] + [draw(st.integers(-30, 30)) for _ in range(m - i - 1)]
+            for i in range(m)
+        ]
+        return hnf(IntMatrix.from_rows(rows))
+
+    return lattice(primes[:cut]), lattice(primes[cut:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(coprime_lattice_pairs())
+@example((_lattice([[1, 0], [0, 1]]), _lattice([[3, 2], [0, 5]])))  # s = 1
+@example((_lattice([[2, 1], [0, 4]]), _lattice([[1, 0], [0, 1]])))  # t = 1
+def test_crt_intersection_matches_the_stacked_hnf(pair):
+    """The row-by-row CRT basis is the HNF of sB + tA."""
+    a, b = pair
+    s, t = a.index, b.index
+    assert math.gcd(s, t) == 1
+    expected = _spanned(b.basis.scale(s).entries + a.basis.scale(t).entries)
+    assert intersection(a, b) == expected
+    assert intersection(b, a) == expected
 
 
 def _random_hnf_lattice(rng, m):

@@ -14,10 +14,25 @@ import rfva.lattice as lattice_mod
 import rfva.repdecomp as rd
 from rfva.catalog import catalog_matrix, catalog_rep
 from rfva.errors import DimensionMismatch, PrimeSearchFailed, SingularMatrix, ZeroVector
-from rfva.exactalg import IntMatrix, det, hnf
+from rfva.exactalg import (
+    IntMatrix,
+    IntPoly,
+    _least_prime_power,
+    _matrix_minpoly,
+    _pivot_rows,
+    charpoly,
+    det,
+    hnf,
+)
 from rfva.grouprep import close_group
 from rfva.lattice import (
     FamilySpec,
+    _action,
+    _apply_mod,
+    _cyclic_submodules,
+    _line_reps,
+    _roots_mod,
+    _spin,
     commutant_image_lattices,
     contains,
     enumerate_family,
@@ -28,6 +43,8 @@ from rfva.lattice import (
 )
 from rfva.repdecomp import commutant_basis, exponent_k
 from rfva.rfgrowth import rf_profile
+
+from test_grouprep import ORACLE_CATALOG
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -374,6 +391,115 @@ def test_inv_prefix_checks_each_built_lattice_once(monkeypatch):
     assert spec._cache[3].done == 25
 
 
+# --- the mod-p steps of the inv family, against reference versions ---------
+
+
+def _reference_spin(u, actions, p, d):
+    """Reference for _spin: each round applies every action to every row
+    and eliminates the rows and their images afresh."""
+    rows, rank = [u], 1
+    while rank <= d:
+        images = [_apply_mod(a, v, p) for a in actions for v in rows]
+        grown, pivots = _pivot_rows(rows + images, p)
+        if len(pivots) == rank:
+            return tuple(tuple(r) for r in grown)
+        rows, rank = grown, len(pivots)
+    return None
+
+
+def _reference_cyclic_submodules(actions, p, d):
+    """Reference for _cyclic_submodules: the spin of every line."""
+    found = {_reference_spin(u, actions, p, d) for u in _line_reps(len(actions[0]), p)}
+    return [sub for sub in found if sub is not None and len(sub) == d]
+
+
+def _reference_roots(g, p):
+    """The roots in F_p of g's minimal polynomial over F_p."""
+    poly = IntPoly(tuple(_matrix_minpoly([list(r) for r in g.entries], p)))
+    return [lam for lam in range(p) if poly(lam) % p == 0]
+
+
+def _spin_cases():
+    """name -> (rep, index budget) for catalog reps and a seeded Q^-1 g Q
+    conjugate of each."""
+    cases = {}
+    for name, budget in (
+        ("d4_paper", 27),
+        ("quaternion_paper", 16),
+        ("rot(4)", 32),
+        ("std_sym(4)", 27),
+        ("perm_sym(4)", 16),
+    ):
+        rep = catalog_rep(name)
+        q, q_inv = _unimodular_pair(rep.degree, random.Random(f"spin:{name}"))
+        cases[name] = (rep, budget)
+        cases[f"conjugate:{name}"] = (close_group([q_inv * g * q for g in rep.generators]), budget)
+    return cases
+
+
+SPIN_CASES = _spin_cases()
+
+
+@pytest.mark.parametrize("case", sorted(SPIN_CASES))
+def test_spins_match_the_reference_on_every_prefix_lattice(case):
+    """Every spin and every set of cyclic submodules, at p = 2, 3, 5 and each
+    d with p^d <= 81, in the action on every lattice of the inv prefix."""
+    rep, budget = SPIN_CASES[case]
+    m = rep.degree
+    lats = list(enumerate_family(FamilySpec("inv", rep), m, budget))
+    assert len(lats) > 3
+    for lat in lats:
+        actions = _action(lat, rep)
+        for p in (2, 3, 5):
+            for d in range(1, m + 1):
+                if p**d > 81:
+                    continue
+                for u in _line_reps(m, p):
+                    assert _spin(u, actions, p, d) == _reference_spin(u, actions, p, d)
+                got = _cyclic_submodules(actions, p, d)
+                assert len(set(got)) == len(got)
+                assert sorted(got) == sorted(_reference_cyclic_submodules(actions, p, d))
+
+
+@pytest.mark.parametrize("name", ORACLE_CATALOG)
+def test_roots_mod_are_the_minimal_polynomial_roots(name):
+    rep = catalog_rep(name)
+    polys = [charpoly(g) for g in rep.generators]
+    for p in sympy.primerange(2, 51):
+        assert _roots_mod(polys, p) == [_reference_roots(g, p) for g in rep.generators]
+
+
+def _read_by_a_prime_power_step(n, done):
+    """Whether the inv batches up to index done read the lattices of index n
+    as M: n = 1, or n = p^j with p^(j+1) <= done."""
+    if n == 1:
+        return True
+    p, e = _least_prime_power(n)
+    return p**e == n and n * p <= done
+
+
+def test_inv_family_finds_roots_once_per_prime_and_actions_once_per_lattice(monkeypatch):
+    polys, primes, acted = [], [], []
+    real_charpoly, real_roots, real_action = charpoly, _roots_mod, _action
+    monkeypatch.setattr(lattice_mod, "charpoly", lambda g: polys.append(g) or real_charpoly(g))
+    monkeypatch.setattr(
+        lattice_mod, "_roots_mod", lambda fs, p: primes.append(p) or real_roots(fs, p)
+    )
+    monkeypatch.setattr(
+        lattice_mod, "_action", lambda lat, rep: acted.append(lat) or real_action(lat, rep)
+    )
+    rep = catalog_rep("d4_paper")
+    spec = FamilySpec("inv", rep)
+    assert rf_profile(spec, 3, 12).values[-1] == 25
+    assert spec._cache[3].done == 25
+    assert polys == list(rep.generators)
+    assert primes == list(sympy.primerange(2, 26))
+    assert len({lat.basis for lat in acted}) == len(acted)
+    read = [lat for lat in _oracle(spec, 3, 25) if _read_by_a_prime_power_step(lat.index, 25)]
+    assert sorted(acted, key=lambda lat: (lat.index, lat.basis.entries)) == read
+    assert {lat.index for lat in read} == {1, 2, 3, 4, 5, 8}
+
+
 def test_used_spec_equals_fresh_spec():
     rep = catalog_rep("quaternion_paper")
     for kind in ("nu", "inv", "com"):
@@ -392,6 +518,7 @@ def test_family_dimension_mismatch():
 
 OPTIMIZED_CHECKS = """
 import sys
+import rfva.exactalg as ea
 import rfva.lattice as lat
 import rfva.repdecomp as rd
 from rfva.catalog import catalog_rep
@@ -434,6 +561,20 @@ try:
     lat._coordinates(hnf(IntMatrix.from_rows([[2, 0], [0, 1]])), (1, 0))
 except UnsoundLattice as exc:
     print("coordinates checked:", exc)
+
+# feed the coprime intersection a corrupted basis; y_even has index 2 and
+# x_triple index 3, and (3, 1) lies in x_triple alone
+def meet_from(rows, a, b):
+    ea._crt_rows = lambda a, b: rows
+    try:
+        ea.intersection(hnf(IntMatrix.from_rows(a)), hnf(IntMatrix.from_rows(b)))
+    except UnsoundLattice as exc:
+        print("intersection checked:", exc)
+
+y_even, x_triple = [[1, 0], [0, 2]], [[3, 0], [0, 1]]
+meet_from([[3, 0], [0, 4]], y_even, x_triple)
+meet_from([[3, 1], [0, 2]], y_even, x_triple)
+meet_from([[3, 1], [0, 2]], x_triple, y_even)
 """
 
 
@@ -455,6 +596,9 @@ def test_soundness_checks_run_under_python_O():
         "family checked: built lattice has index 2, not 10",
         "family checked: built lattice of index 2 is not invariant",
         "coordinates checked: the image of a basis vector left an invariant lattice",
+        "intersection checked: intersection rows [[3, 0], [0, 4]] are not an HNF basis of index 6",
+        "intersection checked: intersection row [3, 1] is not in A",
+        "intersection checked: intersection row [3, 1] is not in B",
     ]
 
 

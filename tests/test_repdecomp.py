@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import rfva.exactalg as ea
 import rfva.repdecomp as rd
 from rfva.catalog import (
     catalog_character_table,
@@ -489,6 +490,19 @@ def test_certificate_matches_the_intmatrix_reference(case):
     assert bs
     for b in bs:
         assert _outcome(commutant_certificate, rep, b) == _outcome(_reference_certificate, rep, b)
+
+
+@pytest.mark.parametrize("case", ("quaternion_paper", "std_sym(4)", "conjugate:rot(4)"))
+def test_one_faddeev_leverrier_run_per_certified_matrix(monkeypatch, case):
+    """The charpoly and the adjugate of each B come from one run, and no
+    run is kept for a later B."""
+    rep, bs = CERTIFICATE_CASES[case]
+    commutant_certificate(rep, bs[0])  # the split caches, filled before the spy
+    runs, real = [], ea._faddeev_leverrier
+    monkeypatch.setattr(ea, "_faddeev_leverrier", lambda m: runs.append(m) or real(m))
+    for b in bs + bs[:3]:
+        _outcome(commutant_certificate, rep, b)
+    assert runs == bs + bs[:3]
 
 
 # One source mutation per check: each changes only what that check compares.
