@@ -12,7 +12,7 @@ import re
 
 from .errors import NotInvariant, UnknownName
 from .exactalg import IntMatrix
-from .grouprep import Rep, close_group
+from .grouprep import DEFAULT_ELEMENT_BOUND, Rep, close_group
 from .repdecomp import CharacterTable
 
 D4_GENERATORS = (
@@ -104,7 +104,7 @@ def _int_argument(head, args, name, least):
     raise UnknownName(f"{head}({name}) needs an integer {name} >= {least}, got {got!r}")
 
 
-def catalog_rep(name: str, element_bound: int = 20_000) -> Rep:
+def catalog_rep(name: str, element_bound: int = DEFAULT_ELEMENT_BOUND) -> Rep:
     """Resolve a catalog name to a Rep; raises UnknownName otherwise."""
     name = name.strip()
     if name == "d4_paper":

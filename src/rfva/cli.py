@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from . import catalog, lattice, repdecomp, rfgrowth
+from . import catalog, grouprep, lattice, repdecomp, rfgrowth
 from .errors import (
     BudgetExceeded,
     CertificateFailed,
@@ -77,19 +77,6 @@ _INTERNAL_ERRORS = (
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    element_bound: int = 20_000
-    index_budget: int = 10_000
-    prime_search_bound: int = 200_000
-    output: str | None = None
-
-    def __post_init__(self):
-        if min(self.element_bound, self.index_budget, self.prime_search_bound) <= 0:
-            raise ValueError("all bounds must be positive")
-
-
-@dataclass(frozen=True)
 class RepFile:
     """Parsed representation file (JSON, integers only)."""
 
@@ -147,11 +134,12 @@ def _z_rank(specifier: str) -> int:
     return m
 
 
-def _resolve_rep(specifier: str, cfg: RunConfig):
-    """Returns (Rep, optional CharacterTable, commutant example matrices)."""
+def _resolve_rep(args):
+    """args.rep's (Rep, optional CharacterTable, commutant example matrices)."""
+    specifier, element_bound = args.rep, args.element_bound
     if specifier.startswith("catalog:"):
         name = specifier[len("catalog:") :]
-        rep = catalog.catalog_rep(name, element_bound=cfg.element_bound)
+        rep = catalog.catalog_rep(name, element_bound=element_bound)
         try:
             table = catalog.catalog_character_table(name)
         except UnknownName:
@@ -162,10 +150,10 @@ def _resolve_rep(specifier: str, cfg: RunConfig):
         return rep, table, examples
     if specifier.startswith("z:"):
         m = _z_rank(specifier)
-        rep = close_group([IntMatrix.identity(m)], cfg.element_bound)
+        rep = close_group([IntMatrix.identity(m)], element_bound)
         return rep, None, ()
     rf = load_rep_file(specifier)
-    rep = close_group(rf.generators, cfg.element_bound)
+    rep = close_group(rf.generators, element_bound)
     if rf.character_table is not None:
         # fail early on a bad table
         repdecomp.k_from_character_table(rep, rf.character_table)
@@ -199,10 +187,10 @@ def emit_csv(profile: rfgrowth.RFProfile, destination) -> None:
         raise IoFailure(f"cannot write {destination}: {exc}") from exc
 
 
-def _cmd_k(args, cfg):
-    rep, _, _ = _resolve_rep(args.rep, cfg)
+def _cmd_k(args):
+    rep, _, _ = _resolve_rep(args)
     report = repdecomp.exponent_report(
-        rep, seed=cfg.seed, prime_bound=cfg.prime_search_bound
+        rep, seed=args.seed, prime_bound=args.prime_search_bound
     )
     print(f"k = {report.k}")
     print(f"primes: {' '.join(str(p) for p in report.primes)}")
@@ -210,11 +198,11 @@ def _cmd_k(args, cfg):
     return EXIT_OK
 
 
-def _cmd_decompose(args, cfg):
-    rep, _, _ = _resolve_rep(args.rep, cfg)
+def _cmd_decompose(args):
+    rep, _, _ = _resolve_rep(args)
     field = args.field
     if field == "q":
-        split = repdecomp.q_split(rep, seed=cfg.seed)
+        split = repdecomp.q_split(rep, seed=args.seed)
         print(f"Q-constituent degrees: {split.degrees}")
         for i, comp in enumerate(split.components):
             print(
@@ -227,15 +215,15 @@ def _cmd_decompose(args, cfg):
     if not field.startswith("fp:"):
         raise RfvaError(f"unknown field {field!r} (use q or fp:P)")
     p = int(field[3:])
-    cons = repdecomp.split_mod_p(rep, p, seed=cfg.seed)
+    cons = repdecomp.split_mod_p(rep, p, seed=args.seed)
     print(f"mod-{p} constituent dimensions: {cons.dimensions}")
     for g in cons.groups:
         print(f"dimension {g.dimension} x {g.multiplicity}")
     return EXIT_OK
 
 
-def _cmd_char(args, cfg):
-    rep, table, _ = _resolve_rep(args.rep, cfg)
+def _cmd_char(args):
+    rep, table, _ = _resolve_rep(args)
     classes = conjugacy_classes(rep)
     chi = character_of_rep(rep, classes)
     print(f"classes (BFS order): sizes {classes.sizes}")
@@ -250,17 +238,17 @@ def _cmd_char(args, cfg):
     return EXIT_OK
 
 
-def _cmd_rf(args, cfg):
+def _cmd_rf(args):
     if args.rep.startswith("z:"):
         m = _z_rank(args.rep)
         if args.family != "nu":
             raise RfvaError("z:m supports only the nu family")
         spec = lattice.FamilySpec("nu")
     else:
-        rep, _, _ = _resolve_rep(args.rep, cfg)
+        rep, _, _ = _resolve_rep(args)
         m = rep.degree
         spec = _family_spec(args.family, rep)
-    profile = rfgrowth.rf_profile(spec, m, args.rmax, index_budget=cfg.index_budget)
+    profile = rfgrowth.rf_profile(spec, m, args.rmax, index_budget=args.index_budget)
     if args.csv:
         emit_csv(profile, args.csv)
     else:
@@ -272,11 +260,11 @@ def _cmd_rf(args, cfg):
     return EXIT_OK
 
 
-def _cmd_witness(args, cfg):
-    rep, _, _ = _resolve_rep(args.rep, cfg)
+def _cmd_witness(args):
+    rep, _, _ = _resolve_rep(args)
     v = tuple(int(x) for x in args.vector.split(","))
     w = lattice.upper_bound_witness(
-        rep, v, seed=cfg.seed, prime_bound=cfg.prime_search_bound
+        rep, v, seed=args.seed, prime_bound=args.prime_search_bound
     )
     print(f"vector: {w.vector}")
     print(f"prime: {w.prime}")
@@ -293,13 +281,13 @@ def _check(label: str, ok: bool, failures: list) -> None:
         failures.append(label)
 
 
-def _certificate_check(rep, b, cfg) -> tuple[str, bool]:
+def _certificate_check(rep, b, args) -> tuple[str, bool]:
     """The label and verdict of the commutant-certificate line for b; a
     failed certificate fails its line, which names the failure when the
     certificate was not built."""
     try:
         cert = repdecomp.commutant_certificate(
-            rep, b, seed=cfg.seed, prime_bound=cfg.prime_search_bound
+            rep, b, seed=args.seed, prime_bound=args.prime_search_bound
         )
     except CertificateFailed as exc:
         if exc.certificate is None:
@@ -308,13 +296,13 @@ def _certificate_check(rep, b, cfg) -> tuple[str, bool]:
     return f"commutant certificate (det {cert.det} = {cert.x}^{cert.k})", cert.passed
 
 
-def _cmd_verify(args, cfg):
-    rep, table, examples = _resolve_rep(args.rep, cfg)
+def _cmd_verify(args):
+    rep, table, examples = _resolve_rep(args)
     failures = []
     if args.suite == "lowerbound":
         report = rfgrowth.lower_bound_certificate(
-            rep, args.smax, samples=args.samples, seed=cfg.seed,
-            index_budget=cfg.index_budget, prime_bound=cfg.prime_search_bound,
+            rep, args.smax, samples=args.samples, seed=args.seed,
+            index_budget=args.index_budget, prime_bound=args.prime_search_bound,
         )
         for s, a_ok, e_ok in zip(
             report.s_values, report.arithmetic_ok, report.enumeration_ok
@@ -335,7 +323,7 @@ def _cmd_verify(args, cfg):
         f"{info.class_count} classes, abelian: {info.abelian}"
     )
     report = repdecomp.exponent_report(
-        rep, seed=cfg.seed, prime_bound=cfg.prime_search_bound
+        rep, seed=args.seed, prime_bound=args.prime_search_bound
     )
     _check(
         f"constituent dimensions stable over primes {report.primes}",
@@ -347,9 +335,9 @@ def _cmd_verify(args, cfg):
         is_abelian_image(rep) == (report.k == 1),
         failures,
     )
-    split = repdecomp.q_split(rep, seed=cfg.seed)
+    split = repdecomp.q_split(rep, seed=args.seed)
     sub_k = max(
-        repdecomp.exponent_k(c.rep, seed=cfg.seed, prime_bound=cfg.prime_search_bound)
+        repdecomp.exponent_k(c.rep, seed=args.seed, prime_bound=args.prime_search_bound)
         for c in split.components
     )
     _check("k equals max over Q-constituents", sub_k == report.k, failures)
@@ -357,13 +345,13 @@ def _cmd_verify(args, cfg):
         dec = repdecomp.k_from_character_table(rep, table)
         _check("character-table k agrees", dec.k == report.k, failures)
     for b in examples:
-        _check(*_certificate_check(rep, b, cfg), failures)
+        _check(*_certificate_check(rep, b, args), failures)
         conj = repdecomp.conjugate_rep(rep, b)
         _check("conjugated rep preserves order", conj.order == rep.order, failures)
     for j in range(rep.degree):
         v = tuple(1 if i == j else 0 for i in range(rep.degree))
         w = lattice.upper_bound_witness(
-            rep, v, seed=cfg.seed, prime_bound=cfg.prime_search_bound
+            rep, v, seed=args.seed, prime_bound=args.prime_search_bound
         )
         _check(
             f"witness for e_{j}: index {w.index} = {w.prime}^{w.dimension}, d <= k",
@@ -397,7 +385,7 @@ def _dump_rep_file(name: str) -> dict:
     return doc
 
 
-def _cmd_catalog(args, cfg):
+def _cmd_catalog(args):
     if args.action == "list":
         for name in catalog.CATALOG_NAMES:
             print(name)
@@ -407,12 +395,12 @@ def _cmd_catalog(args, cfg):
             raise RfvaError("catalog dump needs a name")
         doc = _dump_rep_file(args.name)
         out = json.dumps(doc, indent=2) + "\n"
-        if cfg.output:
+        if args.output:
             try:
-                with open(cfg.output, "w") as fh:
+                with open(args.output, "w") as fh:
                     fh.write(out)
             except OSError as exc:
-                raise IoFailure(f"cannot write {cfg.output}: {exc}") from exc
+                raise IoFailure(f"cannot write {args.output}: {exc}") from exc
         else:
             sys.stdout.write(out)
         return EXIT_OK
@@ -425,9 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Residual finiteness growth exponents of virtually abelian groups",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--element-bound", type=int, default=20_000)
-    parser.add_argument("--index-budget", type=int, default=10_000)
-    parser.add_argument("--prime-search-bound", type=int, default=200_000)
+    parser.add_argument(
+        "--element-bound", type=int, default=grouprep.DEFAULT_ELEMENT_BOUND
+    )
+    parser.add_argument(
+        "--index-budget", type=int, default=rfgrowth.DEFAULT_INDEX_BUDGET
+    )
+    parser.add_argument(
+        "--prime-search-bound", type=int, default=repdecomp.DEFAULT_PRIME_BOUND
+    )
     parser.add_argument("--output", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -479,14 +473,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = RunConfig(
-            seed=args.seed,
-            element_bound=args.element_bound,
-            index_budget=args.index_budget,
-            prime_search_bound=args.prime_search_bound,
-            output=args.output,
-        )
-        return args.func(args, cfg)
+        if min(args.element_bound, args.index_budget, args.prime_search_bound) <= 0:
+            raise ValueError("all bounds must be positive")
+        return args.func(args)
     except _COMPUTE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

@@ -649,11 +649,6 @@ def _scaled_kernel(rows, p):
     return basis, scale
 
 
-def _kernel(rows, p):
-    """Basis of {v : A v = 0}: _scaled_kernel's vectors (int tuples)."""
-    return _scaled_kernel(rows, p)[0]
-
-
 def _solve(a_rows, rhs_cols, p):
     """Solve A X = B column by column, free unknowns 0; RfvaError if inconsistent."""
     d = len(a_rows[0])
@@ -790,7 +785,8 @@ def kernel_q(rows: list[list[Fraction]]) -> list[tuple[Fraction, ...]]:
 
 
 def kernel_fp(rows: list[list[int]], p: int) -> list[tuple[int, ...]]:
-    return _kernel(rows, p)
+    """The RREF kernel basis over F_p, as int tuples."""
+    return _scaled_kernel(rows, p)[0]
 
 
 # ---------------------------------------------------------------------------

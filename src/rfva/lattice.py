@@ -1,11 +1,20 @@
 """Finite-index sublattices of Z^m: membership, enumeration, witnesses.
 
 Families:
-  nu  -- all finite-index sublattices (every HNF basis is enumerated);
-  inv -- all those invariant under a representation, built directly;
+  nu  -- the sublattices of prime-power index (and Z^m itself), every HNF
+         basis of such an index enumerated;
+  inv -- those of them invariant under a representation, built directly;
   com -- images of integer matrices commuting with the representation,
          enumerated over a bounded coefficient box (NOT complete; the
          universal statements about Com go through the certificate instead).
+
+nu and inv keep only the indices 1 and p^e.  A lattice N of index p^e * r, p
+prime, p not dividing r > 1, equals (N + p^e Z^m) meet (N + r Z^m), by the
+Chinese remainder theorem; both parts have smaller index, and both are
+invariant when N is.  So a vector outside N is outside one of them: N is
+never the least index of a family lattice omitting a vector, and it never
+changes the intersection of the family's lattices of smaller index.
+Divisibility and RF are the same over the kept lattices as over all of them.
 
 The inv family is built, not filtered.  Let N be invariant of index p^e.
 Then M0 = {x : px in N} is invariant and M0/N is a nonzero F_p[H]-module;
@@ -19,18 +28,15 @@ invariant M of index p^(e-d), d = 1..min(e, m), de-duplicated by HNF basis.
 For d = 1 these are the lines in the common eigenspaces of the A_g; for
 d >= 2, where p^d <= p^e keeps p small, the spins of one vector per line of
 F_p^m (the MeatAxe spin: Parker 1984; Holt & Rees, J. Austral. Math. Soc.
-1994).  An invariant lattice of composite index n = p^e * r (p prime, not
-dividing r) is the intersection of one of index p^e and one of index r, by
-the Chinese remainder theorem.  Every built lattice is checked for its index
-and its invariance (UnsoundLattice otherwise).
+1994).  Every built lattice is checked for its index and its invariance
+(UnsoundLattice otherwise).
 
 No mod-p work is repeated.  The eigenvalues mod p are the roots of the
 generators' integer characteristic polynomials, computed once per family
 and reduced once per prime; each lattice's action matrices are computed
-once and read by the steps at the next m powers of p; a spin multiplies only
-the vectors that join its echelon basis, and a line inside a submodule
-already found is not spun; and exactalg.intersection writes the basis of a
-coprime intersection down row by row, then checks it.
+once and read by the steps at the next m powers of p; and a spin multiplies
+only the vectors that join its echelon basis, and a line inside a submodule
+already found is not spun.
 
 Enumeration order is fixed (index, then lexicographic basis) so divisibility
 minima are reproducible.
@@ -65,7 +71,6 @@ from .exactalg import (
     IntPoly,
     Lattice,
     _divisors,
-    _kernel,
     _least_prime_power,
     _primes_one_mod,
     _solve,
@@ -73,19 +78,19 @@ from .exactalg import (
     charpoly,
     det,
     hnf,
-    intersection,
+    kernel_fp,
 )
 from .grouprep import Rep
-from .repdecomp import DEFAULT_SEED, commutant_basis, split_mod_p
+from .repdecomp import DEFAULT_PRIME_BOUND, DEFAULT_SEED, commutant_basis, split_mod_p
 
 FAMILY_KINDS = ("nu", "inv", "com")
 DEFAULT_COEFFICIENT_BOX = 2
-DEFAULT_PRIME_SEARCH_BOUND = 200_000
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Which family of sublattices D is minimized over."""
+    """Which family of sublattices D is minimized over: for nu and inv, its
+    lattices of index 1 or a prime power (see the module docstring)."""
 
     kind: str  # "nu" | "inv" | "com"
     rep: Rep | None = None
@@ -222,7 +227,8 @@ def _sublattice_count(m: int, n: int) -> int:
 
 @dataclass
 class _Prefix:
-    """A nu or inv family's lattices of index <= done, by index.
+    """A nu or inv family's lattices of index <= done, by index; the list
+    at an index that is neither 1 nor a prime power is empty.
 
     nu reads each index from source, the stream of all sublattices of Z^m;
     inv builds it from the lattices of smaller index.  inv also keeps what
@@ -244,11 +250,11 @@ class _Prefix:
 def enumerate_family(spec: FamilySpec, m: int, max_index: int):
     """Stream the family's lattices of index <= max_index, index-ordered.
 
-    nu reads every sublattice of Z^m; inv builds only the invariant ones, by
-    mod-p submodule steps at prime powers and intersections at other indices
-    (see the module docstring), and checks each with is_invariant_lattice.
-    The stream reads family_by_index, so every call on one spec shares the
-    spec's cached prefix.
+    nu reads every sublattice of Z^m and keeps those of index 1 or a prime
+    power; inv builds only the invariant ones of those indices, by mod-p
+    submodule steps (see the module docstring), and checks each with
+    is_invariant_lattice.  The stream reads family_by_index, so every call
+    on one spec shares the spec's cached prefix.
     """
     for _, batch in family_by_index(spec, m, max_index):
         yield from batch
@@ -256,7 +262,8 @@ def enumerate_family(spec: FamilySpec, m: int, max_index: int):
 
 def family_by_index(spec: FamilySpec, m: int, max_index: int):
     """(n, the family's lattices of index n, sorted by basis) for each index
-    n <= max_index at which the family has any, in increasing n.
+    n <= max_index at which the family has any, in increasing n; for nu and
+    inv, n is 1 or a prime power (see the module docstring).
 
     Every call on one spec reads the spec's cached family: for nu and inv a
     prefix that grows by one whole index at a time, and only as far as the
@@ -285,38 +292,36 @@ def family_by_index(spec: FamilySpec, m: int, max_index: int):
         # An interrupted nu batch drops the prefix, so a new one may lag.
         while prefix.done < n:
             k = prefix.done + 1
-            if spec.kind == "inv":
-                prefix.by_index[k] = _invariant_batch(spec.rep, prefix, k)
-            else:
+            if spec.kind == "nu":
                 try:
-                    prefix.by_index[k] = list(islice(prefix.source, _sublattice_count(m, k)))
+                    # every batch is read, kept or not, to keep the stream aligned
+                    batch = list(islice(prefix.source, _sublattice_count(m, k)))
                 except BaseException:
                     # The source may have lost part of the batch: start this m afresh.
                     spec._cache.pop(m, None)
                     raise
+            p, e = _least_prime_power(k) if k > 1 else (1, 0)
+            if p**e != k:
+                batch = []
+            elif spec.kind == "inv":
+                batch = _invariant_batch(spec.rep, prefix, p, e)
+            prefix.by_index[k] = batch
             prefix.done = k
         if prefix.by_index[n]:
             yield n, prefix.by_index[n]
 
 
-def _invariant_batch(rep: Rep, prefix: _Prefix, n: int) -> list[Lattice]:
-    """The invariant lattices of index n, sorted by basis, each one checked.
+def _invariant_batch(rep: Rep, prefix: _Prefix, p: int, e: int) -> list[Lattice]:
+    """The invariant lattices of index n = p^e (p = 1 for n = 1), sorted by
+    basis, each one checked.
 
     Those of every smaller index are in prefix.by_index.
     """
+    n = p**e
     if n == 1:
         batch = [Lattice(basis=IntMatrix.identity(rep.degree), index=1)]
     else:
-        p, e = _least_prime_power(n)
-        q = p**e
-        if q == n:
-            batch = _prime_power_batch(rep, prefix, p, e)
-        else:
-            batch = [
-                intersection(a, b)
-                for a in prefix.by_index[q]
-                for b in prefix.by_index[n // q]
-            ]
+        batch = _prime_power_batch(rep, prefix, p, e)
     batch.sort(key=lambda lat: lat.basis.entries)
     for lat in batch:
         if lat.index != n:
@@ -346,7 +351,7 @@ def _prime_power_batch(rep: Rep, prefix: _Prefix, p: int, e: int) -> list[Lattic
                 duals = _cyclic_submodules(actions, p, d)
             for dual in duals:
                 # c B lies in N iff c annihilates the dual submodule mod p
-                rows = [_combine(w, basis) for w in _kernel(dual, p)]
+                rows = [_combine(w, basis) for w in kernel_fp(dual, p)]
                 rows += [[p * x for x in b] for b in basis]
                 sub = _spanned(rows)
                 found.setdefault(sub.basis, sub)
@@ -421,7 +426,7 @@ def _eigenlines(actions, roots, p):
             for lam in lams:
                 # the x with (A - lam) sum x_j s_j = 0, s_j the vectors of space
                 shifted = [[y - lam * x for x, y in zip(s, _apply_mod(a, s, p))] for s in space]
-                kern = _kernel([list(row) for row in zip(*shifted)], p)
+                kern = kernel_fp([list(row) for row in zip(*shifted)], p)
                 if kern:
                     narrowed.append([_combine(x, space) for x in kern])
         spaces = narrowed
@@ -498,7 +503,7 @@ def upper_bound_witness(
     rep: Rep,
     v,
     seed: int = DEFAULT_SEED,
-    prime_bound: int = DEFAULT_PRIME_SEARCH_BOUND,
+    prime_bound: int = DEFAULT_PRIME_BOUND,
 ) -> Witness:
     """Invariant lattice of index p^d (d <= k) omitting v, via splitting mod p.
 

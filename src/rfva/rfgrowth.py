@@ -42,7 +42,6 @@ from .exactalg import (
     IntMatrix,
     Lattice,
     _isprime,
-    _least_prime_power,
     _primes_one_mod,
     det,
     intersection,
@@ -100,10 +99,13 @@ def _scalar_upper_bound(v):
 def divisibility(v, spec: FamilySpec, index_budget: int = DEFAULT_INDEX_BUDGET) -> int:
     """min{ index(N) : N in the family, v not in N }, early exit in index order.
 
-    The family is read from the spec's cached, index-ordered prefix (see
-    enumerate_family): each FamilySpec enumerates its family once, the prefix
-    grows by whole indices as vectors need it, and it lives as long as the
-    spec, so repeated calls should share one spec.
+    For nu and inv the family holds the lattices of index 1 and of
+    prime-power index, whose minimum is the same as over all of theirs (see
+    the lattice module docstring).  The family is read from the spec's
+    cached, index-ordered prefix (see enumerate_family): each FamilySpec
+    enumerates its family once, the prefix grows by whole indices as vectors
+    need it, and it lives as long as the spec, so repeated calls should share
+    one spec.
     """
     v = tuple(int(x) for x in v)
     if all(x == 0 for x in v):
@@ -130,9 +132,10 @@ def rf_profile(
     """Exact RF over l1-balls from the intersections L_n (module docstring).
 
     L_n grows one index at a time, intersected only with the lattices that
-    do not already contain it (for nu and inv, none of those of an index with
-    two prime factors), and lambda_1 is computed once per new L_n.  The
-    witness is the lexicographically first vector of least norm in L_(N-1),
+    do not already contain it; nu and inv hold lattices of index 1 and of
+    prime-power index only, which give the same L_n as all of theirs (see
+    the lattice module docstring).  lambda_1 is computed once per new L_n.
+    The witness is the lexicographically first vector of least norm in L_(N-1),
     which is the first in the scan's order too: if p + (c,) and p + (-c,),
     p nonzero, both have the least norm, their sum and difference show
     |c| = |p|_1, so (0, ..., 0, 2|c|) has it as well and precedes both in
@@ -151,13 +154,6 @@ def rf_profile(
             if batch is None:
                 return RFProfile(spec, tuple(out_r), tuple(out_v), tuple(out_w), partial=True)
             n, lats = batch
-            if spec.kind != "com" and n > 1:
-                p, e = _least_prime_power(n)
-                if p**e != n:
-                    # a nu or inv lattice of index p^e * q, p not dividing
-                    # q > 1, is the intersection of family lattices of
-                    # indices p^e and q, so it holds L_(n-1)
-                    continue
             grown = lat
             for other in lats:
                 if not all(other.contains(row) for row in grown.basis.entries):

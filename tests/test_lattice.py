@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -23,6 +24,7 @@ from rfva.exactalg import (
     charpoly,
     det,
     hnf,
+    intersection,
 )
 from rfva.grouprep import close_group
 from rfva.lattice import (
@@ -271,15 +273,101 @@ def test_witness_soundness_sampled():
             assert is_invariant_lattice(w.lattice, rep)
 
 
-def _oracle(spec, m, budget):
-    """The family at one budget, enumerated without any cache."""
-    if spec.kind == "com":
-        return commutant_image_lattices(spec.rep, spec.coefficient_box, budget)
+def _full_family(spec, m, budget):
+    """nu or inv at one budget with every index, composite ones included:
+    every sublattice, filtered by invariance for inv."""
     return [
         lat
         for lat in enumerate_sublattices(m, budget)
         if spec.kind == "nu" or is_invariant_lattice(lat, spec.rep)
     ]
+
+
+def _is_one_or_prime_power(n):
+    return len(sympy.factorint(n)) <= 1
+
+
+def _oracle(spec, m, budget):
+    """The family at one budget, enumerated without any cache: for nu and
+    inv, the full family's lattices of index 1 or a prime power."""
+    if spec.kind == "com":
+        return commutant_image_lattices(spec.rep, spec.coefficient_box, budget)
+    return [lat for lat in _full_family(spec, m, budget) if _is_one_or_prime_power(lat.index)]
+
+
+def _plus_scalar(lat, q):
+    """N + q Z^m."""
+    m = lat.dimension
+    rows = [list(r) for r in lat.basis.entries]
+    rows += [[q * int(i == j) for j in range(m)] for i in range(m)]
+    return hnf(IntMatrix.from_rows(rows))
+
+
+def _unimodular_pair(m, rng):
+    """A random unimodular Q and its inverse, as products of elementary matrices."""
+    q = q_inv = IntMatrix.identity(m)
+    for _ in range(3 * m):
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        e = [[int(a == b) for b in range(m)] for a in range(m)]
+        e_inv = [row[:] for row in e]
+        e[i][j], e_inv[i][j] = c, -c
+        q, q_inv = q * IntMatrix.from_rows(e), IntMatrix.from_rows(e_inv) * q_inv
+    return q, q_inv
+
+
+def _conjugate_spec(name, seed):
+    rep = catalog_rep(name)
+    q, q_inv = _unimodular_pair(rep.degree, random.Random(seed))
+    return FamilySpec("inv", close_group([q_inv * g * q for g in rep.generators]))
+
+
+# name -> (spec, m, index budget); each spec is shared by the tests that read it
+FULL_FAMILY_CASES = {
+    "nu:1": (FamilySpec("nu"), 1, 60),
+    "nu:2": (FamilySpec("nu"), 2, 30),
+    "nu:3": (FamilySpec("nu"), 3, 12),
+    "inv:d4_paper": (FamilySpec("inv", catalog_rep("d4_paper")), 3, 40),
+    "inv:quaternion_paper": (FamilySpec("inv", catalog_rep("quaternion_paper")), 4, 24),
+    "inv:rot(4)": (FamilySpec("inv", catalog_rep("rot(4)")), 2, 60),
+    "inv:conjugate:d4_paper": (_conjugate_spec("d4_paper", "full:d4_paper"), 3, 40),
+}
+
+
+@functools.cache
+def full_family(case):
+    """_full_family for FULL_FAMILY_CASES[case], computed once."""
+    spec, m, budget = FULL_FAMILY_CASES[case]
+    return _full_family(spec, m, budget)
+
+
+@pytest.mark.parametrize("case", sorted(FULL_FAMILY_CASES))
+def test_a_composite_index_lattice_meets_two_family_lattices(case):
+    """N of index p^e r, p not dividing r > 1, is (N + p^e Z^m) meet
+    (N + r Z^m), both parts of the full family; so N is the meet of its
+    parts N + q Z^m over the prime powers q exactly dividing its index, each
+    a lattice of the prime-power family."""
+    spec, m, budget = FULL_FAMILY_CASES[case]
+    full = full_family(case)
+    family = {lat.basis for lat in enumerate_family(spec, m, budget)}
+    assert family == {lat.basis for lat in full if _is_one_or_prime_power(lat.index)}
+    composite = [lat for lat in full if not _is_one_or_prime_power(lat.index)]
+    assert composite
+    full_bases = {lat.basis for lat in full}
+    for lat in composite:
+        powers = [p**e for p, e in sorted(sympy.factorint(lat.index).items())]
+        q, r = powers[0], lat.index // powers[0]
+        left, right = _plus_scalar(lat, q), _plus_scalar(lat, r)
+        assert (left.index, right.index) == (q, r)
+        assert left.basis in full_bases and right.basis in full_bases
+        assert intersection(left, right) == lat
+        parts = [_plus_scalar(lat, q) for q in powers]
+        assert [part.index for part in parts] == powers
+        assert all(part.basis in family for part in parts)
+        meet = parts[0]
+        for part in parts[1:]:
+            meet = intersection(meet, part)
+        assert meet == lat
 
 
 SHARED_PREFIX_CASES = [
@@ -335,19 +423,6 @@ def test_inv_family_matches_the_filter(name, budget):
     rep = catalog_rep(name)
     spec = FamilySpec("inv", rep)
     assert list(enumerate_family(spec, rep.degree, budget)) == _oracle(spec, rep.degree, budget)
-
-
-def _unimodular_pair(m, rng):
-    """A random unimodular Q and its inverse, as products of elementary matrices."""
-    q = q_inv = IntMatrix.identity(m)
-    for _ in range(3 * m):
-        i, j = rng.sample(range(m), 2)
-        c = rng.choice((-2, -1, 1, 2))
-        e = [[int(a == b) for b in range(m)] for a in range(m)]
-        e_inv = [row[:] for row in e]
-        e[i][j], e_inv[i][j] = c, -c
-        q, q_inv = q * IntMatrix.from_rows(e), IntMatrix.from_rows(e_inv) * q_inv
-    return q, q_inv
 
 
 @pytest.mark.parametrize(
@@ -549,10 +624,10 @@ def family_from(name, budget):
     except UnsoundLattice as exc:
         print("family checked:", exc)
 
-real_intersection = lat.intersection
-lat.intersection = lambda a, b: a
-family_from("rot(4)", 10)
-lat.intersection = real_intersection
+real_batch = lat._prime_power_batch
+lat._prime_power_batch = lambda rep, prefix, p, e: prefix.by_index[1][:]
+family_from("rot(4)", 2)
+lat._prime_power_batch = real_batch
 real_invariant = lat.is_invariant_lattice
 lat.is_invariant_lattice = lambda l, rep: l.index == 1
 family_from("rot(4)", 2)
@@ -593,7 +668,7 @@ def test_soundness_checks_run_under_python_O():
         "witness checked: witness lattice contains the vector",
         "witness checked: witness lattice is not invariant",
         "commutant checked",
-        "family checked: built lattice has index 2, not 10",
+        "family checked: built lattice has index 1, not 2",
         "family checked: built lattice of index 2 is not invariant",
         "coordinates checked: the image of a basis vector left an invariant lattice",
         "intersection checked: intersection rows [[3, 0], [0, 4]] are not an HNF basis of index 6",

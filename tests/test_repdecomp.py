@@ -33,13 +33,13 @@ from rfva.exactalg import (
     IntMatrix,
     IntPoly,
     _fval,
-    _kernel,
     _mat_mul,
     _mat_scale,
     _matrix_minpoly,
     _poly_eval_matrix,
     _rank,
     _rref,
+    _scaled_kernel,
     _solve,
     adjugate,
     charpoly,
@@ -97,7 +97,7 @@ def test_commutant_over_fp_matches_isotypic_structure():
         cons = split_mod_p(rep, _first_split_prime(rep))
         mult_sq = sum(g.multiplicity**2 for g in cons.groups)
         system = rd._commutation_system([g.entries for g in rep.generators], rep.degree)
-        fp_dim = len(_kernel(system, cons.field))
+        fp_dim = len(kernel_fp(system, cons.field))
         assert fp_dim == mult_sq == expected
 
 
@@ -555,7 +555,7 @@ def _complement_by_restricted_average(splitter, basis, w_coords):
         acc = _mat_add(acc, term, p)
     order = splitter.rep.order
     scale = Fraction(1, order) if p is None else pow(order, p - 2, p)
-    return _kernel(_mat_scale(acc, scale, p), p)
+    return _scaled_kernel(_mat_scale(acc, scale, p), p)[0]
 
 
 def _assert_complements_match_oracle(monkeypatch, rep):

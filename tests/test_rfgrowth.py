@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rfva.repdecomp as rd
 import rfva.rfgrowth as rg
@@ -36,6 +38,8 @@ from rfva.rfgrowth import (
     rf_profile,
     smallest_valid_prime,
 )
+
+from test_lattice import FULL_FAMILY_CASES, full_family
 
 NU = FamilySpec("nu")
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -185,9 +189,10 @@ def _ball_shell(m, r):
     yield from rec(0, r, [], False)
 
 
-def _scan_profile(spec, m, r_max, index_budget=DEFAULT_INDEX_BUDGET):
+def _scan_profile(spec, m, r_max, index_budget=DEFAULT_INDEX_BUDGET, d_of=None):
     """The RF profile by definition: D(v) for every vector of every l1-sphere,
-    one per +-v pair, keeping the first vector that raises the maximum."""
+    one per +-v pair, keeping the first vector that raises the maximum.
+    d_of(v) is D(v), the divisibility call unless given."""
     out_r, out_v, out_w = [], [], []
     best = 0
     best_witness = None
@@ -195,7 +200,7 @@ def _scan_profile(spec, m, r_max, index_budget=DEFAULT_INDEX_BUDGET):
     for r in range(1, r_max + 1):
         try:
             for vec in _ball_shell(m, r):
-                d = divisibility(vec, spec, index_budget)
+                d = d_of(vec) if d_of else divisibility(vec, spec, index_budget)
                 if d > best:
                     best = d
                     best_witness = (vec, d)
@@ -261,6 +266,55 @@ def test_rf_profile_of_a_conjugate_matches_the_ball_scan(kind, name, r_max, seed
     rep = _conjugate(catalog_rep(name), seed)
     got = rf_profile(FamilySpec(kind, rep=rep), rep.degree, r_max)
     assert got == _scan_profile(FamilySpec(kind, rep=rep), rep.degree, r_max)
+
+
+def _full_divisibility(v, lattices):
+    """The least index of a lattice omitting v, in a list in index order."""
+    d = next((lat.index for lat in lattices if not lat.contains(v)), None)
+    if d is None:
+        raise BudgetExceeded("no omitting lattice in the list")
+    return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("case", sorted(FULL_FAMILY_CASES))
+def test_divisibility_matches_the_full_family(case, data):
+    """divisibility over the prime-power family is the least omitting index
+    over the whole family, composite indices included."""
+    spec, m, budget = FULL_FAMILY_CASES[case]
+    scale = data.draw(st.integers(1, 60), label="scale")
+    w = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m), label="w")
+    assume(any(w))
+    v = tuple(scale * x for x in w)
+    try:
+        expected = _full_divisibility(v, full_family(case))
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            divisibility(v, spec, budget)
+    else:
+        assert divisibility(v, spec, budget) == expected
+
+
+@pytest.mark.parametrize(
+    "case,r_max",
+    [
+        ("nu:1", 40),
+        ("nu:2", 12),
+        ("nu:3", 8),
+        ("inv:d4_paper", 12),
+        ("inv:quaternion_paper", 4),
+        ("inv:rot(4)", 30),
+        ("inv:conjugate:d4_paper", 12),
+    ],
+)
+def test_rf_profile_matches_the_full_family_scan(case, r_max):
+    spec, m, budget = FULL_FAMILY_CASES[case]
+    full = full_family(case)
+    got = rf_profile(spec, m, r_max, index_budget=budget)
+    assert not got.partial
+    expected = _scan_profile(spec, m, r_max, budget, lambda v: _full_divisibility(v, full))
+    assert got == expected
 
 
 @pytest.mark.parametrize(
