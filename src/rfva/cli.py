@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rfva",
         description="Residual finiteness growth exponents of virtually abelian groups",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=repdecomp.DEFAULT_SEED)
     parser.add_argument(
         "--element-bound", type=int, default=grouprep.DEFAULT_ELEMENT_BOUND
     )
@@ -455,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rep")
     p.add_argument("--suite", choices=("lemmas", "lowerbound"), default="lemmas")
     p.add_argument("--smax", type=int, default=4)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=int, default=rfgrowth.DEFAULT_SAMPLES)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("catalog", help="list or dump catalog entries")

@@ -4,9 +4,8 @@ Everything here is exact: matrices carry arbitrary-precision integers (or
 residues mod a prime), and no operation ever rounds.  Elimination over Q is
 fraction-free on integer rows, and the kernels and inverses it gives are
 int matrices with one recorded scale; a fractions.Fraction is formed only
-for a result that is rational by contract (_rref, _solve, kernel_q,
-saturate's input, a non-integral _quotient).  Conventions fixed once for
-the whole package:
+for a result that is rational by contract (kernel_q, saturate's input, a
+non-integral _quotient).  Conventions fixed once for the whole package:
 
 * lattices are stored by a row-style Hermite normal form (rows are basis
   vectors, basis upper triangular, entries above the diagonal reduced into
@@ -29,7 +28,6 @@ from .errors import (
     InexactDivision,
     NotAPower,
     PrimalityUnknown,
-    RfvaError,
     SingularMatrix,
     UnsoundLattice,
     UnsoundMinpoly,
@@ -511,12 +509,8 @@ def minpoly(m: IntMatrix) -> IntPoly:
 # Fraction) or over F_p (p prime, entries in [0, p)).  Elimination over Q is
 # fraction-free: _pivot_rows keeps every pivot row a primitive integer row,
 # and the kernels, inverses and minimal polynomials read their results off
-# those rows as int entries with one common scale.  _rref and kernel_q,
-# whose results are Fractions, divide at the end.
-
-
-def _fval(x, p):
-    return Fraction(x) if p is None else x % p
+# those rows as int entries with one common scale.  kernel_q, whose
+# results are Fractions, divides at the end.
 
 
 def _mat_mul(a, b, p):
@@ -612,21 +606,6 @@ def _pivot_rows(rows, p):
     return a[: len(pivots)], pivots
 
 
-def _rref(rows, p):
-    """Reduced row echelon form of a matrix over Q (p None) or F_p.
-
-    Returns (reduced rows, pivot columns); the input is not modified.  The
-    form is unique, so the kernels, solutions, inverses and ranks derived
-    from it do not depend on how it was reached.  Every entry of the result
-    over Q is a Fraction.
-    """
-    red, pivots = _pivot_rows(rows, p)
-    zero = [_fval(0, p)] * (len(rows[0]) if rows else 0)
-    if p is None:
-        red = [[Fraction(x, row[c]) for x in row] for row, c in zip(red, pivots)]
-    return red + [zero[:] for _ in range(len(rows) - len(pivots))], pivots
-
-
 def _scaled_kernel(rows, p):
     """(basis of {v : A v = 0}, s), one vector per free column of the RREF.
 
@@ -647,20 +626,6 @@ def _scaled_kernel(rows, p):
             v[pc] = -row[fc] % p if p is not None else -row[fc] * (scale // row[pc])
         basis.append(tuple(v))
     return basis, scale
-
-
-def _solve(a_rows, rhs_cols, p):
-    """Solve A X = B column by column, free unknowns 0; RfvaError if inconsistent."""
-    d = len(a_rows[0])
-    aug = [list(row) + [col[i] for col in rhs_cols] for i, row in enumerate(a_rows)]
-    red, pivots = _rref(aug, p)
-    if pivots and pivots[-1] >= d:
-        raise RfvaError("inconsistent linear system (vector not in subspace)")
-    sols = [[_fval(0, p)] * d for _ in rhs_cols]
-    for i, c in enumerate(pivots):
-        for j, sol in enumerate(sols):
-            sol[c] = red[i][d + j]
-    return sols
 
 
 def _scaled_inverse(a, p):

@@ -73,7 +73,6 @@ from .exactalg import (
     _divisors,
     _least_prime_power,
     _primes_one_mod,
-    _solve,
     _spanned,
     charpoly,
     det,
@@ -508,8 +507,10 @@ def upper_bound_witness(
     """Invariant lattice of index p^d (d <= k) omitting v, via splitting mod p.
 
     p is the smallest prime = 1 mod |H| not dividing a chosen nonzero entry
-    of v; the lattice is the preimage of the sum of all mod-p constituents
-    except one carrying a nonzero component of v (smallest such dimension).
+    of v.  The lattice is the preimage of the sum of all mod-p constituents
+    but one, plus p Z^m.  It omits v exactly when v has a nonzero component
+    in the constituent left out, so omission decides which one: the first
+    of least dimension whose preimage omits v.
     """
     v = tuple(int(x) for x in v)
     if len(v) != rep.degree:
@@ -522,34 +523,23 @@ def upper_bound_witness(
         raise PrimeSearchFailed(
             f"no prime = 1 mod {rep.order} coprime to {a} below {prime_bound}"
         )
-    cons = split_mod_p(rep, p, seed=seed)
-    subspaces = cons.subspaces
-    full_basis = [vec for _, basis in subspaces for vec in basis]
-    a_rows = [[full_basis[t][i] for t in range(rep.degree)] for i in range(rep.degree)]
-    (coords,) = _solve(a_rows, [v], p)
-    chosen = None
-    offset = 0
-    for si, (dim, basis) in enumerate(subspaces):
-        block = coords[offset : offset + dim]
-        offset += dim
-        if any(c != 0 for c in block):
-            if chosen is None or dim < subspaces[chosen][0]:
-                chosen = si
-    if chosen is None:
-        raise UnsoundWitness(f"v is zero mod the chosen prime {p}")
+    subspaces = split_mod_p(rep, p, seed=seed).subspaces
+    scalars = [[p if i == j else 0 for j in range(rep.degree)] for i in range(rep.degree)]
+    for chosen in sorted(range(len(subspaces)), key=lambda si: subspaces[si][0]):
+        stack = [
+            list(vec)
+            for si, (_, basis) in enumerate(subspaces)
+            if si != chosen
+            for vec in basis
+        ]
+        lat = hnf(IntMatrix.from_rows(stack + scalars))
+        if not lat.contains(v):
+            break
+    else:
+        raise UnsoundWitness(f"no constituent's preimage mod {p} omits v")
     dim = subspaces[chosen][0]
-    stack = [
-        list(vec)
-        for si, (_, basis) in enumerate(subspaces)
-        if si != chosen
-        for vec in basis
-    ]
-    stack += [[p if i == j else 0 for j in range(rep.degree)] for i in range(rep.degree)]
-    lat = hnf(IntMatrix.from_rows(stack))
     if lat.index != p**dim:
         raise UnsoundWitness(f"witness index {lat.index} is not {p}^{dim}")
-    if lat.contains(v):
-        raise UnsoundWitness("witness lattice contains the vector")
     if not is_invariant_lattice(lat, rep):
         raise UnsoundWitness("witness lattice is not invariant")
     return Witness(lattice=lat, prime=p, dimension=dim, vector=v)

@@ -63,7 +63,6 @@ from .exactalg import (
     factor_over_integers,
     factor_over_prime_field,
     hnf,
-    kernel_fp,
     kernel_q,
     poly_kth_root,
     row_echelon_transform,
@@ -179,13 +178,6 @@ class _ModuleSplitter:
 
     # -- subspace plumbing
 
-    def kernel(self, rows):
-        """(kernel basis, s): kernel_fp's vectors and 1, or over Q the int
-        vectors of _scaled_kernel, s times the RREF kernel basis."""
-        if self.p is None:
-            return _scaled_kernel(rows, None)
-        return kernel_fp(rows, self.p), 1
-
     def coordinate_map(self, basis):
         """(P, s M^-1 by columns, s, basis by columns), once per basis."""
         key = tuple(map(tuple, basis))
@@ -294,7 +286,7 @@ class _ModuleSplitter:
         ]
         if p is not None:
             pbar = [[x % p for x in row] for row in pbar]
-        comp_coords = self.kernel(pbar)[0]
+        comp_coords = _scaled_kernel(pbar, p)[0]
         if len(comp_coords) != d - e:
             raise UnsoundSplit(
                 f"averaged projection has kernel dimension {len(comp_coords)}, not {d - e}"
@@ -356,7 +348,7 @@ class _ModuleSplitter:
         if d == 1:
             return [list(basis)]
         gens = [self.scaled_action(g, basis)[0] for g in self.rep.generators]
-        vecs, scale = self.kernel(_commutation_system(gens, d))
+        vecs, scale = _scaled_kernel(_commutation_system(gens, d), self.p)
         commutant = [[list(v[r * d : (r + 1) * d]) for r in range(d)] for v in vecs]
         if len(commutant) == 1:
             return [list(basis)]
@@ -377,7 +369,7 @@ class _ModuleSplitter:
             consecutive = 0
             f0 = factors[0][0]
             fz = _poly_eval_matrix(list(f0), z, self.p)
-            w_coords = self.kernel(fz)[0]
+            w_coords = _scaled_kernel(fz, self.p)[0]
             if not (0 < len(w_coords) < d):
                 continue
             comp_coords = self.invariant_complement(basis, w_coords, commutant)

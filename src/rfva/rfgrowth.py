@@ -48,7 +48,7 @@ from .exactalg import (
     shortest_vectors,
 )
 from .grouprep import Rep
-from .lattice import FamilySpec, enumerate_family, family_by_index
+from .lattice import DEFAULT_COEFFICIENT_BOX, FamilySpec, enumerate_family, family_by_index
 from .repdecomp import (
     DEFAULT_PRIME_BOUND,
     DEFAULT_SEED,
@@ -59,6 +59,7 @@ from .repdecomp import (
 )
 
 DEFAULT_INDEX_BUDGET = 10_000
+DEFAULT_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -203,9 +204,9 @@ def exponent_fit(profile: RFProfile):
 def lower_bound_certificate(
     rep: Rep,
     s_max: int,
-    samples: int = 200,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    coefficient_box: int = 2,
+    coefficient_box: int = DEFAULT_COEFFICIENT_BOX,
     index_budget: int = DEFAULT_INDEX_BUDGET,
     prime_bound: int = DEFAULT_PRIME_BOUND,
 ) -> LowerBoundReport:

@@ -17,7 +17,6 @@ from rfva.errors import (
     DimensionMismatch,
     NotAPower,
     PrimalityUnknown,
-    RfvaError,
     SingularMatrix,
     ZeroSpan,
 )
@@ -33,10 +32,8 @@ from rfva.exactalg import (
     _pivot_rows,
     _poly_eval_matrix,
     _rank,
-    _rref,
     _scaled_inverse,
     _scaled_kernel,
-    _solve,
     _spanned,
     adjugate,
     charpoly,
@@ -57,6 +54,7 @@ from rfva.exactalg import (
 )
 
 from rfva.grouprep import close_group
+from rfva.lattice import enumerate_sublattices
 from rfva.repdecomp import _commutation_system, exponent_report
 from test_grouprep import ORACLE_CATALOG, _unimodular_pair
 
@@ -601,6 +599,16 @@ def _sympy_rref(rows, p):
     return [[_ours(x, p) for x in r] for r in red.to_list()], list(pivots)
 
 
+def _reduced(rows, p):
+    """The RREF from _pivot_rows: its rows divided by their pivots, padded
+    with zero rows to the input's height."""
+    red, pivots = _pivot_rows(rows, p)
+    if p is None:
+        red = [[Fraction(x, row[c]) for x in row] for row, c in zip(red, pivots)]
+    zero = [Fraction(0) if p is None else 0] * len(rows[0])
+    return red + [zero[:] for _ in range(len(rows) - len(pivots))], pivots
+
+
 def _sympy_nullspace(rows, p):
     """Kernel basis over Q, or a reduced basis of the kernel over F_p (GF(p)
     scales its basis vectors differently from Matrix.nullspace)."""
@@ -614,7 +622,7 @@ def _sympy_nullspace(rows, p):
 @settings(max_examples=150, deadline=None)
 @given(field_matrices(), st.sampled_from(FIELDS))
 def test_rref_kernel_and_rank_match_sympy(rows, p):
-    red, pivots = _rref(rows, p)
+    red, pivots = _reduced(rows, p)
     assert (red, pivots) == _sympy_rref(rows, p)
     assert _rank(rows, p) == len(pivots)
     if p is None:
@@ -655,7 +663,7 @@ def rational_matrices(draw, max_size=5):
 @settings(max_examples=200, deadline=None)
 @given(rational_matrices())
 def test_rref_over_q_of_rational_rows_matches_sympy(rows):
-    red, pivots = _rref(rows, None)
+    red, pivots = _reduced(rows, None)
     assert (red, pivots) == _sympy_rref(rows, None)
     assert all(type(x) is Fraction for row in red for x in row)
 
@@ -693,31 +701,6 @@ def test_commutation_system_kernels_match_the_sympy_nullspace(name, seed):
         free = [c for c in range(len(rows[0])) if c not in pivots]
         assert [[v[c] for c in free] for v in kernel_basis] == _identity(len(free))
         assert _sympy_rref(kernel_basis, p)[0] == _sympy_nullspace(rows, p)
-
-
-@settings(max_examples=150, deadline=None)
-@given(field_matrices(), st.sampled_from(FIELDS), st.data())
-def test_solve_matches_sympy(rows, p, data):
-    n_rows, n_cols = len(rows), len(rows[0])
-    rhs = data.draw(st.lists(st.lists(ENTRIES, min_size=n_rows, max_size=n_rows), min_size=1, max_size=3))
-    aug = [list(r) + [col[i] for col in rhs] for i, r in enumerate(rows)]
-    if len(_sympy_rref(aug, p)[1]) > len(_sympy_rref(rows, p)[1]):
-        with pytest.raises(RfvaError, match="inconsistent"):
-            _solve(rows, rhs, p)
-        return
-    sols = _solve(rows, rhs, p)
-    if p is None:
-        for col, sol in zip(rhs, sols):
-            x, params = sympy.Matrix(rows).gauss_jordan_solve(sympy.Matrix(col))
-            x = x.subs({t: 0 for t in params})
-            assert sol == [_ours(v, p) for v in x]
-        return
-    pivots = _sympy_rref(rows, p)[1]
-    for col, sol in zip(rhs, sols):
-        assert all(sol[c] == 0 for c in range(n_cols) if c not in pivots)
-        assert all(
-            (sum(a * x for a, x in zip(row, sol)) - b) % p == 0 for row, b in zip(rows, col)
-        )
 
 
 @settings(max_examples=100, deadline=None)
@@ -968,21 +951,16 @@ def test_saturate_matches_the_earlier_reduction(vecs):
     assert saturate(vecs) == IntMatrix.from_rows(_ref_reduce_rect_basis(kernel_rows))
 
 
-def small_lattices(max_index=6):
-    return (
-        st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=2), min_size=2, max_size=2)
-        .map(IntMatrix.from_rows)
-        .filter(lambda m: 0 < abs(det(m)) <= max_index)
-        .map(hnf)
-    )
-
-
 def _lattice(rows):
     return hnf(IntMatrix.from_rows(rows))
 
 
+# the 33 sublattices of Z^2 of index at most 6
+SMALL_LATTICES = list(enumerate_sublattices(2, 6))
+
+
 @settings(max_examples=80, deadline=None)
-@given(small_lattices(), small_lattices())
+@given(st.sampled_from(SMALL_LATTICES), st.sampled_from(SMALL_LATTICES))
 @example(_lattice([[2, 0], [0, 1]]), _lattice([[2, 0], [0, 2]]))  # indices 2, 4
 @example(_lattice([[2, 1], [0, 2]]), _lattice([[2, 0], [0, 3]]))  # indices 4, 6
 @example(_lattice([[1, 1], [0, 4]]), _lattice([[2, 1], [0, 3]]))  # indices 4, 6

@@ -4,12 +4,14 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import accumulate, count
 from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 import rfva.lattice as lattice_mod
 import rfva.repdecomp as rd
@@ -271,6 +273,49 @@ def test_witness_soundness_sampled():
             assert w.dimension <= k
             assert not w.lattice.contains(v)
             assert is_invariant_lattice(w.lattice, rep)
+
+
+def _reference_witness(rep, v):
+    """(prime, dimension, lattice) by the coordinate solve: v's coordinates
+    in the constituent bases, solved by sympy over GF(p), pick the first
+    constituent of least dimension where v has a nonzero block, and the
+    lattice is the preimage of the others plus p Z^m."""
+    a = next(x for x in v if x)
+    p = next(q for q in count(rep.order + 1, rep.order) if sympy.isprime(q) and a % q)
+    subspaces = rd.split_mod_p(rep, p).subspaces
+    m, field = rep.degree, sympy.GF(p)
+    columns = [vec for _, basis in subspaces for vec in basis]
+    full = DomainMatrix([[field(vec[i]) for vec in columns] for i in range(m)], (m, m), field)
+    rhs = DomainMatrix([[field(x)] for x in v], (m, 1), field)
+    coords = [int(x) % p for (x,) in full.lu_solve(rhs).to_list()]
+    starts = list(accumulate((dim for dim, _ in subspaces), initial=0))
+    chosen = min(
+        (si for si, (dim, _) in enumerate(subspaces) if any(coords[starts[si] : starts[si] + dim])),
+        key=lambda si: subspaces[si][0],
+    )
+    rows = [list(vec) for si, (_, basis) in enumerate(subspaces) if si != chosen for vec in basis]
+    rows += [[p * int(i == j) for j in range(m)] for i in range(m)]
+    return p, subspaces[chosen][0], hnf(IntMatrix.from_rows(rows))
+
+
+@pytest.mark.parametrize("conjugate", (False, True))
+@pytest.mark.parametrize("name", ORACLE_CATALOG + ("product(quaternion_paper,rot(4))",))
+def test_witness_matches_the_coordinate_solve_reference(name, conjugate):
+    """Omission picks the constituent the coordinate solve picks.  Unit and
+    sparse vectors leave some blocks zero, so the order of dimensions and
+    the tie rule among equal dimensions are both exercised."""
+    rep = catalog_rep(name)
+    rng = random.Random(f"witness:{name}")
+    if conjugate:
+        q, q_inv = _unimodular_pair(rep.degree, rng)
+        rep = close_group([q_inv * g * q for g in rep.generators])
+    m = rep.degree
+    vectors = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    vectors += [tuple(rng.choice((0, 0, 0, 1, -1, 2, 7)) for _ in range(m)) for _ in range(12)]
+    for v in vectors:
+        if any(v):
+            w = upper_bound_witness(rep, v)
+            assert (w.prime, w.dimension, w.lattice) == _reference_witness(rep, v), v
 
 
 def _full_family(spec, m, budget):
@@ -610,7 +655,7 @@ def witness_from(rows, name):
         print("witness checked:", exc)
 
 witness_from([[1, 0], [0, 1]], "rot(4)")
-witness_from([[1, 0], [0, 2]], "trivial(2)")
+witness_from([[2, 0], [0, 1]], "rot(4)")
 witness_from([[5, 0], [0, 1]], "rot(4)")
 rd.saturate = lambda vecs: IntMatrix.from_rows([[1] + [0] * 8])
 try:
@@ -664,8 +709,8 @@ def test_soundness_checks_run_under_python_O():
     )
     assert out.stdout.splitlines() == [
         "optimize 1 False",
-        "witness checked: witness index 1 is not 5^1",
-        "witness checked: witness lattice contains the vector",
+        "witness checked: no constituent's preimage mod 5 omits v",
+        "witness checked: witness index 2 is not 5^1",
         "witness checked: witness lattice is not invariant",
         "commutant checked",
         "family checked: built lattice has index 1, not 2",

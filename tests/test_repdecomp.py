@@ -32,15 +32,12 @@ from rfva.errors import (
 from rfva.exactalg import (
     IntMatrix,
     IntPoly,
-    _fval,
     _mat_mul,
     _mat_scale,
     _matrix_minpoly,
     _poly_eval_matrix,
     _rank,
-    _rref,
     _scaled_kernel,
-    _solve,
     adjugate,
     charpoly,
     det,
@@ -816,6 +813,44 @@ def test_restrict_of_an_invariant_subspace_matches_a_linear_solve():
 # [basis | images] for every call, and over Q every subspace basis, commutant
 # matrix and candidate holds Fractions.  split_mod_p and q_split must give
 # equal results on the int splitter.
+
+
+def _fval(x, p):
+    return Fraction(x) if p is None else x % p
+
+
+def _rref(rows, p):
+    """(reduced row echelon form, pivot columns) over Q (p None) or F_p, by
+    textbook Gauss-Jordan on Fractions or residues; zero rows are kept."""
+    a = [[_fval(x, p) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(a[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c] if p is None else pow(a[r][c], -1, p)
+        a[r] = [_fval(x * inv, p) for x in a[r]]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i != r and f:
+                a[i] = [_fval(x - f * y, p) for x, y in zip(row, a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def _solve(a_rows, rhs_cols, p):
+    """Solve A X = B column by column, free unknowns 0."""
+    d = len(a_rows[0])
+    aug = [list(row) + [col[i] for col in rhs_cols] for i, row in enumerate(a_rows)]
+    red, pivots = _rref(aug, p)
+    assert not pivots or pivots[-1] < d, "inconsistent linear system"
+    sols = [[_fval(0, p)] * d for _ in rhs_cols]
+    for i, c in enumerate(pivots):
+        for j, sol in enumerate(sols):
+            sol[c] = red[i][d + j]
+    return sols
 
 
 def _mat_add(a, b, p):
