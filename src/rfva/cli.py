@@ -4,9 +4,9 @@ Representations are named as `catalog:NAME`, `z:m` (free abelian of rank m,
 i.e. the trivial action), or a path to a JSON representation file.  All
 randomness flows from --seed (default 0); identical argv plus seed gives
 byte-identical CSV output.  Exit codes: 0 success, 1 computational failure
-(budget or bound exceeded, inconclusive split, or a verify line that prints
-FAIL), 2 invalid input, 3 internal failure (one of the tool's own soundness
-checks failed, which indicates a bug; _INTERNAL_ERRORS).
+(a budget or bound exceeded, errors.LimitReached, or a verify line that
+prints FAIL), 2 invalid input, 3 internal failure (one of the tool's own
+soundness checks failed, which indicates a bug; errors.InternalFailure).
 """
 
 from __future__ import annotations
@@ -18,25 +18,12 @@ from dataclasses import dataclass
 
 from . import catalog, grouprep, lattice, repdecomp, rfgrowth
 from .errors import (
-    BudgetExceeded,
     CertificateFailed,
-    InconclusiveSplit,
-    InconsistentSplit,
-    InexactDivision,
+    InternalFailure,
     IoFailure,
-    NotAClassFunction,
-    NotAPartition,
-    NotFinite,
-    PrimeSearchFailed,
+    LimitReached,
     RfvaError,
-    SearchBoundExceeded,
     UnknownName,
-    UnsoundCommutant,
-    UnsoundLattice,
-    UnsoundMinpoly,
-    UnsoundProfile,
-    UnsoundSplit,
-    UnsoundWitness,
 )
 from .exactalg import IntMatrix
 from .grouprep import (
@@ -52,28 +39,6 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-_COMPUTE_ERRORS = (
-    BudgetExceeded,
-    InconclusiveSplit,
-    NotFinite,
-    PrimeSearchFailed,
-    SearchBoundExceeded,
-)
-# a check inside the tool failed: a bug, not a mistake in the command line
-_INTERNAL_ERRORS = (
-    CertificateFailed,
-    InconsistentSplit,
-    InexactDivision,
-    NotAClassFunction,
-    NotAPartition,
-    UnsoundCommutant,
-    UnsoundLattice,
-    UnsoundMinpoly,
-    UnsoundProfile,
-    UnsoundSplit,
-    UnsoundWitness,
-)
 
 
 @dataclass(frozen=True)
@@ -476,10 +441,10 @@ def run(argv=None) -> int:
         if min(args.element_bound, args.index_budget, args.prime_search_bound) <= 0:
             raise ValueError("all bounds must be positive")
         return args.func(args)
-    except _COMPUTE_ERRORS as exc:
+    except LimitReached as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except _INTERNAL_ERRORS as exc:
+    except InternalFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (RfvaError, ValueError) as exc:

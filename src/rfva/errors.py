@@ -5,6 +5,14 @@ class RfvaError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InternalFailure(RfvaError):
+    """Base class of the tool's own failed checks (the CLI exits with 3)."""
+
+
+class LimitReached(RfvaError):
+    """Base class of exhausted budgets and bounds (the CLI exits with 1)."""
+
+
 class SingularMatrix(RfvaError):
     pass
 
@@ -17,7 +25,7 @@ class DimensionMismatch(RfvaError):
     pass
 
 
-class NotFinite(RfvaError):
+class NotFinite(LimitReached):
     pass
 
 
@@ -33,15 +41,15 @@ class BadPrime(RfvaError):
     pass
 
 
-class PrimeSearchFailed(RfvaError):
+class PrimeSearchFailed(LimitReached):
     pass
 
 
-class SearchBoundExceeded(RfvaError):
+class SearchBoundExceeded(LimitReached):
     pass
 
 
-class InconsistentSplit(RfvaError):
+class InconsistentSplit(InternalFailure):
     """Constituent dimensions disagree across primes; indicates a bug."""
 
 
@@ -49,7 +57,7 @@ class PrimalityUnknown(RfvaError):
     """A number beyond the range where the primality test is exact."""
 
 
-class InconclusiveSplit(RfvaError):
+class InconclusiveSplit(LimitReached):
     """The randomized splitting could not split or certify irreducibility.
 
     Carries the field ("Q" or "F_p"), the subspace dimension, the candidates
@@ -65,39 +73,39 @@ class InconclusiveSplit(RfvaError):
         self.field, self.dimension, self.tries, self.streak = field, dimension, tries, streak
 
 
-class NotAPartition(RfvaError):
+class NotAPartition(InternalFailure):
     """Computed conjugacy classes do not partition the group; indicates a bug."""
 
 
-class NotAClassFunction(RfvaError):
+class NotAClassFunction(InternalFailure):
     """The trace is not constant on a conjugacy class; indicates a bug."""
 
 
-class UnsoundWitness(RfvaError):
+class UnsoundWitness(InternalFailure):
     """A constructed witness lattice fails its own check; indicates a bug."""
 
 
-class UnsoundLattice(RfvaError):
+class UnsoundLattice(InternalFailure):
     """A constructed family lattice or intersection fails its own check; indicates a bug."""
 
 
-class UnsoundProfile(RfvaError):
+class UnsoundProfile(InternalFailure):
     """An RF profile's witness has another divisibility than its value; indicates a bug."""
 
 
-class UnsoundCommutant(RfvaError):
+class UnsoundCommutant(InternalFailure):
     """A computed commutant basis matrix does not commute; indicates a bug."""
 
 
-class UnsoundSplit(RfvaError):
+class UnsoundSplit(InternalFailure):
     """A splitting step fails its own check; indicates a bug."""
 
 
-class UnsoundMinpoly(RfvaError):
+class UnsoundMinpoly(InternalFailure):
     """A minimal polynomial fails Cayley-Hamilton or Gauss's lemma; indicates a bug."""
 
 
-class InexactDivision(RfvaError):
+class InexactDivision(InternalFailure):
     """An integer division that must be exact left a remainder; indicates a bug."""
 
 
@@ -129,7 +137,7 @@ class NotIrreducible(RfvaError):
     pass
 
 
-class CertificateFailed(RfvaError):
+class CertificateFailed(InternalFailure):
     """A commutant certificate check failed; carries the partial certificate."""
 
     def __init__(self, message, certificate=None):
@@ -141,7 +149,7 @@ class ZeroVector(RfvaError):
     pass
 
 
-class BudgetExceeded(RfvaError):
+class BudgetExceeded(LimitReached):
     """Enumeration budget ran out.
 
     Carries the best upper bound found so far, the index budget, and how many

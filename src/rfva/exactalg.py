@@ -644,10 +644,6 @@ def _scaled_inverse(a, p):
     return [[x * (scale // row[i]) for x in row[n:]] for i, row in enumerate(red)], scale
 
 
-def _rank(rows, p):
-    return len(_pivot_rows(rows, p)[1])
-
-
 def _poly_eval_matrix(coeffs, m, p):
     """Evaluate an ascending-coefficient polynomial at a square field matrix."""
     n = len(m)

@@ -54,7 +54,6 @@ from .exactalg import (
     _poly_eval_matrix,
     _primes_one_mod,
     _quotient,
-    _rank,
     _scaled_inverse,
     _scaled_kernel,
     adjugate,
@@ -158,16 +157,16 @@ class _ModuleSplitter:
     coordinates of v in the span are v[P] (s M^-1) / s, and restricting a
     matrix is one such product per basis vector plus one back-product check
     that the image lies in the span.  Over Q the restricted generators, the
-    commutation system, the commutant, the candidates and the complement's
-    Gram system are int matrices up to one recorded scale each; no kernel,
-    minimal polynomial or split depends on the scales, so none of this
-    forms a Fraction.
+    commutation system, the commutant and the candidates are int matrices up
+    to one recorded scale each; no kernel, minimal polynomial or split
+    depends on the scales, so none of this forms a Fraction.
 
-    Splitting elements are drawn from the commutant of the restricted
-    action; proper invariant subspaces obtained from polynomial kernels are
-    completed to direct-sum decompositions by the Maschke projection, solved
-    for inside that same commutant from the trace form (see
-    invariant_complement).
+    Splitting elements z are drawn from the commutant of the restricted
+    action.  When z's minimal polynomial is f0^a0 g with f0 irreducible and
+    coprime to g != 1, the subspace is the direct sum of the primary parts
+    ker f0(z)^a0 and ker g(z) (Hoffman & Kunze, Linear Algebra, 6.8), and
+    both are invariant because z commutes with the action.  A minimal
+    polynomial that is a power of one irreducible gives no split.
     """
 
     def __init__(self, rep: Rep, p: int | None, rng: random.Random):
@@ -235,64 +234,6 @@ class _ModuleSplitter:
                 rows = [[x // g for x in row] for row in rows]
         return [tuple(row) for row in rows]
 
-    def invariant_complement(self, basis, w_coords, commutant):
-        """Invariant complement of span(w_coords) inside span(basis).
-
-        proj0 projects onto W along a coordinate extension of w_coords.  Its
-        group average pbar = (1/|H|) sum_h R(h) proj0 R(h^-1), R(h) the action
-        in basis coordinates, is an invariant projection onto W (Maschke);
-        its kernel is the complement.  Averaging projects onto the commutant
-        C and is self-adjoint for the trace form (tr(R(h) M R(h^-1) Y) =
-        tr(M Y) for Y in C), so pbar = sum_j c_j X_j over split's basis X_j
-        of C, with G c = (tr(proj0 X_i))_i and G_ij = tr(X_i X_j).  G is
-        nonsingular: C is semisimple over Q, and mod p = 1 (mod |H|) it is a
-        product of matrix algebras whose trace multiplicities divide |H|.
-        Over Q the X_j, the vectors of w_coords and proj0 may each carry a
-        scale, and pbar is formed times the lcm of the Gram pivots: the
-        kernel is the same.
-        """
-        p = self.p
-        d = len(basis)
-        e = len(w_coords)
-        # extend W to a coordinate basis, project onto W along the extension
-        ext = [list(w) for w in w_coords]
-        for j in range(d):
-            if len(ext) == d:
-                break
-            unit = [int(i == j) for i in range(d)]
-            if _rank(ext + [unit], p) == len(ext) + 1:
-                ext.append(unit)
-        t_mat = [list(col) for col in zip(*ext)]  # columns are the new basis
-        t_inv = _scaled_inverse(t_mat, p)[0]
-        proj0 = _mat_mul([row[:e] for row in t_mat], t_inv[:e], p)  # T diag(1, 0) T^-1
-        # commutant bases come from an RREF kernel and are mostly zero, so
-        # tr(X Y) = sum of X[i][j] Y[j][i] runs over the nonzero entries of X
-        sparse = [
-            [(i, j, x) for i, row in enumerate(z) for j, x in enumerate(row) if x]
-            for z in commutant
-        ]
-        columns = commutant + [proj0]
-        gram = [[sum(x * y[j][i] for i, j, x in s) for y in columns] for s in sparse]
-        # one elimination of [G | rhs]: the solution must be unique
-        red, pivots = _pivot_rows(gram, p)
-        c = len(commutant)
-        if pivots != list(range(c)):
-            raise UnsoundSplit(f"the trace form on a {c}-dimensional commutant is degenerate")
-        # c_j = red[j][c] / red[j][j]; over Q pbar is formed times their lcm
-        scale = 1 if p is not None else math.lcm(*(row[j] for j, row in enumerate(red)))
-        weights = [row[c] * (scale // row[j]) for j, row in enumerate(red)]
-        pbar = [
-            [sum(map(mul, weights, entry)) for entry in zip(*rows)] for rows in zip(*commutant)
-        ]
-        if p is not None:
-            pbar = [[x % p for x in row] for row in pbar]
-        comp_coords = _scaled_kernel(pbar, p)[0]
-        if len(comp_coords) != d - e:
-            raise UnsoundSplit(
-                f"averaged projection has kernel dimension {len(comp_coords)}, not {d - e}"
-            )
-        return comp_coords
-
     # -- splitting element candidates
 
     def candidate_stream(self, commutant, scale):
@@ -342,6 +283,15 @@ class _ModuleSplitter:
             return [(f.coeffs, mult) for f, mult in factors]
         return factor_over_prime_field(tuple(coeffs), self.p)
 
+    def primary_part(self, z, factors):
+        """The product of f(z)^a over the (f, a) in factors."""
+        acc = None
+        for f, a in factors:
+            fz = _poly_eval_matrix(list(f), z, self.p)
+            for _ in range(a):
+                acc = fz if acc is None else _mat_mul(acc, fz, self.p)
+        return acc
+
     def split(self, basis):
         """Recursive full decomposition; returns a list of bases."""
         d = len(basis)
@@ -358,23 +308,25 @@ class _ModuleSplitter:
                 break
             tries += 1
             factors = self.factor_minpoly(z)
-            nontrivial = len(factors) > 1 or factors[0][1] > 1
-            if not nontrivial:
-                if is_random and len(factors[0][0]) > 1:
+            if len(factors) == 1:
+                if factors[0][1] > 1:
+                    consecutive = 0
+                elif is_random and len(factors[0][0]) > 1:
                     consecutive += 1
                     streak = max(streak, consecutive)
                     if consecutive >= CONSECUTIVE_IRREDUCIBLE and self.p is None:
                         return [list(basis)]
                 continue
             consecutive = 0
-            f0 = factors[0][0]
-            fz = _poly_eval_matrix(list(f0), z, self.p)
-            w_coords = _scaled_kernel(fz, self.p)[0]
-            if not (0 < len(w_coords) < d):
-                continue
-            comp_coords = self.invariant_complement(basis, w_coords, commutant)
+            w_coords = _scaled_kernel(self.primary_part(z, factors[:1]), self.p)[0]
+            c_coords = _scaled_kernel(self.primary_part(z, factors[1:]), self.p)[0]
+            if not w_coords or not c_coords or len(w_coords) + len(c_coords) != d:
+                raise UnsoundSplit(
+                    f"primary kernels of dimensions {len(w_coords)} and {len(c_coords)} "
+                    f"do not fill the {d}-dimensional subspace"
+                )
             w_basis = self.coords_to_ambient(w_coords, basis)
-            c_basis = self.coords_to_ambient(comp_coords, basis)
+            c_basis = self.coords_to_ambient(c_coords, basis)
             return self.split(w_basis) + self.split(c_basis)
         raise InconclusiveSplit("Q" if self.p is None else f"F_{self.p}", d, tries, streak)
 

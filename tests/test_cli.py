@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rfva import cli, errors, repdecomp, rfgrowth
+from rfva import errors, repdecomp, rfgrowth
 from rfva.catalog import catalog_matrix, catalog_rep
 from rfva.cli import (
     EXIT_COMPUTE,
@@ -19,6 +19,7 @@ from rfva.cli import (
     run,
 )
 from rfva.errors import (
+    BudgetExceeded,
     CertificateFailed,
     InconclusiveSplit,
     InconsistentSplit,
@@ -26,6 +27,9 @@ from rfva.errors import (
     IoFailure,
     NotAClassFunction,
     NotAPartition,
+    NotFinite,
+    PrimeSearchFailed,
+    SearchBoundExceeded,
     UnsoundCommutant,
     UnsoundLattice,
     UnsoundMinpoly,
@@ -229,14 +233,36 @@ def test_an_internal_failure_exits_with_its_own_code(monkeypatch, capsys, error)
     assert capsys.readouterr().out == ""
 
 
+# one error class per line; each is an exhausted budget or bound
+COMPUTE_ERRORS = (
+    BudgetExceeded("stub failure"),
+    InconclusiveSplit("Q", 2, 200, 0),
+    NotFinite("stub failure"),
+    PrimeSearchFailed("stub failure"),
+    SearchBoundExceeded("stub failure"),
+)
+
+
+@pytest.mark.parametrize("error", COMPUTE_ERRORS, ids=lambda e: type(e).__name__)
+def test_an_exhausted_budget_or_bound_exits_with_the_compute_code(monkeypatch, capsys, error):
+    def fail(*_, **__):
+        raise error
+
+    monkeypatch.setattr(repdecomp, "exponent_report", fail)
+    assert run(["k", "catalog:d4_paper"]) == EXIT_COMPUTE == 1
+    assert _one_error_line(capsys) == f"error: {error}"
+
+
 def test_the_internal_errors_are_those_that_indicate_a_bug():
-    bugs = {
-        cls
-        for cls in vars(errors).values()
-        if isinstance(cls, type) and "indicates a bug" in (cls.__doc__ or "")
-    }
-    assert set(INTERNAL_ERRORS) == bugs | {CertificateFailed} == set(cli._INTERNAL_ERRORS)
-    assert not set(INTERNAL_ERRORS) & set(cli._COMPUTE_ERRORS)
+    classes = [
+        cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, Exception)
+    ]
+    bugs = {cls for cls in classes if "indicates a bug" in (cls.__doc__ or "")}
+    assert set(INTERNAL_ERRORS) == bugs | {CertificateFailed}
+    internal = {cls for cls in classes if issubclass(cls, errors.InternalFailure)}
+    assert internal == set(INTERNAL_ERRORS) | {errors.InternalFailure}
+    compute = {cls for cls in classes if issubclass(cls, errors.LimitReached)}
+    assert compute == {type(e) for e in COMPUTE_ERRORS} | {errors.LimitReached}
 
 
 def test_verify_lowerbound(capsys):

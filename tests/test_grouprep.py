@@ -37,7 +37,7 @@ ORACLE_CATALOG = (
     "std_sym(5)",
     "product(d4_paper,quaternion_paper)",
     "product(rot(4),trivial(1))",
-    # |H| small and the commutant large: the largest trace-form Gram systems
+    # |H| small and the commutant large
     "product(std_sym(2),trivial(3))",
     "product(std_sym(3),trivial(2))",
 )

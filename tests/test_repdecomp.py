@@ -36,8 +36,6 @@ from rfva.exactalg import (
     _mat_scale,
     _matrix_minpoly,
     _poly_eval_matrix,
-    _rank,
-    _scaled_kernel,
     adjugate,
     charpoly,
     det,
@@ -49,7 +47,7 @@ from rfva.exactalg import (
     poly_kth_root,
     row_echelon_transform,
 )
-from rfva.grouprep import _tables, close_group, conjugacy_classes, is_abelian_image
+from rfva.grouprep import close_group, conjugacy_classes, is_abelian_image
 from rfva.repdecomp import (
     CharacterTable,
     commutant_basis,
@@ -528,75 +526,7 @@ def test_each_certificate_check_can_fail_alone(check):
             assert dict(cert.checks) == {name: name != check for name in CHECK_MUTATIONS}
 
 
-# --- the Reynolds average ----------------------------------------------------
-
-
-def _complement_by_restricted_average(splitter, basis, w_coords):
-    """Reference for invariant_complement: restrict every group element to
-    span(basis) by its own linear solve and average R(h) proj0 R(h^-1) in
-    basis coordinates."""
-    p = splitter.p
-    d, e = len(basis), len(w_coords)
-    ext = [[_fval(x, p) for x in w] for w in w_coords]
-    for j in range(d):
-        unit = [_fval(int(i == j), p) for i in range(d)]
-        if len(ext) < d and _rank(ext + [unit], p) == len(ext) + 1:
-            ext.append(unit)
-    t_mat = [list(col) for col in zip(*ext)]
-    e_proj = [[_fval(int(i == j < e), p) for j in range(d)] for i in range(d)]
-    proj0 = _mat_mul(_mat_mul(t_mat, e_proj, p), _inverse(t_mat, p), p)
-    restricted = [splitter.restrict(h, basis) for h in splitter.rep.elements]
-    acc = [[_fval(0, p)] * d for _ in range(d)]
-    for r_h, h_inv in zip(restricted, _tables(splitter.rep).inverse):
-        term = _mat_mul(_mat_mul(r_h, proj0, p), restricted[h_inv], p)
-        acc = _mat_add(acc, term, p)
-    order = splitter.rep.order
-    scale = Fraction(1, order) if p is None else pow(order, p - 2, p)
-    return _scaled_kernel(_mat_scale(acc, scale, p), p)[0]
-
-
-def _assert_complements_match_oracle(monkeypatch, rep):
-    """Split over Q and at each exponent_report prime, checking every
-    invariant_complement call against the restricted-average reference."""
-    primes = exponent_report(rep).primes
-    calls = []
-    real = rd._ModuleSplitter.invariant_complement
-
-    def recording(self, basis, w_coords, commutant):
-        comp = real(self, basis, w_coords, commutant)
-        calls.append((self, basis, w_coords, comp))
-        return comp
-
-    with monkeypatch.context() as patch:
-        patch.setattr(rd._ModuleSplitter, "invariant_complement", recording)
-        full = [tuple(int(i == j) for i in range(rep.degree)) for j in range(rep.degree)]
-        rd._ModuleSplitter(rep, None, random.Random(0)).split(full)
-        for p in primes:
-            split_mod_p.__wrapped__(rep, p)  # past the cache, so the split runs
-    for splitter, basis, w_coords, comp in calls:
-        assert comp == _complement_by_restricted_average(splitter, basis, w_coords)
-    return len(calls)
-
-
-@pytest.mark.parametrize("name", ORACLE_CATALOG)
-def test_invariant_complement_matches_restricted_average(monkeypatch, name):
-    checked = _assert_complements_match_oracle(monkeypatch, catalog_rep(name))
-    # std_sym(n) is absolutely irreducible, so it never needs a complement
-    assert (checked == 0) == name.startswith("std_sym")
-
-
-@pytest.mark.parametrize(
-    ("name", "seed"),
-    [(n, s) for n in ("d4_paper", "quaternion_paper", "perm_sym(4)", "std_sym(4)") for s in (1, 2, 3)]
-    # |H| small and the commutant large: the largest trace-form Gram systems
-    + [("product(std_sym(2),trivial(3))", 1), ("product(std_sym(3),trivial(2))", 1)],
-)
-def test_invariant_complement_matches_restricted_average_on_conjugates(
-    monkeypatch, name, seed
-):
-    gens = catalog_rep(name).generators
-    q, q_inv = _unimodular_pair(gens[0].rows, random.Random(f"{name}:{seed}"))
-    _assert_complements_match_oracle(monkeypatch, close_group([q_inv * g * q for g in gens]))
+# --- checks under python -O --------------------------------------------------
 
 
 OPTIMIZED_CHECKS = """
@@ -623,18 +553,23 @@ def expect(error, label, fn, *args):
     except error as exc:
         print(label, "checked:", exc)
 
+d4 = catalog_rep("d4_paper")
+full = [tuple(int(i == j) for i in range(3)) for j in range(3)]
+# one more equation on the second primary part of the first split: its
+# kernel loses a vector
+real_primary = rd._ModuleSplitter.primary_part
+calls = []
+
+def lossy_primary(self, z, factors):
+    calls.append(factors)
+    part = real_primary(self, z, factors)
+    return part + [[1, 0, 0]] if len(calls) == 2 else part
+
+rd._ModuleSplitter.primary_part = lossy_primary
+expect(UnsoundSplit, "primary", rd._ModuleSplitter(d4, None, random.Random(0)).split, full)
+rd._ModuleSplitter.primary_part = real_primary
+
 splitter = rd._ModuleSplitter(catalog_rep("rot(4)"), None, random.Random(0))
-unit = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-# span(e1) is not invariant under rot(4), so no invariant complement exists;
-# rot(4)'s commutant is spanned by I and the rotation J
-commutant = [[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]],
-             [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]]
-expect(UnsoundSplit, "complement", splitter.invariant_complement, unit, [unit[0]], commutant)
-# a nilpotent list gives G = [[0]], a repeated matrix a rank-deficient G
-nilpotent = [[[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]]
-expect(UnsoundSplit, "nilpotent", splitter.invariant_complement, unit, [unit[0]], nilpotent)
-twice = commutant[:1] * 2
-expect(UnsoundSplit, "repeated", splitter.invariant_complement, unit, [unit[0]], twice)
 expect(UnsoundSplit, "integral", splitter.factor_minpoly, [[Fraction(1, 2)]])
 real_factor = rd.factor_over_integers
 rd.factor_over_integers = lambda f: (2, real_factor(f)[1])
@@ -647,8 +582,6 @@ cat._sym_generators = lambda n: (ea.IntMatrix.from_rows([[1, 0], [1, 0]]),)
 expect(NotInvariant, "std_sym", cat.catalog_rep, "std_sym(2)")
 cat._sym_generators = real_sym
 
-d4 = catalog_rep("d4_paper")
-full = [tuple(int(i == j) for i in range(3)) for j in range(3)]
 # feed split_mod_p and q_split a corrupted split or a corrupted step of it
 real_split = rd._ModuleSplitter.split
 mod17 = real_split(rd._ModuleSplitter(d4, 17, random.Random(0)), full)
@@ -720,9 +653,8 @@ def test_split_and_certificate_checks_run_under_python_O():
     )
     assert out.stdout.splitlines() == [
         "optimize 1 False",
-        "complement checked: averaged projection has kernel dimension 0, not 1",
-        "nilpotent checked: the trace form on a 1-dimensional commutant is degenerate",
-        "repeated checked: the trace form on a 2-dimensional commutant is degenerate",
+        "primary checked: primary kernels of dimensions 1 and 1 do not fill the 3-dimensional"
+        " subspace",
         "integral checked: minimal polynomial of an integer matrix is not integral",
         "content checked: monic minimal polynomial has content 2",
         "std_sym checked: the sum-zero sublattice is not invariant",
@@ -811,8 +743,9 @@ def test_restrict_of_an_invariant_subspace_matches_a_linear_solve():
 # --- the Fraction splitter, as a reference -----------------------------------
 # The module splitter before it ran on int coordinates: restrict solves
 # [basis | images] for every call, and over Q every subspace basis, commutant
-# matrix and candidate holds Fractions.  split_mod_p and q_split must give
-# equal results on the int splitter.
+# matrix and candidate holds Fractions.  It splits by the primary
+# decomposition too, with its own polynomial products.  split_mod_p and
+# q_split must give equal results on the int splitter.
 
 
 def _fval(x, p):
@@ -859,6 +792,19 @@ def _mat_add(a, b, p):
     return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def _poly_power(factors, p):
+    """The product of f^a over the (f, a) in factors, ascending coefficients."""
+    acc = [1]
+    for f, a in factors:
+        for _ in range(a):
+            prod = [0] * (len(acc) + len(f) - 1)
+            for i, x in enumerate(acc):
+                for j, y in enumerate(f):
+                    prod[i + j] += x * y
+            acc = [_fval(x, p) for x in prod]
+    return acc
+
+
 def _inverse(a, p):
     """Inverse of a square field matrix by Gauss-Jordan on [A | I]."""
     n = len(a)
@@ -881,35 +827,6 @@ class _FractionSplitter:
 
     def coords_to_ambient(self, coord_vecs, basis):
         return [tuple(v) for v in _mat_mul(coord_vecs, basis, self.p)]
-
-    def invariant_complement(self, basis, w_coords, commutant):
-        p = self.p
-        d, e = len(basis), len(w_coords)
-        ext = [[_fval(x, p) for x in w] for w in w_coords]
-        for j in range(d):
-            if len(ext) == d:
-                break
-            unit = [_fval(1 if i == j else 0, p) for i in range(d)]
-            if _rank(ext + [unit], p) == len(ext) + 1:
-                ext.append(unit)
-        t_mat = [list(col) for col in zip(*ext)]
-        e_proj = [[_fval(1 if (i == j and i < e) else 0, p) for j in range(d)] for i in range(d)]
-        proj0 = _mat_mul(_mat_mul(t_mat, e_proj, p), _inverse(t_mat, p), p)
-        sparse = [
-            [(i, j, x) for i, row in enumerate(z) for j, x in enumerate(row) if x]
-            for z in commutant
-        ]
-        columns = commutant + [proj0]
-        gram = [[sum(x * y[j][i] for i, j, x in s) for y in columns] for s in sparse]
-        red, pivots = _rref(gram, p)
-        c = len(commutant)
-        assert pivots == list(range(c))
-        pbar = [[_fval(0, p)] * d for _ in range(d)]
-        for row, z in zip(red, commutant):
-            pbar = _mat_add(pbar, _mat_scale(z, row[c], p), p)
-        comp_coords = self.kernel(pbar)
-        assert len(comp_coords) == d - e
-        return comp_coords
 
     def candidate_stream(self, commutant):
         c, d = len(commutant), len(commutant[0])
@@ -962,20 +879,22 @@ class _FractionSplitter:
             tries += 1
             z = self.clear_denominators(z)
             factors = self.factor_minpoly(z)
-            if not (len(factors) > 1 or factors[0][1] > 1):
-                if is_random and len(factors[0][0]) > 1:
+            if len(factors) == 1:
+                if factors[0][1] > 1:
+                    consecutive = 0
+                elif is_random and len(factors[0][0]) > 1:
                     consecutive += 1
                     if consecutive >= rd.CONSECUTIVE_IRREDUCIBLE and self.p is None:
                         return [list(basis)]
                 continue
             consecutive = 0
-            fz = _poly_eval_matrix(list(factors[0][0]), z, self.p)
-            w_coords = self.kernel(fz)
-            if not (0 < len(w_coords) < d):
-                continue
-            comp_coords = self.invariant_complement(basis, w_coords, commutant)
+            # the primary decomposition: f0^a0 times the rest, multiplied out
+            # as polynomials and evaluated once each
+            w_coords = self.kernel(_poly_eval_matrix(_poly_power(factors[:1], self.p), z, self.p))
+            c_coords = self.kernel(_poly_eval_matrix(_poly_power(factors[1:], self.p), z, self.p))
+            assert 0 < len(w_coords) < d and len(w_coords) + len(c_coords) == d
             w_basis = self.coords_to_ambient(w_coords, basis)
-            c_basis = self.coords_to_ambient(comp_coords, basis)
+            c_basis = self.coords_to_ambient(c_coords, basis)
             return self.split(w_basis) + self.split(c_basis)
         raise AssertionError("the reference split is inconclusive")
 
@@ -1083,3 +1002,88 @@ def test_splits_of_conjugates_match_the_fraction_splitter(monkeypatch, name, see
     gens = catalog_rep(name).generators
     q, q_inv = _unimodular_pair(gens[0].rows, random.Random(f"split:{name}:{seed}"))
     _assert_splits_match_the_reference(monkeypatch, close_group([q_inv * g * q for g in gens]))
+
+
+# --- repeated constituents ---------------------------------------------------
+# Commutants with nilpotent elements: candidates whose minimal polynomial is a
+# power of one irreducible give no split, and the primary parts must still
+# reach the catalog rep's constituents.
+
+REPEATED_CONSTITUENT_REPS = (
+    "trivial(3)",
+    "product(d4_paper,d4_paper)",
+    "product(quaternion_paper,quaternion_paper)",
+    "product(rot(4),rot(4))",
+    "product(std_sym(3),trivial(2))",
+    "product(perm_sym(3),perm_sym(3))",
+)
+
+
+def _rank(rows, p):
+    return len(_rref(rows, p)[1])
+
+
+def _assert_invariant_parts_of_rank_m(rep, bases, p):
+    for basis in bases:
+        for g in rep.generators:
+            for v in basis:
+                assert _rank(list(basis) + [g.apply(v)], p) == len(basis)
+    assert _rank([v for basis in bases for v in basis], p) == rep.degree
+
+
+@pytest.mark.parametrize(
+    ("name", "seed"), [(n, s) for n in REPEATED_CONSTITUENT_REPS for s in range(1, 7)]
+)
+def test_splits_of_conjugates_with_repeated_constituents(name, seed):
+    """Q-degrees and the F_p dimensions at each exponent prime as the
+    catalog rep's, every part invariant, and the parts of rank m."""
+    base = catalog_rep(name)
+    gens = base.generators
+    q, q_inv = _unimodular_pair(gens[0].rows, random.Random(f"repeated:{name}:{seed}"))
+    rep = close_group([q_inv * g * q for g in gens])
+    split = q_split(rep)
+    assert split.degrees == q_split(base).degrees
+    _assert_invariant_parts_of_rank_m(
+        rep, [c.basis_numerator.entries for c in split.components], None
+    )
+    primes = exponent_report(base).primes
+    assert exponent_report(rep).primes == primes
+    for p in primes:
+        cons = split_mod_p(rep, p)
+        assert cons.dimensions == split_mod_p(base, p).dimensions
+        _assert_invariant_parts_of_rank_m(rep, [basis for _, basis in cons.subspaces], p)
+
+
+@pytest.mark.parametrize("p", (None, 5))
+def test_a_primary_part_is_the_kernel_of_the_full_power(monkeypatch, p):
+    """On trivial(3), z = E_12 + E_33 has minimal polynomial x^2 (x - 1), so
+    its primary parts are ker z^2 = span(e1, e2) and ker(z - 1) = span(e3);
+    ker z alone would miss e2."""
+    z = [[0, 1, 0], [0, 0, 0], [0, 0, 1]]
+    first = [iter([(z, False)])]
+    real = rd._ModuleSplitter.candidate_stream
+    monkeypatch.setattr(
+        rd._ModuleSplitter,
+        "candidate_stream",
+        lambda self, commutant, scale: first.pop() if first else real(self, commutant, scale),
+    )
+    splitter = rd._ModuleSplitter(catalog_rep("trivial(3)"), p, random.Random(0))
+    parts = splitter.split([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert sorted(map(len, parts)) == [1, 1, 1] and [(0, 0, 1)] in parts
+    assert all(v[2] == 0 for basis in parts if basis != [(0, 0, 1)] for v in basis)
+
+
+def test_a_power_of_one_irreducible_resets_the_irreducible_streak(monkeypatch):
+    """19 irreducible draws, a draw with minimal polynomial x^2, 19 more
+    irreducible draws and a splitting one: no run reaches 20, so trivial(2)
+    splits over Q."""
+    assert rd.CONSECUTIVE_IRREDUCIBLE == 20
+    rotation, nilpotent, idempotent = [[0, -1], [1, 0]], [[0, 1], [0, 0]], [[1, 0], [0, 0]]
+    draws = [rotation] * 19 + [nilpotent] + [rotation] * 19 + [idempotent]
+    monkeypatch.setattr(
+        rd._ModuleSplitter,
+        "candidate_stream",
+        lambda self, commutant, scale: ((z, True) for z in draws),
+    )
+    splitter = rd._ModuleSplitter(catalog_rep("trivial(2)"), None, random.Random(0))
+    assert splitter.split([(1, 0), (0, 1)]) == [[(1, 0)], [(0, 1)]]
