@@ -1,20 +1,22 @@
-"""Command-line front end.
+"""Command-line front end: rfva [GLOBAL OPTIONS] COMMAND [ARGUMENTS AND OPTIONS].
 
+getopt reads argv by one table of the commands and options, which -h prints.
 Representations are named as `catalog:NAME`, `z:m` (free abelian of rank m,
-i.e. the trivial action), or a path to a JSON representation file.  All
-randomness flows from --seed (default 0); identical argv plus seed gives
-byte-identical CSV output.  Exit codes: 0 success, 1 computational failure
-(a budget or bound exceeded, errors.LimitReached, or a verify line that
-prints FAIL), 2 invalid input, 3 internal failure (one of the tool's own
-soundness checks failed, which indicates a bug; errors.InternalFailure).
+i.e. the trivial action), or a path to a JSON representation file of integers.
+All randomness flows from --seed (default 0); identical argv plus seed gives
+byte-identical CSV output. Exit codes: 0 success, 1 computational failure (a
+budget or bound exceeded, errors.LimitReached, or a verify line that prints
+FAIL), 2 invalid input, 3 internal failure (one of the tool's own soundness
+checks failed, which indicates a bug; errors.InternalFailure).
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import json
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from . import catalog, grouprep, lattice, repdecomp, rfgrowth
 from .errors import (
@@ -60,20 +62,25 @@ def load_rep_file(path: str) -> RepFile:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise RfvaError(f"bad JSON in {path}: {exc}") from exc
+
+    def ints(values, field: str) -> tuple[int, ...]:  # refuses what int() would convert
+        if any(type(x) is not int for x in values):
+            raise TypeError(f"{field} needs integers, got {values!r}")
+        return tuple(values)
     try:
-        degree = int(doc["degree"])
-        gens = tuple(IntMatrix.from_rows(g) for g in doc["generators"])
+        degree = ints([doc["degree"]], "degree")[0]
+        gens = tuple(IntMatrix.from_rows(ints(r, "generators") for r in g)
+                     for g in doc["generators"])
         table = None
         if "character_table" in doc:
             t = doc["character_table"]
             table = repdecomp.CharacterTable(
-                class_words=tuple(tuple(int(i) for i in w) for w in t["class_reps"]),
-                class_sizes=tuple(int(s) for s in t["class_sizes"]),
-                rows=tuple(tuple(int(x) for x in row) for row in t["characters"]),
+                class_words=tuple(ints(w, "class_reps") for w in t["class_reps"]),
+                class_sizes=ints(t["class_sizes"], "class_sizes"),
+                rows=tuple(ints(row, "characters") for row in t["characters"]),
             )
-        examples = tuple(
-            IntMatrix.from_rows(m) for m in doc.get("commutant_examples", [])
-        )
+        examples = tuple(IntMatrix.from_rows(ints(r, "commutant_examples") for r in m)
+                         for m in doc.get("commutant_examples", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise RfvaError(f"malformed representation file {path}: {exc}") from exc
     for g in gens:
@@ -177,7 +184,7 @@ def _cmd_decompose(args):
             for t in range(comp.dimension):
                 print(f"  basis {comp.basis_numerator.row(t)}")
         return EXIT_OK
-    if not field.startswith("fp:"):
+    if not (field.startswith("fp:") and field[3:].isdecimal()):
         raise RfvaError(f"unknown field {field!r} (use q or fp:P)")
     p = int(field[3:])
     cons = repdecomp.split_mod_p(rep, p, seed=args.seed)
@@ -226,6 +233,8 @@ def _cmd_rf(args):
 
 
 def _cmd_witness(args):
+    if not all(x.removeprefix("-").isdecimal() for x in args.vector.split(",")):
+        raise RfvaError(f"--vector needs comma-separated integers, got {args.vector!r}")
     rep, _, _ = _resolve_rep(args)
     v = tuple(int(x) for x in args.vector.split(","))
     w = lattice.upper_bound_witness(
@@ -280,8 +289,6 @@ def _cmd_verify(args):
             failures,
         )
         return EXIT_COMPUTE if failures else EXIT_OK
-    if args.suite != "lemmas":
-        raise RfvaError(f"unknown suite {args.suite!r}")
     info = validate_rep(rep)
     print(
         f"degree {info.degree}, order {info.order}, "
@@ -372,72 +379,95 @@ def _cmd_catalog(args):
     raise RfvaError(f"unknown catalog action {args.action!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rfva",
-        description="Residual finiteness growth exponents of virtually abelian groups",
-    )
-    parser.add_argument("--seed", type=int, default=repdecomp.DEFAULT_SEED)
-    parser.add_argument(
-        "--element-bound", type=int, default=grouprep.DEFAULT_ELEMENT_BOUND
-    )
-    parser.add_argument(
-        "--index-budget", type=int, default=rfgrowth.DEFAULT_INDEX_BUDGET
-    )
-    parser.add_argument(
-        "--prime-search-bound", type=int, default=repdecomp.DEFAULT_PRIME_BOUND
-    )
-    parser.add_argument("--output", default=None)
-    sub = parser.add_subparsers(dest="command", required=True)
+# An option maps its name to (kind, default): int and str take a value, bool is
+# a flag, a tuple lists the choices, and a default of ... marks it required. A
+# command maps to (handler, summary, positionals, options); "[name]" may be left out.
+_GLOBAL_OPTIONS = {
+    "seed": (int, repdecomp.DEFAULT_SEED),
+    "element-bound": (int, grouprep.DEFAULT_ELEMENT_BOUND),
+    "index-budget": (int, rfgrowth.DEFAULT_INDEX_BUDGET),
+    "prime-search-bound": (int, repdecomp.DEFAULT_PRIME_BOUND),
+    "output": (str, None),
+}
+_COMMANDS = {
+    "k": (_cmd_k, "growth exponent via mod-p splitting", ("rep",), {}),
+    "decompose": (_cmd_decompose, "split over Q or F_p", ("rep",), {"field": (str, "q")}),
+    "char": (_cmd_char, "character and table decomposition", ("rep",), {"table": (bool, False)}),
+    "rf": (_cmd_rf, "brute-force RF profile", ("rep",), {
+        "family": (lattice.FAMILY_KINDS, "nu"), "rmax": (int, ...), "csv": (str, None)}),
+    "witness": (_cmd_witness, "invariant lattice omitting a vector", ("rep",), {
+        "vector": (str, ...)}),
+    "verify": (_cmd_verify, "run a verification suite", ("rep",), {
+        "suite": (("lemmas", "lowerbound"), "lemmas"), "smax": (int, 4),
+        "samples": (int, rfgrowth.DEFAULT_SAMPLES)}),
+    "catalog": (_cmd_catalog, "list names, or dump NAME as a rep file", ("action", "[name]"), {}),
+}
 
-    p = sub.add_parser("k", help="growth exponent via mod-p splitting")
-    p.add_argument("rep")
-    p.set_defaults(func=_cmd_k)
 
-    p = sub.add_parser("decompose", help="split over Q or F_p")
-    p.add_argument("rep")
-    p.add_argument("--field", default="q")
-    p.set_defaults(func=_cmd_decompose)
+def _usage(commands) -> str:
+    def words(options):
+        for name, (kind, default) in options.items():
+            value = "|".join(kind) if type(kind) is tuple else kind.__name__.upper()
+            text = f"--{name}" if kind is bool else f"--{name} {value}"
+            yield text if default is ... else f"[{text}]"
+    lines = [" ".join(["usage: rfva [-h]", *words(_GLOBAL_OPTIONS), "COMMAND"])]
+    for name in commands:
+        _, summary, positionals, options = _COMMANDS[name]
+        line = " ".join(["rfva", name, *map(str.upper, positionals), *words(options)])
+        lines += [f"  {line}", f"      {summary}"]
+    return "\n".join(lines)
 
-    p = sub.add_parser("char", help="character and table decomposition")
-    p.add_argument("rep")
-    p.add_argument("--table", action="store_true")
-    p.set_defaults(func=_cmd_char)
 
-    p = sub.add_parser("rf", help="brute-force RF profile")
-    p.add_argument("rep")
-    p.add_argument("--family", choices=("nu", "inv", "com"), default="nu")
-    p.add_argument("--rmax", type=int, required=True)
-    p.add_argument("--csv", default=None)
-    p.set_defaults(func=_cmd_rf)
+def _read_options(pairs, table, args) -> bool:
+    """Sets table's defaults on args, then getopt's (flag, value) pairs
+    checked and converted by table; whether -h or --help was among them."""
+    for name, (_, default) in table.items():
+        setattr(args, name.replace("-", "_"), default)
+    for flag, value in pairs:
+        if flag in ("-h", "--help"):
+            return True
+        kind, _ = table[flag[2:]]
+        if kind is int and not value.removeprefix("-").isdecimal():
+            raise RfvaError(f"{flag} needs an integer, got {value!r}")
+        if type(kind) is tuple and value not in kind:
+            raise RfvaError(f"{flag} must be one of {', '.join(kind)}, got {value!r}")
+        value = True if kind is bool else int(value) if kind is int else value
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return False
 
-    p = sub.add_parser("witness", help="invariant lattice omitting a vector")
-    p.add_argument("rep")
-    p.add_argument("--vector", required=True)
-    p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("rep")
-    p.add_argument("--suite", choices=("lemmas", "lowerbound"), default="lemmas")
-    p.add_argument("--smax", type=int, default=4)
-    p.add_argument("--samples", type=int, default=rfgrowth.DEFAULT_SAMPLES)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("catalog", help="list or dump catalog entries")
-    p.add_argument("action", choices=("list", "dump"))
-    p.add_argument("name", nargs="?")
-    p.set_defaults(func=_cmd_catalog)
-
-    return parser
+def _parse(argv):
+    """The namespace argv asks for, with its handler as `func`, or the usage
+    text when it asks for -h or --help. Global options precede the command."""
+    def longopts(table):
+        return ["help", *(n if kind is bool else n + "=" for n, (kind, _) in table.items())]
+    pairs, rest = getopt.getopt(argv, "h", longopts(_GLOBAL_OPTIONS))
+    args = SimpleNamespace()
+    if _read_options(pairs, _GLOBAL_OPTIONS, args):
+        return _usage(_COMMANDS)
+    if not rest or rest[0] not in _COMMANDS:
+        got = f"unknown command {rest[0]!r}" if rest else "missing command"
+        raise RfvaError(f"{got} (choose from {', '.join(_COMMANDS)})")
+    command, *rest = rest
+    args.func, _, positionals, options = _COMMANDS[command]
+    pairs, words = getopt.gnu_getopt(rest, "h", longopts(options))
+    if _read_options(pairs, options, args):
+        return _usage([command])
+    for name in options:
+        if getattr(args, name) is ...:
+            raise RfvaError(f"{command} needs --{name}")
+    if not sum(not p.startswith("[") for p in positionals) <= len(words) <= len(positionals):
+        raise RfvaError(f"{command} takes {' '.join(positionals).upper()}, got {words}")
+    vars(args).update(zip((p.strip("[]") for p in positionals), words + [None] * len(positionals)))
+    return args
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            print(args)
+            return EXIT_OK
         if min(args.element_bound, args.index_budget, args.prime_search_bound) <= 0:
             raise ValueError("all bounds must be positive")
         return args.func(args)
@@ -447,7 +477,7 @@ def run(argv=None) -> int:
     except InternalFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (RfvaError, ValueError) as exc:
+    except (RfvaError, ValueError, getopt.GetoptError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,13 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from rfva import errors, repdecomp, rfgrowth
+from rfva import errors, grouprep, repdecomp, rfgrowth
 from rfva.catalog import catalog_matrix, catalog_rep
 from rfva.cli import (
     EXIT_COMPUTE,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
+    _parse,
     emit_csv,
     load_rep_file,
     run,
@@ -337,6 +338,36 @@ def test_malformed_rep_file(tmp_path, capsys):
         assert "malformed representation file" in _one_error_line(capsys)
 
 
+# where each integer field of a rep file sits: (field, path to one entry)
+REP_FILE_FIELDS = (
+    ("degree", ("degree",)),
+    ("generators", ("generators", 0, 0, 0)),
+    ("class_reps", ("character_table", "class_reps", 1, 0)),
+    ("class_sizes", ("character_table", "class_sizes", 0)),
+    ("characters", ("character_table", "characters", 0, 0)),
+    ("commutant_examples", ("commutant_examples", 0, 0, 0)),
+)
+
+
+@pytest.mark.parametrize("bad", (float, bool, str), ids=lambda t: t.__name__)
+@pytest.mark.parametrize(("field", "where"), REP_FILE_FIELDS, ids=[f for f, _ in REP_FILE_FIELDS])
+def test_rep_file_values_must_be_integers(field, where, bad, tmp_path, capsys):
+    # int() would read 1.0, True and "1" as 1, and -1.9 as -1
+    assert run(["catalog", "dump", "quaternion_paper"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    *parents, last = where
+    entry = doc
+    for key in parents:
+        entry = entry[key]
+    entry[last] = bad(entry[last])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["k", str(path)]) == EXIT_USAGE
+    line = _one_error_line(capsys)
+    assert line.startswith(f"error: malformed representation file {path}: {field} needs integers")
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("argv", (
     ["rf", "z:0", "--rmax", "1"],
     ["rf", "z:-2", "--rmax", "3"],
@@ -466,3 +497,144 @@ def test_lowerbound_suite_keeps_the_prime_search_bound(capsys):
     assert run(["--prime-search-bound", "40"] + argv + ["--samples", "2"]) == EXIT_COMPUTE
     assert "fewer than 3 primes" in capsys.readouterr().err
     assert run(["--prime-search-bound", "73"] + argv + ["--samples", "2"]) == EXIT_OK
+
+
+REP = "catalog:d4_paper"
+GLOBAL_OPTIONS = ("--seed", "--element-bound", "--index-budget", "--prime-search-bound", "--output")
+COMMAND_OPTIONS = {
+    "k": (),
+    "decompose": ("--field",),
+    "char": ("--table",),
+    "rf": ("--family", "--rmax", "--csv"),
+    "witness": ("--vector",),
+    "verify": ("--suite", "--smax", "--samples"),
+    "catalog": (),
+}
+# (argv with OPT where the option goes, option, value, a unique prefix of the
+# option, attribute, parsed value); global options go before the command
+OPTION_FORMS = (
+    (["OPT", "k", REP], "--seed", "3", "--se", "seed", 3),
+    (["OPT", "k", REP], "--element-bound", "9", "--el", "element_bound", 9),
+    (["OPT", "k", REP], "--index-budget", "5", "--in", "index_budget", 5),
+    (["OPT", "k", REP], "--prime-search-bound", "-4", "--pr", "prime_search_bound", -4),
+    (["OPT", "catalog", "list"], "--output", "o.json", "--ou", "output", "o.json"),
+    (["decompose", REP, "OPT"], "--field", "fp:17", "--fi", "field", "fp:17"),
+    (["rf", REP, "OPT", "--rmax", "2"], "--family", "inv", "--fa", "family", "inv"),
+    (["rf", "OPT", REP], "--rmax", "3", "--rm", "rmax", 3),
+    (["rf", REP, "--rmax", "2", "OPT"], "--csv", "-", "--cs", "csv", "-"),
+    (["witness", REP, "OPT"], "--vector", "-1,0,0", "--ve", "vector", "-1,0,0"),
+    (["verify", REP, "OPT"], "--suite", "lowerbound", "--su", "suite", "lowerbound"),
+    (["verify", REP, "OPT"], "--smax", "2", "--sm", "smax", 2),
+    (["verify", REP, "OPT"], "--samples", "9", "--sa", "samples", 9),
+)
+
+
+@pytest.mark.parametrize(
+    ("template", "option", "value", "prefix", "attr", "parsed"),
+    OPTION_FORMS,
+    ids=[form[1] for form in OPTION_FORMS],
+)
+def test_options_parse_in_the_equals_space_and_abbreviated_forms(
+    template, option, value, prefix, attr, parsed
+):
+    i = template.index("OPT")
+    for tokens in ([f"{option}={value}"], [option, value], [prefix, value]):
+        args = _parse(template[:i] + tokens + template[i + 1 :])
+        assert getattr(args, attr) == parsed, tokens
+        assert vars(args).get("rep", REP) == REP
+
+
+def test_flags_positionals_and_defaults_parse():
+    assert _parse(["char", REP]).table is False
+    assert _parse(["char", REP, "--table"]).table is True
+    assert _parse(["char", "--ta", REP]).table is True
+    args = _parse(["catalog", "dump", "d4_paper"])
+    assert (args.action, args.name) == ("dump", "d4_paper")
+    assert _parse(["catalog", "list"]).name is None
+    args = _parse(["rf", "z:1", "--rmax", "2"])
+    assert (args.rep, args.family, args.csv, args.seed) == ("z:1", "nu", None, 0)
+    assert (args.element_bound, args.index_budget) == (
+        grouprep.DEFAULT_ELEMENT_BOUND, rfgrowth.DEFAULT_INDEX_BUDGET
+    )
+    args = _parse(["verify", REP])
+    assert (args.suite, args.smax, args.samples) == ("lemmas", 4, rfgrowth.DEFAULT_SAMPLES)
+
+
+@pytest.mark.parametrize("argv", (
+    ["k", REP, "--seed", "3"],  # global options go before the command
+    ["rf", "z:1", "--rmax", "2", "--output", "x"],
+    ["nonsense", REP],
+    [],
+    ["k", REP, "--bogus"],
+    ["--bogus", "k", REP],
+    ["-x", "k", REP],
+    ["verify", REP, "--s", "2"],  # not a unique prefix
+    ["char", REP, "--table=yes"],
+    ["rf", "z:1", "--rmax"],
+    ["rf", "z:1", "--family", "xyz", "--rmax", "2"],
+    ["verify", REP, "--suite", "nope"],
+    ["catalog", "frob"],
+    ["k"],
+    ["rf", "--rmax", "2"],
+    ["k", REP, "extra"],
+    ["rf", "z:1"],
+    ["witness", REP],
+    ["catalog"],
+    ["rf", "z:1", "--rmax", "x"],
+    ["--seed", "1.5", "k", REP],
+    ["--element-bound=", "k", REP],
+    ["verify", REP, "--smax", "two"],
+), ids=" ".join)
+def test_a_usage_error_is_one_error_line_and_exit_2(argv, capsys):
+    assert run(argv) == EXIT_USAGE
+    _one_error_line(capsys)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flag", ("-h", "--help"))
+def test_help_lists_every_command_and_option(flag, capsys):
+    assert run([flag]) == EXIT_OK
+    captured = capsys.readouterr()
+    words = set(captured.out.replace("[", " ").replace("]", " ").split())
+    assert set(COMMAND_OPTIONS) <= words
+    assert set(GLOBAL_OPTIONS).union(*COMMAND_OPTIONS.values()) <= words
+    assert captured.err == ""
+    for command, options in COMMAND_OPTIONS.items():
+        # after a command, help comes before its own checks
+        assert run([command, flag]) == EXIT_OK
+        words = set(capsys.readouterr().out.replace("[", " ").replace("]", " ").split())
+        assert {command, *GLOBAL_OPTIONS, *options} <= words
+
+
+def test_witness_vector_in_the_space_and_equals_forms(capsys):
+    outs = []
+    for tokens in (["--vector", "-1,0,0"], ["--vector=-1,0,0"]):
+        assert run(["witness", REP, *tokens]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "vector: (-1, 0, 0)" in outs[0].splitlines()
+
+
+@pytest.mark.parametrize(("argv", "message"), (
+    (["decompose", REP, "--field", "fp:x"], "unknown field 'fp:x' (use q or fp:P)"),
+    (["witness", REP, "--vector", "1,x,0"], "--vector needs comma-separated integers, got '1,x,0'"),
+))
+def test_a_bad_field_or_vector_is_named(argv, message, capsys):
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_a_command_loads_neither_argparse_nor_locale():
+    code = (
+        "import sys; from rfva.cli import run; code = run(['k', 'catalog:d4_paper']); "
+        "print(sorted({'argparse', 'locale'} & set(sys.modules)), file=sys.stderr); "
+        "sys.exit(code)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, out.stderr) == (EXIT_OK, "[]\n")
