@@ -1,8 +1,9 @@
 """Command-line front end: rfva [GLOBAL OPTIONS] COMMAND [ARGUMENTS AND OPTIONS].
 
 getopt reads argv by one table of the commands and options, which -h prints.
-Representations are named as `catalog:NAME`, `z:m` (free abelian of rank m,
-i.e. the trivial action), or a path to a JSON representation file of integers.
+Representations are named as `catalog:NAME`, `z:m` (another name for
+`catalog:trivial(m)`, the trivial action on Z^m), or a path to a JSON
+representation file of integers, as `catalog dump NAME [--output F]` writes.
 All randomness flows from --seed (default 0); identical argv plus seed gives
 byte-identical CSV output. Exit codes: 0 success, 1 computational failure (a
 budget or bound exceeded, errors.LimitReached, or a verify line that prints
@@ -29,7 +30,6 @@ from .errors import (
 )
 from .exactalg import IntMatrix
 from .grouprep import (
-    Rep,
     character_of_rep,
     close_group,
     conjugacy_classes,
@@ -95,20 +95,11 @@ def load_rep_file(path: str) -> RepFile:
     )
 
 
-def _z_rank(specifier: str) -> int:
-    """The rank m of a `z:m` specifier; RfvaError unless m is an integer >= 1."""
-    try:
-        m = int(specifier[2:])
-    except ValueError:
-        m = 0
-    if m < 1:
-        raise RfvaError(f"{specifier!r}: z:m needs an integer rank m >= 1")
-    return m
-
-
-def _resolve_rep(args):
-    """args.rep's (Rep, optional CharacterTable, commutant example matrices)."""
-    specifier, element_bound = args.rep, args.element_bound
+def _resolve_rep(specifier: str, element_bound: int):
+    """The (Rep, optional CharacterTable, commutant example matrices) that a
+    REP argument names; `z:m` is another name for `catalog:trivial(m)`."""
+    if specifier.startswith("z:"):
+        specifier = f"catalog:trivial({specifier[2:]})"
     if specifier.startswith("catalog:"):
         name = specifier[len("catalog:") :]
         rep = catalog.catalog_rep(name, element_bound=element_bound)
@@ -120,22 +111,12 @@ def _resolve_rep(args):
             catalog.catalog_matrix(b) for b in catalog.COMMUTANT_EXAMPLES.get(name, ())
         )
         return rep, table, examples
-    if specifier.startswith("z:"):
-        m = _z_rank(specifier)
-        rep = close_group([IntMatrix.identity(m)], element_bound)
-        return rep, None, ()
     rf = load_rep_file(specifier)
     rep = close_group(rf.generators, element_bound)
     if rf.character_table is not None:
         # fail early on a bad table
         repdecomp.k_from_character_table(rep, rf.character_table)
     return rep, rf.character_table, rf.commutant_examples
-
-
-def _family_spec(kind: str, rep: Rep | None) -> lattice.FamilySpec:
-    if kind == "nu":
-        return lattice.FamilySpec("nu")
-    return lattice.FamilySpec(kind, rep=rep)
 
 
 def emit_csv(profile: rfgrowth.RFProfile, destination) -> None:
@@ -160,7 +141,7 @@ def emit_csv(profile: rfgrowth.RFProfile, destination) -> None:
 
 
 def _cmd_k(args):
-    rep, _, _ = _resolve_rep(args)
+    rep, _, _ = _resolve_rep(args.rep, args.element_bound)
     report = repdecomp.exponent_report(
         rep, seed=args.seed, prime_bound=args.prime_search_bound
     )
@@ -171,7 +152,7 @@ def _cmd_k(args):
 
 
 def _cmd_decompose(args):
-    rep, _, _ = _resolve_rep(args)
+    rep, _, _ = _resolve_rep(args.rep, args.element_bound)
     field = args.field
     if field == "q":
         split = repdecomp.q_split(rep, seed=args.seed)
@@ -195,7 +176,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_char(args):
-    rep, table, _ = _resolve_rep(args)
+    rep, table, _ = _resolve_rep(args.rep, args.element_bound)
     classes = conjugacy_classes(rep)
     chi = character_of_rep(rep, classes)
     print(f"classes (BFS order): sizes {classes.sizes}")
@@ -211,16 +192,9 @@ def _cmd_char(args):
 
 
 def _cmd_rf(args):
-    if args.rep.startswith("z:"):
-        m = _z_rank(args.rep)
-        if args.family != "nu":
-            raise RfvaError("z:m supports only the nu family")
-        spec = lattice.FamilySpec("nu")
-    else:
-        rep, _, _ = _resolve_rep(args)
-        m = rep.degree
-        spec = _family_spec(args.family, rep)
-    profile = rfgrowth.rf_profile(spec, m, args.rmax, index_budget=args.index_budget)
+    rep, _, _ = _resolve_rep(args.rep, args.element_bound)
+    spec = lattice.FamilySpec(args.family, rep=rep)
+    profile = rfgrowth.rf_profile(spec, rep.degree, args.rmax, index_budget=args.index_budget)
     if args.csv:
         emit_csv(profile, args.csv)
     else:
@@ -235,7 +209,7 @@ def _cmd_rf(args):
 def _cmd_witness(args):
     if not all(x.removeprefix("-").isdecimal() for x in args.vector.split(",")):
         raise RfvaError(f"--vector needs comma-separated integers, got {args.vector!r}")
-    rep, _, _ = _resolve_rep(args)
+    rep, _, _ = _resolve_rep(args.rep, args.element_bound)
     v = tuple(int(x) for x in args.vector.split(","))
     w = lattice.upper_bound_witness(
         rep, v, seed=args.seed, prime_bound=args.prime_search_bound
@@ -271,7 +245,7 @@ def _certificate_check(rep, b, args) -> tuple[str, bool]:
 
 
 def _cmd_verify(args):
-    rep, table, examples = _resolve_rep(args)
+    rep, table, examples = _resolve_rep(args.rep, args.element_bound)
     failures = []
     if args.suite == "lowerbound":
         report = rfgrowth.lower_bound_certificate(
@@ -333,39 +307,35 @@ def _cmd_verify(args):
     return EXIT_COMPUTE if failures else EXIT_OK
 
 
-def _dump_rep_file(name: str) -> dict:
-    rep = catalog.catalog_rep(name)
+def _dump_rep_file(name: str, element_bound: int) -> dict:
+    rep, table, examples = _resolve_rep(f"catalog:{name}", element_bound)
     doc = {
         "name": name,
         "degree": rep.degree,
         "generators": [[list(r) for r in g.entries] for g in rep.generators],
     }
-    try:
-        t = catalog.catalog_character_table(name)
+    if table is not None:
         doc["character_table"] = {
-            "class_reps": [list(w) for w in t.class_words],
-            "class_sizes": list(t.class_sizes),
-            "characters": [list(r) for r in t.rows],
+            "class_reps": [list(w) for w in table.class_words],
+            "class_sizes": list(table.class_sizes),
+            "characters": [list(r) for r in table.rows],
         }
-    except UnknownName:
-        pass
-    examples = catalog.COMMUTANT_EXAMPLES.get(name)
     if examples:
-        doc["commutant_examples"] = [
-            [list(r) for r in catalog.catalog_matrix(b).entries] for b in examples
-        ]
+        doc["commutant_examples"] = [[list(r) for r in b.entries] for b in examples]
     return doc
 
 
 def _cmd_catalog(args):
     if args.action == "list":
+        if args.name or args.output:
+            raise RfvaError("catalog list takes neither a NAME nor --output")
         for name in catalog.CATALOG_NAMES:
             print(name)
         return EXIT_OK
     if args.action == "dump":
         if not args.name:
             raise RfvaError("catalog dump needs a name")
-        doc = _dump_rep_file(args.name)
+        doc = _dump_rep_file(args.name, args.element_bound)
         out = json.dumps(doc, indent=2) + "\n"
         if args.output:
             try:
@@ -387,7 +357,6 @@ _GLOBAL_OPTIONS = {
     "element-bound": (int, grouprep.DEFAULT_ELEMENT_BOUND),
     "index-budget": (int, rfgrowth.DEFAULT_INDEX_BUDGET),
     "prime-search-bound": (int, repdecomp.DEFAULT_PRIME_BOUND),
-    "output": (str, None),
 }
 _COMMANDS = {
     "k": (_cmd_k, "growth exponent via mod-p splitting", ("rep",), {}),
@@ -400,7 +369,8 @@ _COMMANDS = {
     "verify": (_cmd_verify, "run a verification suite", ("rep",), {
         "suite": (("lemmas", "lowerbound"), "lemmas"), "smax": (int, 4),
         "samples": (int, rfgrowth.DEFAULT_SAMPLES)}),
-    "catalog": (_cmd_catalog, "list names, or dump NAME as a rep file", ("action", "[name]"), {}),
+    "catalog": (_cmd_catalog, "list names, or dump NAME as a rep file", ("action", "[name]"), {
+        "output": (str, None)}),
 }
 
 

@@ -45,8 +45,11 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _one_error_line(capsys):
-    err = capsys.readouterr().err.splitlines()
+    """The one `error:` line on stderr; stdout must be empty."""
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    assert captured.out == ""
     return err[0]
 
 
@@ -282,7 +285,7 @@ def test_catalog_list(capsys):
 
 def test_catalog_dump_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "d4.json"
-    assert run(["--output", str(out_path), "catalog", "dump", "d4_paper"]) == EXIT_OK
+    assert run(["catalog", "dump", "d4_paper", "--output", str(out_path)]) == EXIT_OK
     rf = load_rep_file(str(out_path))
     from rfva.grouprep import close_group
 
@@ -306,9 +309,34 @@ def test_catalog_dump_carries_commutant_examples(capsys):
     assert "commutant_examples" not in json.loads(capsys.readouterr().out)
 
 
+def test_catalog_dump_keeps_the_element_bound(capsys):
+    # |perm_sym(6)| = 720; the dump closes the group as k does
+    for argv in (["k", "catalog:perm_sym(6)"], ["catalog", "dump", "perm_sym(6)"]):
+        assert run(["--element-bound", "10", *argv]) == EXIT_COMPUTE
+        assert _one_error_line(capsys) == "error: closure exceeded element bound 10"
+
+
+@pytest.mark.parametrize(("argv", "message"), (
+    (["catalog", "list", "d4_paper"], "catalog list takes neither a NAME nor --output"),
+    (["catalog", "list", "--output", "x"], "catalog list takes neither a NAME nor --output"),
+    (["catalog", "dump"], "catalog dump needs a name"),
+))
+def test_catalog_actions_check_their_name(argv, message, capsys):
+    assert run(argv) == EXIT_USAGE
+    assert _one_error_line(capsys) == f"error: {message}"
+
+
+def test_output_is_an_option_of_catalog_not_a_global_one(tmp_path, capsys):
+    out_path = tmp_path / "d4.json"
+    assert run(["--output", str(out_path), "catalog", "dump", "d4_paper"]) == EXIT_USAGE
+    assert _one_error_line(capsys) == "error: option --output not recognized"
+    assert not out_path.exists()
+
+
 def test_exit_codes():
     assert run(["k", "catalog:not_a_thing"]) == EXIT_USAGE
-    assert run(["rf", "z:1", "--family", "com", "--rmax", "2"]) == EXIT_USAGE
+    # the com family of trivial(1) in the default box holds Z and 2Z only
+    assert run(["rf", "z:1", "--family", "com", "--rmax", "2"]) == EXIT_COMPUTE
     assert run(["nonsense"]) == EXIT_USAGE
     assert run(["--index-budget", "-1", "k", "catalog:d4_paper"]) == EXIT_USAGE
 
@@ -377,7 +405,38 @@ def test_rep_file_values_must_be_integers(field, where, bad, tmp_path, capsys):
 ))
 def test_z_rank_must_be_positive(argv, capsys):
     assert run(argv) == EXIT_USAGE
-    assert "z:m needs an integer rank m >= 1" in _one_error_line(capsys)
+    assert "trivial(m) needs an integer m >= 1" in _one_error_line(capsys)
+
+
+def _outcome(argv, capsys):
+    code = run(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_z_m_is_the_catalog_trivial_m(m, capsys):
+    e_1 = ",".join(["1"] + ["0"] * (m - 1))
+    for command, *options in (
+        ["k"],
+        ["decompose", "--field", "q"],
+        ["decompose", "--field", "fp:5"],
+        ["char", "--table"],
+        ["witness", "--vector", e_1],
+        ["verify", "--suite", "lemmas"],
+    ):
+        z = _outcome([command, f"z:{m}", *options], capsys)
+        assert z == _outcome([command, f"catalog:trivial({m})", *options], capsys)
+        assert z[0] == EXIT_OK, (command, options)
+    assert "PASS: character-table k agrees" in z[1].splitlines()
+    # nu, inv and com all give the trivial action's profile; the commutant
+    # of trivial(3) has rank 9, so com stays at m <= 2
+    families, rmax = {
+        1: (("nu", "inv"), 6), 2: (("nu", "inv", "com"), 6), 3: (("nu", "inv"), 12)
+    }[m]
+    profiles = {_outcome(["rf", f"z:{m}", "--family", f, "--rmax", str(rmax)], capsys)
+                for f in families}
+    assert len(profiles) == 1
+    assert profiles.pop()[0] == EXIT_OK
 
 
 @pytest.mark.parametrize(("name", "message"), (
@@ -395,7 +454,7 @@ def test_catalog_parameter_errors_name_the_family(name, message, capsys):
 
 def test_catalog_dump_to_an_unwritable_path(tmp_path, capsys):
     out_path = tmp_path / "missing" / "d4.json"
-    assert run(["--output", str(out_path), "catalog", "dump", "d4_paper"]) == EXIT_USAGE
+    assert run(["catalog", "dump", "d4_paper", "--output", str(out_path)]) == EXIT_USAGE
     assert "cannot write" in _one_error_line(capsys)
     assert not out_path.exists()
 
@@ -500,7 +559,7 @@ def test_lowerbound_suite_keeps_the_prime_search_bound(capsys):
 
 
 REP = "catalog:d4_paper"
-GLOBAL_OPTIONS = ("--seed", "--element-bound", "--index-budget", "--prime-search-bound", "--output")
+GLOBAL_OPTIONS = ("--seed", "--element-bound", "--index-budget", "--prime-search-bound")
 COMMAND_OPTIONS = {
     "k": (),
     "decompose": ("--field",),
@@ -508,7 +567,7 @@ COMMAND_OPTIONS = {
     "rf": ("--family", "--rmax", "--csv"),
     "witness": ("--vector",),
     "verify": ("--suite", "--smax", "--samples"),
-    "catalog": (),
+    "catalog": ("--output",),
 }
 # (argv with OPT where the option goes, option, value, a unique prefix of the
 # option, attribute, parsed value); global options go before the command
@@ -517,7 +576,6 @@ OPTION_FORMS = (
     (["OPT", "k", REP], "--element-bound", "9", "--el", "element_bound", 9),
     (["OPT", "k", REP], "--index-budget", "5", "--in", "index_budget", 5),
     (["OPT", "k", REP], "--prime-search-bound", "-4", "--pr", "prime_search_bound", -4),
-    (["OPT", "catalog", "list"], "--output", "o.json", "--ou", "output", "o.json"),
     (["decompose", REP, "OPT"], "--field", "fp:17", "--fi", "field", "fp:17"),
     (["rf", REP, "OPT", "--rmax", "2"], "--family", "inv", "--fa", "family", "inv"),
     (["rf", "OPT", REP], "--rmax", "3", "--rm", "rmax", 3),
@@ -526,6 +584,7 @@ OPTION_FORMS = (
     (["verify", REP, "OPT"], "--suite", "lowerbound", "--su", "suite", "lowerbound"),
     (["verify", REP, "OPT"], "--smax", "2", "--sm", "smax", 2),
     (["verify", REP, "OPT"], "--samples", "9", "--sa", "samples", 9),
+    (["catalog", "dump", "d4_paper", "OPT"], "--output", "o.json", "--ou", "output", "o.json"),
 )
 
 
