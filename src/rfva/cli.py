@@ -178,7 +178,7 @@ def _cmd_decompose(args):
 def _cmd_char(args):
     rep, table, _ = _resolve_rep(args.rep, args.element_bound)
     classes = conjugacy_classes(rep)
-    chi = character_of_rep(rep, classes)
+    chi = character_of_rep(rep)
     print(f"classes (BFS order): sizes {classes.sizes}")
     print(f"chi_phi (BFS order): {chi.values}")
     if args.table:
@@ -193,15 +193,21 @@ def _cmd_char(args):
 
 def _cmd_rf(args):
     rep, _, _ = _resolve_rep(args.rep, args.element_bound)
-    spec = lattice.FamilySpec(args.family, rep=rep)
-    profile = rfgrowth.rf_profile(spec, rep.degree, args.rmax, index_budget=args.index_budget)
+    spec = lattice.FamilySpec(args.family, rep)
+    profile = rfgrowth.rf_profile(spec, args.rmax, index_budget=args.index_budget)
     if args.csv:
         emit_csv(profile, args.csv)
     else:
         for r, v in zip(profile.radii, profile.values):
             print(f"RF({r}) = {v}")
     if profile.partial:
-        print("warning: profile truncated by index budget", file=sys.stderr)
+        reason = " by index budget"
+        if args.family == "com":
+            reason = (
+                f": the com family (coefficient box {lattice.COEFFICIENT_BOX}) has no "
+                f"further lattice of index <= {args.index_budget}"
+            )
+        print(f"warning: profile truncated{reason}", file=sys.stderr)
         return EXIT_COMPUTE
     return EXIT_OK
 

@@ -267,12 +267,10 @@ def conjugacy_classes(rep: Rep) -> ConjClasses:
     return _tables(rep).classes
 
 
-def character_of_rep(rep: Rep, classes: ConjClasses | None = None) -> ClassFunction:
+def character_of_rep(rep: Rep) -> ClassFunction:
     """Trace per conjugacy class; NotAClassFunction unless constant on each class."""
-    if classes is None:
-        classes = conjugacy_classes(rep)
     values = []
-    for member_ids in classes.members:
+    for member_ids in conjugacy_classes(rep).members:
         traces = {rep.elements[i].trace() for i in member_ids}
         if len(traces) != 1:
             raise NotAClassFunction(

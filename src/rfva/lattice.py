@@ -5,8 +5,9 @@ Families:
          basis of such an index enumerated;
   inv -- those of them invariant under a representation, built directly;
   com -- images of integer matrices commuting with the representation,
-         enumerated over a bounded coefficient box (NOT complete; the
-         universal statements about Com go through the certificate instead).
+         enumerated over the coefficient box COEFFICIENT_BOX (NOT complete;
+         the universal statements about Com go through the certificate
+         instead).
 
 nu and inv keep only the indices 1 and p^e.  A lattice N of index p^e * r, p
 prime, p not dividing r > 1, equals (N + p^e Z^m) meet (N + r Z^m), by the
@@ -43,7 +44,7 @@ minima are reproducible.
 
 Each FamilySpec enumerates its family once.  family_by_index serves every
 call on one spec, index by index, from a cached prefix of the family: for nu
-and inv, one prefix per rank m that grows one whole index at a time, and only
+and inv, one prefix per spec that grows one whole index at a time, and only
 as far as a caller asks; for com, one list per index budget.  The cache lives
 as long as the spec does, and enumerate_family is the same family as one
 stream of lattices.
@@ -83,19 +84,19 @@ from .grouprep import Rep
 from .repdecomp import DEFAULT_PRIME_BOUND, DEFAULT_SEED, commutant_basis, split_mod_p
 
 FAMILY_KINDS = ("nu", "inv", "com")
-DEFAULT_COEFFICIENT_BOX = 2
+COEFFICIENT_BOX = 2
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Which family of sublattices D is minimized over: for nu and inv, its
-    lattices of index 1 or a prime power (see the module docstring)."""
+    """Which family of sublattices of Z^m, m = rep.degree, D is minimized
+    over: for nu and inv, its lattices of index 1 or a prime power (see the
+    module docstring)."""
 
     kind: str  # "nu" | "inv" | "com"
-    rep: Rep | None = None
-    coefficient_box: int = DEFAULT_COEFFICIENT_BOX
-    # Enumerated lattices, filled on first use: rank m -> _Prefix for nu and
-    # inv, index budget -> list for com; see enumerate_family.
+    rep: Rep
+    # Enumerated lattices, filled on first use: "prefix" -> _Prefix for nu
+    # and inv, index budget -> list for com; see enumerate_family.
     _cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
@@ -103,10 +104,6 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise UnknownName(f"unknown family kind {self.kind!r}")
-        if self.kind in ("inv", "com") and self.rep is None:
-            raise UnknownName(f"family {self.kind!r} needs a representation")
-        if self.coefficient_box < 0:
-            raise ValueError("the coefficient box must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -194,15 +191,15 @@ def is_invariant_lattice(lat: Lattice, rep: Rep) -> bool:
     return True
 
 
-def commutant_image_lattices(rep: Rep, box: int, max_index: int):
+def commutant_image_lattices(rep: Rep, max_index: int):
     """HNF-distinct images Im B of index <= max_index, sorted by (index, basis),
-    for B = sum c_i E_i over the commutant basis with every |c_i| <= box.
+    for B = sum c_i E_i over the commutant basis with every |c_i| <=
+    COEFFICIENT_BOX.
 
     Im(-B) = Im(B), so one coefficient vector of each pair +-c is visited: the
     one whose last nonzero entry is positive (the zero vector gives B = 0).
     """
-    if box < 0:
-        raise ValueError("the coefficient box must be non-negative")
+    box = COEFFICIENT_BOX
     comm = commutant_basis(rep)
     found = {}
     for coeffs in product(range(-box, box + 1), repeat=len(comm.matrices)):
@@ -246,7 +243,7 @@ class _Prefix:
     actions: dict = field(default_factory=dict)
 
 
-def enumerate_family(spec: FamilySpec, m: int, max_index: int):
+def enumerate_family(spec: FamilySpec, max_index: int):
     """Stream the family's lattices of index <= max_index, index-ordered.
 
     nu reads every sublattice of Z^m and keeps those of index 1 or a prime
@@ -255,11 +252,11 @@ def enumerate_family(spec: FamilySpec, m: int, max_index: int):
     is_invariant_lattice.  The stream reads family_by_index, so every call
     on one spec shares the spec's cached prefix.
     """
-    for _, batch in family_by_index(spec, m, max_index):
+    for _, batch in family_by_index(spec, max_index):
         yield from batch
 
 
-def family_by_index(spec: FamilySpec, m: int, max_index: int):
+def family_by_index(spec: FamilySpec, max_index: int):
     """(n, the family's lattices of index n, sorted by basis) for each index
     n <= max_index at which the family has any, in increasing n; for nu and
     inv, n is 1 or a prime power (see the module docstring).
@@ -269,25 +266,22 @@ def family_by_index(spec: FamilySpec, m: int, max_index: int):
     caller reads, so each lattice is enumerated once per spec; for com the
     one list of the commutant images of index <= max_index.
     """
-    if spec.kind != "nu" and spec.rep.degree != m:
-        raise DimensionMismatch("family representation degree does not match m")
     if spec.kind == "com":
         lats = spec._cache.get(max_index)
         if lats is None:
-            lats = spec._cache[max_index] = commutant_image_lattices(
-                spec.rep, spec.coefficient_box, max_index
-            )
+            lats = spec._cache[max_index] = commutant_image_lattices(spec.rep, max_index)
         for n, batch in groupby(lats, key=lambda lat: lat.index):
             yield n, list(batch)
         return
+    m = spec.rep.degree
     for n in range(1, max_index + 1):
-        prefix = spec._cache.get(m)
+        prefix = spec._cache.get("prefix")
         if prefix is None:
             if spec.kind == "nu":
                 prefix = _Prefix(source=enumerate_sublattices(m, sys.maxsize))
             else:
                 prefix = _Prefix(charpolys=[charpoly(g) for g in spec.rep.generators])
-            spec._cache[m] = prefix
+            spec._cache["prefix"] = prefix
         # An interrupted nu batch drops the prefix, so a new one may lag.
         while prefix.done < n:
             k = prefix.done + 1
@@ -296,8 +290,8 @@ def family_by_index(spec: FamilySpec, m: int, max_index: int):
                     # every batch is read, kept or not, to keep the stream aligned
                     batch = list(islice(prefix.source, _sublattice_count(m, k)))
                 except BaseException:
-                    # The source may have lost part of the batch: start this m afresh.
-                    spec._cache.pop(m, None)
+                    # The source may have lost part of the batch: start afresh.
+                    spec._cache.pop("prefix", None)
                     raise
             p, e = _least_prime_power(k) if k > 1 else (1, 0)
             if p**e != k:

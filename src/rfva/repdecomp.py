@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
 from operator import mul
 
 from .errors import (
@@ -67,18 +68,13 @@ from .exactalg import (
     row_echelon_transform,
     saturate,
 )
-from .grouprep import (
-    ClassFunction,
-    Rep,
-    character_of_rep,
-    close_group,
-    conjugacy_classes,
-)
+from .grouprep import Rep, character_of_rep, close_group, conjugacy_classes
 
 DEFAULT_SEED = 0
 CONSECUTIVE_IRREDUCIBLE = 20
 SPLIT_TRY_BUDGET = 200
 DEFAULT_PRIME_BOUND = 200_000
+SPLIT_PRIMES = 3
 
 
 # ---------------------------------------------------------------------------
@@ -430,22 +426,18 @@ def exponent_report(
     rep: Rep,
     seed: int = DEFAULT_SEED,
     prime_bound: int = DEFAULT_PRIME_BOUND,
-    n_primes: int = 3,
 ) -> ExponentReport:
     """k = max constituent dimension, cross-checked over several primes.
 
-    Uses the n_primes smallest primes congruent to 1 mod |H|; the constituent
-    dimension multisets must agree across all of them (InconsistentSplit if
-    they do not, which would indicate a bug rather than bad input).
+    Uses the SPLIT_PRIMES smallest primes congruent to 1 mod |H|; the
+    constituent dimension multisets must agree across all of them
+    (InconsistentSplit if they do not, which would indicate a bug rather than
+    bad input).
     """
-    primes = []
-    for p in _primes_one_mod(rep.order, prime_bound):
-        primes.append(p)
-        if len(primes) == n_primes:
-            break
-    if len(primes) < n_primes:
+    primes = list(islice(_primes_one_mod(rep.order, prime_bound), SPLIT_PRIMES))
+    if len(primes) < SPLIT_PRIMES:
         raise PrimeSearchFailed(
-            f"fewer than {n_primes} primes = 1 mod {rep.order} below {prime_bound}"
+            f"fewer than {SPLIT_PRIMES} primes = 1 mod {rep.order} below {prime_bound}"
         )
     by_prime = tuple(split_mod_p(rep, p, seed=seed).dimensions for p in primes)
     report = ExponentReport(
@@ -585,9 +577,7 @@ class CharacterDecomposition:
 
 def inner_product(a, b, class_sizes) -> Fraction:
     """Standard character inner product <a, b> = (1/|H|) sum |C| a(C) b(C)."""
-    va = a.values if isinstance(a, ClassFunction) else tuple(a)
-    vb = b.values if isinstance(b, ClassFunction) else tuple(b)
-    sizes = tuple(class_sizes)
+    va, vb, sizes = tuple(a), tuple(b), tuple(class_sizes)
     if not (len(va) == len(vb) == len(sizes)):
         raise LengthMismatch("class functions and sizes must have equal length")
     order = sum(sizes)
@@ -631,7 +621,7 @@ def k_from_character_table(rep: Rep, table: CharacterTable) -> CharacterDecompos
             expected = 1 if i == j else 0
             if inner_product(r1, r2, table.class_sizes) != expected:
                 raise NotOrthonormal(f"rows {i} and {j} are not orthonormal")
-    chi_all = character_of_rep(rep, classes)
+    chi_all = character_of_rep(rep)
     chi = tuple(chi_all.values[cls] for cls in col_to_class)
     mults = []
     for row in table.rows:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from .errors import (
     BudgetExceeded,
     CertificateFailed,
+    DimensionMismatch,
     InsufficientData,
     NotIrreducible,
     SearchBoundExceeded,
@@ -48,7 +49,7 @@ from .exactalg import (
     shortest_vectors,
 )
 from .grouprep import Rep
-from .lattice import DEFAULT_COEFFICIENT_BOX, FamilySpec, enumerate_family, family_by_index
+from .lattice import FamilySpec, commutant_image_lattices, enumerate_family, family_by_index
 from .repdecomp import (
     DEFAULT_PRIME_BOUND,
     DEFAULT_SEED,
@@ -111,8 +112,12 @@ def divisibility(v, spec: FamilySpec, index_budget: int = DEFAULT_INDEX_BUDGET) 
     v = tuple(int(x) for x in v)
     if all(x == 0 for x in v):
         raise ZeroVector("divisibility of the zero vector is infinite by convention")
+    if len(v) != spec.rep.degree:
+        raise DimensionMismatch(
+            f"vector of length {len(v)} against a rank-{spec.rep.degree} family"
+        )
     scanned = 0
-    for lat in enumerate_family(spec, len(v), index_budget):
+    for lat in enumerate_family(spec, index_budget):
         if not lat.contains(v):
             return lat.index
         scanned += 1
@@ -126,7 +131,6 @@ def divisibility(v, spec: FamilySpec, index_budget: int = DEFAULT_INDEX_BUDGET) 
 
 def rf_profile(
     spec: FamilySpec,
-    m: int,
     r_max: int,
     index_budget: int = DEFAULT_INDEX_BUDGET,
 ) -> RFProfile:
@@ -142,10 +146,10 @@ def rf_profile(
     |c| = |p|_1, so (0, ..., 0, 2|c|) has it as well and precedes both in
     either order.
     """
-    if m < 1 or r_max < 1:
-        raise ValueError("m and r_max must be at least 1")
-    batches = family_by_index(spec, m, index_budget)
-    lat = Lattice(basis=IntMatrix.identity(m), index=1)
+    if r_max < 1:
+        raise ValueError("r_max must be at least 1")
+    batches = family_by_index(spec, index_budget)
+    lat = Lattice(basis=IntMatrix.identity(spec.rep.degree), index=1)
     lam, shortest = shortest_vectors(lat)
     value = witness = None
     out_r, out_v, out_w = [], [], []
@@ -206,7 +210,6 @@ def lower_bound_certificate(
     s_max: int,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    coefficient_box: int = DEFAULT_COEFFICIENT_BOX,
     index_budget: int = DEFAULT_INDEX_BUDGET,
     prime_bound: int = DEFAULT_PRIME_BOUND,
 ) -> LowerBoundReport:
@@ -221,7 +224,7 @@ def lower_bound_certificate(
     its draws.  The Com box visits one coefficient vector of each +-c pair, as
     Im(-B) = Im(B), and the last check is over the enumerated family only.
     """
-    if min(s_max, samples, coefficient_box) < 1:
+    if min(s_max, samples) < 1:
         raise ValueError("all bounds must be positive")
     if not q_split(rep, seed=seed).irreducible:
         raise NotIrreducible("the lower bound needs a Q-irreducible representation")
@@ -246,8 +249,7 @@ def lower_bound_certificate(
             verdicts[b] = ok
         total += 1
         passed += ok
-    spec = FamilySpec("com", rep=rep, coefficient_box=coefficient_box)
-    com_lattices = list(enumerate_family(spec, m, index_budget))
+    com_lattices = commutant_image_lattices(rep, index_budget)
     s_values, vectors, arith, enum_ok = [], [], [], []
     for s in range(1, s_max + 1):
         l = math.lcm(*range(1, s + 1))

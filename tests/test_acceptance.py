@@ -152,13 +152,13 @@ def test_criterion_07_witness_soundness():
 
 def test_criterion_08_brute_force_oracle_on_z():
     start = time.monotonic()
-    spec = FamilySpec("nu")
+    spec = FamilySpec("nu", catalog_rep("trivial(1)"))
     for n in range(1, 10_001):
         q = 2
         while n % q == 0:
             q += 1
         assert divisibility((n,), spec) == q
-    assert rf_profile(spec, 1, 6).values[-1] == 4
+    assert rf_profile(spec, 6).values[-1] == 4
     assert time.monotonic() - start < 5.0
 
 
@@ -232,7 +232,7 @@ def test_criterion_11_structural_suites():
     rep = catalog_rep("product(rot(4),trivial(1))")
     rot4 = catalog_rep("rot(4)")
     d1 = divisibility((1, 0), FamilySpec("inv", rot4), index_budget=30)
-    d2 = divisibility((3,), FamilySpec("nu"), index_budget=30)
+    d2 = divisibility((3,), FamilySpec("nu", catalog_rep("trivial(1)")), index_budget=30)
     d = divisibility((1, 0, 3), FamilySpec("inv", rep), index_budget=60)
     assert d <= min(d1, d2)
     # surjection inequality: divisibility bounded by any witness index

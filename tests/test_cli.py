@@ -341,6 +341,30 @@ def test_exit_codes():
     assert run(["--index-budget", "-1", "k", "catalog:d4_paper"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(("argv", "warning"), (
+    (
+        ["--index-budget", "100000", "rf", "z:1", "--family", "com", "--rmax", "2"],
+        "profile truncated: the com family (coefficient box 2) has no further lattice"
+        " of index <= 100000",
+    ),
+    (
+        ["--index-budget", "5", "rf", "catalog:d4_paper", "--family", "inv", "--rmax", "2"],
+        "profile truncated by index budget",
+    ),
+))
+def test_a_truncated_profile_names_the_limit_that_ended_it(argv, warning, capsys):
+    assert run(argv) == EXIT_COMPUTE
+    captured = capsys.readouterr()
+    assert captured.out == "RF(1) = 2\n"
+    assert captured.err == f"warning: {warning}\n"
+
+
+@pytest.mark.parametrize("family", ("nu", "inv", "com"))
+def test_rf_needs_a_positive_radius(family, capsys):
+    assert run(["rf", "z:2", "--family", family, "--rmax", "0"]) == EXIT_USAGE
+    assert _one_error_line(capsys) == "error: r_max must be at least 1"
+
+
 def test_compute_failure_exit(tmp_path):
     doc = {
         "name": "shear",
@@ -460,7 +484,7 @@ def test_catalog_dump_to_an_unwritable_path(tmp_path, capsys):
 
 
 def test_emit_csv_fails_closed(tmp_path):
-    profile = rf_profile(FamilySpec("nu"), 1, 3)
+    profile = rf_profile(FamilySpec("nu", catalog_rep("trivial(1)")), 3)
     with pytest.raises(IoFailure, match="cannot write"):
         emit_csv(profile, str(tmp_path / "missing" / "rf.csv"))
     empty = RFProfile(spec=profile.spec, radii=(), values=(), witnesses=())

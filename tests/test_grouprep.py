@@ -143,7 +143,7 @@ def test_d4_classes_and_character():
     classes = conjugacy_classes(rep)
     assert sorted(classes.sizes) == [1, 1, 2, 2, 2]
     assert sum(classes.sizes) == 8
-    chi = character_of_rep(rep, classes)
+    chi = character_of_rep(rep)
     assert sorted(chi.values) == [-1, 1, 1, 1, 3]
     # identity class comes first in BFS order and carries the degree
     assert classes.sizes[0] == 1 and chi.values[0] == 3
@@ -153,7 +153,7 @@ def test_quaternion_classes_and_character():
     rep = catalog_rep("quaternion_paper")
     classes = conjugacy_classes(rep)
     assert len(classes) == 5
-    chi = character_of_rep(rep, classes)
+    chi = character_of_rep(rep)
     assert sorted(chi.values) == [-4, 0, 0, 0, 4]
 
 
@@ -237,7 +237,7 @@ def test_classes_match_oracle_on_conjugates(name, seed):
     rep = close_group([q_inv * g * q for g in gens])
     classes = conjugacy_classes(rep)
     assert classes == _classes_by_all_elements(rep)
-    assert character_of_rep(rep, classes) == character_of_rep(catalog_rep(name))
+    assert character_of_rep(rep) == character_of_rep(catalog_rep(name))
 
 
 def _assert_tables_match_the_product_reference(gens):
@@ -350,8 +350,9 @@ try:
 except NotAPartition:
     print("partition checked")
 merged = gr.ConjClasses(representatives=(0,), members=(tuple(range(rep.order)),))
+gr.conjugacy_classes = lambda rep: merged
 try:
-    gr.character_of_rep(rep, merged)
+    gr.character_of_rep(rep)
 except NotAClassFunction:
     print("class function checked")
 try:

@@ -46,11 +46,16 @@ from rfva.lattice import (
     upper_bound_witness,
 )
 from rfva.repdecomp import commutant_basis, exponent_k
-from rfva.rfgrowth import rf_profile
+from rfva.rfgrowth import divisibility, rf_profile
 
 from test_grouprep import ORACLE_CATALOG
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def nu_family(m):
+    """The nu family of Z^m; nu reads only its rep's degree."""
+    return FamilySpec("nu", catalog_rep(f"trivial({m})"))
 
 
 def test_lattice_from_matrix_examples():
@@ -107,19 +112,19 @@ def test_is_invariant_examples():
 
 def test_invariant_family_rot4():
     rot4 = catalog_rep("rot(4)")
-    fam = list(enumerate_family(FamilySpec("inv", rot4), 2, 2))
+    fam = list(enumerate_family(FamilySpec("inv", rot4), 2))
     assert [l.index for l in fam] == [1, 2]
     assert fam[1].basis.entries == ((1, 1), (0, 2))  # the parity lattice
 
 
 def test_all_family_rank_one():
-    fam = list(enumerate_family(FamilySpec("nu"), 1, 3))
+    fam = list(enumerate_family(nu_family(1), 3))
     assert [l.index for l in fam] == [1, 2, 3]
 
 
 def test_com_family_quaternion():
     q8 = catalog_rep("quaternion_paper")
-    fam = list(enumerate_family(FamilySpec("com", q8), 4, 100))
+    fam = list(enumerate_family(FamilySpec("com", q8), 100))
     imb = lattice_from_matrix(catalog_matrix("quaternion_commutant"))
     assert any(l.basis == imb.basis for l in fam)
     # Com(phi) is contained in Inv(phi)
@@ -133,9 +138,9 @@ def test_com_family_quaternion():
 def test_scalar_lattices_in_every_family():
     d4 = catalog_rep("d4_paper")
     for kind in ("nu", "inv"):
-        fam = enumerate_family(FamilySpec(kind, rep=d4 if kind != "nu" else None), 3, 8)
+        fam = enumerate_family(FamilySpec(kind, d4), 8)
         assert any(l.basis == IntMatrix.identity(3).scale(2) for l in fam)
-    com = commutant_image_lattices(d4, 2, 8)
+    com = commutant_image_lattices(d4, 8)
     assert any(l.basis == IntMatrix.identity(3).scale(2) for l in com)
 
 
@@ -187,11 +192,10 @@ def test_half_box_matches_the_odometer(name, seed):
     if seed is not None:
         q, q_inv = _unimodular_pair(rep.degree, random.Random(seed))
         rep = close_group([q_inv * g * q for g in rep.generators])
-    for box in (0, 1, 2):
-        for budget in (8, 256):
-            got = commutant_image_lattices(rep, box, budget)
-            assert got == _odometer_image_lattices(rep, box, budget), (box, budget)
-            assert bool(got) == (box > 0)
+    for budget in (8, 256):
+        got = commutant_image_lattices(rep, budget)
+        assert got == _odometer_image_lattices(rep, 2, budget), budget
+        assert got
 
 
 @settings(max_examples=80, deadline=None)
@@ -201,15 +205,6 @@ def test_a_negated_matrix_has_the_same_image(seed, n):
     b = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
     assume(det(b) != 0)
     assert hnf(b.scale(-1).transpose()) == hnf(b.transpose())
-
-
-def test_a_negative_coefficient_box_is_refused():
-    rep = catalog_rep("quaternion_paper")
-    with pytest.raises(ValueError, match="coefficient box"):
-        FamilySpec("com", rep, coefficient_box=-1)
-    with pytest.raises(ValueError, match="coefficient box"):
-        commutant_image_lattices(rep, -1, 8)
-    assert commutant_image_lattices(rep, 0, 8) == []
 
 
 def test_witness_examples():
@@ -318,12 +313,12 @@ def test_witness_matches_the_coordinate_solve_reference(name, conjugate):
             assert (w.prime, w.dimension, w.lattice) == _reference_witness(rep, v), v
 
 
-def _full_family(spec, m, budget):
+def _full_family(spec, budget):
     """nu or inv at one budget with every index, composite ones included:
     every sublattice, filtered by invariance for inv."""
     return [
         lat
-        for lat in enumerate_sublattices(m, budget)
+        for lat in enumerate_sublattices(spec.rep.degree, budget)
         if spec.kind == "nu" or is_invariant_lattice(lat, spec.rep)
     ]
 
@@ -332,12 +327,12 @@ def _is_one_or_prime_power(n):
     return len(sympy.factorint(n)) <= 1
 
 
-def _oracle(spec, m, budget):
+def _oracle(spec, budget):
     """The family at one budget, enumerated without any cache: for nu and
     inv, the full family's lattices of index 1 or a prime power."""
     if spec.kind == "com":
-        return commutant_image_lattices(spec.rep, spec.coefficient_box, budget)
-    return [lat for lat in _full_family(spec, m, budget) if _is_one_or_prime_power(lat.index)]
+        return commutant_image_lattices(spec.rep, budget)
+    return [lat for lat in _full_family(spec, budget) if _is_one_or_prime_power(lat.index)]
 
 
 def _plus_scalar(lat, q):
@@ -367,23 +362,22 @@ def _conjugate_spec(name, seed):
     return FamilySpec("inv", close_group([q_inv * g * q for g in rep.generators]))
 
 
-# name -> (spec, m, index budget); each spec is shared by the tests that read it
+# name -> (spec, index budget); each spec is shared by the tests that read it
 FULL_FAMILY_CASES = {
-    "nu:1": (FamilySpec("nu"), 1, 60),
-    "nu:2": (FamilySpec("nu"), 2, 30),
-    "nu:3": (FamilySpec("nu"), 3, 12),
-    "inv:d4_paper": (FamilySpec("inv", catalog_rep("d4_paper")), 3, 40),
-    "inv:quaternion_paper": (FamilySpec("inv", catalog_rep("quaternion_paper")), 4, 24),
-    "inv:rot(4)": (FamilySpec("inv", catalog_rep("rot(4)")), 2, 60),
-    "inv:conjugate:d4_paper": (_conjugate_spec("d4_paper", "full:d4_paper"), 3, 40),
+    "nu:1": (nu_family(1), 60),
+    "nu:2": (nu_family(2), 30),
+    "nu:3": (nu_family(3), 12),
+    "inv:d4_paper": (FamilySpec("inv", catalog_rep("d4_paper")), 40),
+    "inv:quaternion_paper": (FamilySpec("inv", catalog_rep("quaternion_paper")), 24),
+    "inv:rot(4)": (FamilySpec("inv", catalog_rep("rot(4)")), 60),
+    "inv:conjugate:d4_paper": (_conjugate_spec("d4_paper", "full:d4_paper"), 40),
 }
 
 
 @functools.cache
 def full_family(case):
     """_full_family for FULL_FAMILY_CASES[case], computed once."""
-    spec, m, budget = FULL_FAMILY_CASES[case]
-    return _full_family(spec, m, budget)
+    return _full_family(*FULL_FAMILY_CASES[case])
 
 
 @pytest.mark.parametrize("case", sorted(FULL_FAMILY_CASES))
@@ -392,9 +386,9 @@ def test_a_composite_index_lattice_meets_two_family_lattices(case):
     (N + r Z^m), both parts of the full family; so N is the meet of its
     parts N + q Z^m over the prime powers q exactly dividing its index, each
     a lattice of the prime-power family."""
-    spec, m, budget = FULL_FAMILY_CASES[case]
+    spec, budget = FULL_FAMILY_CASES[case]
     full = full_family(case)
-    family = {lat.basis for lat in enumerate_family(spec, m, budget)}
+    family = {lat.basis for lat in enumerate_family(spec, budget)}
     assert family == {lat.basis for lat in full if _is_one_or_prime_power(lat.index)}
     composite = [lat for lat in full if not _is_one_or_prime_power(lat.index)]
     assert composite
@@ -416,41 +410,41 @@ def test_a_composite_index_lattice_meets_two_family_lattices(case):
 
 
 SHARED_PREFIX_CASES = [
-    ("nu", None, 1, (3, 12, 5)),
-    ("nu", None, 2, (3, 12, 5)),
-    ("nu", None, 3, (3, 12, 5)),
-    ("inv", "rot(4)", 2, (3, 30, 7)),
-    ("inv", "d4_paper", 3, (4, 16, 9)),
-    ("inv", "quaternion_paper", 4, (2, 8, 4)),
-    ("com", "quaternion_paper", 4, (9, 100, 36)),
+    ("nu", "trivial(1)", (3, 12, 5)),
+    ("nu", "trivial(2)", (3, 12, 5)),
+    ("nu", "trivial(3)", (3, 12, 5)),
+    ("inv", "rot(4)", (3, 30, 7)),
+    ("inv", "d4_paper", (4, 16, 9)),
+    ("inv", "quaternion_paper", (2, 8, 4)),
+    ("com", "quaternion_paper", (9, 100, 36)),
 ]
 
 
-@pytest.mark.parametrize("kind,name,m,budgets", SHARED_PREFIX_CASES)
-def test_shared_prefix_matches_fresh_spec(kind, name, m, budgets):
-    rep = catalog_rep(name) if name else None
-    spec = FamilySpec(kind, rep=rep)
+@pytest.mark.parametrize("kind,name,budgets", SHARED_PREFIX_CASES)
+def test_shared_prefix_matches_fresh_spec(kind, name, budgets):
+    rep = catalog_rep(name)
+    spec = FamilySpec(kind, rep)
     # an abandoned stream, as divisibility leaves behind on early exit
-    next(enumerate_family(spec, m, budgets[1]))
+    next(enumerate_family(spec, budgets[1]))
     for budget in budgets:
-        got = list(enumerate_family(spec, m, budget))
-        assert got == list(enumerate_family(FamilySpec(kind, rep=rep), m, budget))
-        assert got == _oracle(spec, m, budget)
+        got = list(enumerate_family(spec, budget))
+        assert got == list(enumerate_family(FamilySpec(kind, rep), budget))
+        assert got == _oracle(spec, budget)
         assert [lat.index for lat in got] == sorted(lat.index for lat in got)
 
 
 def test_interleaved_streams_share_one_prefix():
     rep = catalog_rep("d4_paper")
     spec = FamilySpec("inv", rep)
-    small, large = enumerate_family(spec, 3, 6), enumerate_family(spec, 3, 12)
+    small, large = enumerate_family(spec, 6), enumerate_family(spec, 12)
     got_small, got_large = [], []
     for a, b in zip(small, large):
         got_small.append(a)
         got_large.append(b)
     got_small += list(small)
     got_large += list(large)
-    assert got_small == _oracle(spec, 3, 6)
-    assert got_large == _oracle(spec, 3, 12)
+    assert got_small == _oracle(spec, 6)
+    assert got_large == _oracle(spec, 12)
 
 
 INV_ORACLE_CASES = [
@@ -467,7 +461,7 @@ INV_ORACLE_CASES = [
 def test_inv_family_matches_the_filter(name, budget):
     rep = catalog_rep(name)
     spec = FamilySpec("inv", rep)
-    assert list(enumerate_family(spec, rep.degree, budget)) == _oracle(spec, rep.degree, budget)
+    assert list(enumerate_family(spec, budget)) == _oracle(spec, budget)
 
 
 @pytest.mark.parametrize(
@@ -487,10 +481,10 @@ def test_inv_family_of_a_conjugate_matches_the_filter(name, budget, seed):
     conj = close_group([q_inv * g * q for g in rep.generators])
     assert conj.generators != rep.generators
     spec = FamilySpec("inv", conj)
-    got = list(enumerate_family(spec, rep.degree, budget))
-    assert got == _oracle(spec, rep.degree, budget)
+    got = list(enumerate_family(spec, budget))
+    assert got == _oracle(spec, budget)
     # N -> Q^-1 N maps the invariant lattices of rep onto those of the conjugate
-    original = enumerate_family(FamilySpec("inv", rep), rep.degree, budget)
+    original = enumerate_family(FamilySpec("inv", rep), budget)
     assert Counter(lat.index for lat in got) == Counter(lat.index for lat in original)
 
 
@@ -503,12 +497,12 @@ def test_inv_prefix_checks_each_built_lattice_once(monkeypatch):
 
     monkeypatch.setattr(lattice_mod, "is_invariant_lattice", counting)
     spec = FamilySpec("inv", catalog_rep("d4_paper"))
-    prof = rf_profile(spec, 3, 12)
+    prof = rf_profile(spec, 12)
     assert prof.values[-1] == 25
     # every family lattice up to the largest D needed, checked once as it is
     # built, and no index beyond
-    assert calls == _oracle(spec, 3, 25)
-    assert spec._cache[3].done == 25
+    assert calls == _oracle(spec, 25)
+    assert spec._cache["prefix"].done == 25
 
 
 # --- the mod-p steps of the inv family, against reference versions ---------
@@ -566,7 +560,7 @@ def test_spins_match_the_reference_on_every_prefix_lattice(case):
     d with p^d <= 81, in the action on every lattice of the inv prefix."""
     rep, budget = SPIN_CASES[case]
     m = rep.degree
-    lats = list(enumerate_family(FamilySpec("inv", rep), m, budget))
+    lats = list(enumerate_family(FamilySpec("inv", rep), budget))
     assert len(lats) > 3
     for lat in lats:
         actions = _action(lat, rep)
@@ -610,12 +604,12 @@ def test_inv_family_finds_roots_once_per_prime_and_actions_once_per_lattice(monk
     )
     rep = catalog_rep("d4_paper")
     spec = FamilySpec("inv", rep)
-    assert rf_profile(spec, 3, 12).values[-1] == 25
-    assert spec._cache[3].done == 25
+    assert rf_profile(spec, 12).values[-1] == 25
+    assert spec._cache["prefix"].done == 25
     assert polys == list(rep.generators)
     assert primes == list(sympy.primerange(2, 26))
     assert len({lat.basis for lat in acted}) == len(acted)
-    read = [lat for lat in _oracle(spec, 3, 25) if _read_by_a_prime_power_step(lat.index, 25)]
+    read = [lat for lat in _oracle(spec, 25) if _read_by_a_prime_power_step(lat.index, 25)]
     assert sorted(acted, key=lambda lat: (lat.index, lat.basis.entries)) == read
     assert {lat.index for lat in read} == {1, 2, 3, 4, 5, 8}
 
@@ -623,17 +617,35 @@ def test_inv_family_finds_roots_once_per_prime_and_actions_once_per_lattice(monk
 def test_used_spec_equals_fresh_spec():
     rep = catalog_rep("quaternion_paper")
     for kind in ("nu", "inv", "com"):
-        used = FamilySpec(kind, rep=rep)
-        list(enumerate_family(used, 4, 6))
+        used = FamilySpec(kind, rep)
+        list(enumerate_family(used, 6))
         assert used._cache
-        fresh = FamilySpec(kind, rep=rep)
+        fresh = FamilySpec(kind, rep)
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh) and "_cache" not in repr(used)
 
 
-def test_family_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        list(enumerate_family(FamilySpec("inv", catalog_rep("rot(4)")), 3, 4))
+@pytest.mark.parametrize("kind", ["nu", "inv", "com"])
+def test_divisibility_refuses_a_vector_of_the_wrong_length(kind):
+    spec = FamilySpec(kind, catalog_rep("rot(4)"))
+    for v in ((1,), (1, 0, 0)):
+        with pytest.raises(DimensionMismatch, match="rank-2 family"):
+            divisibility(v, spec)
+    assert divisibility((1, 0), spec) == 2
+
+
+def test_nu_reads_only_the_rank_of_its_rep():
+    assert list(enumerate_family(FamilySpec("nu", catalog_rep("d4_paper")), 12)) == list(
+        enumerate_family(nu_family(3), 12)
+    )
+
+
+@pytest.mark.parametrize("m,budget", [(1, 60), (2, 30), (3, 12)])
+def test_nu_is_inv_of_the_trivial_rep(m, budget):
+    trivial = catalog_rep(f"trivial({m})")
+    assert list(enumerate_family(FamilySpec("nu", trivial), budget)) == list(
+        enumerate_family(FamilySpec("inv", trivial), budget)
+    )
 
 
 OPTIMIZED_CHECKS = """
@@ -665,7 +677,7 @@ except UnsoundCommutant:
 
 def family_from(name, budget):
     try:
-        list(lat.enumerate_family(lat.FamilySpec("inv", catalog_rep(name)), 2, budget))
+        list(lat.enumerate_family(lat.FamilySpec("inv", catalog_rep(name)), budget))
     except UnsoundLattice as exc:
         print("family checked:", exc)
 
@@ -725,7 +737,7 @@ def test_soundness_checks_run_under_python_O():
 def test_prefix_recovers_from_an_interrupted_batch(monkeypatch):
     rep = catalog_rep("d4_paper")
     spec = FamilySpec("inv", rep)
-    list(enumerate_family(spec, 3, 3))
+    list(enumerate_family(spec, 3))
     calls = []
 
     def interrupted(lat, rep):
@@ -736,17 +748,17 @@ def test_prefix_recovers_from_an_interrupted_batch(monkeypatch):
 
     monkeypatch.setattr(lattice_mod, "is_invariant_lattice", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        list(enumerate_family(spec, 3, 8))
+        list(enumerate_family(spec, 8))
     # the interrupt came in the middle of index 4, which d4 has 5 lattices of
     assert [lat.index for lat in calls] == [4] * 5
-    prefix = spec._cache[3]
+    prefix = spec._cache["prefix"]
     assert prefix.done == 3 and [len(prefix.by_index[n]) for n in (1, 2, 3)] == [1, 3, 1]
     assert 4 not in prefix.by_index
-    assert list(enumerate_family(spec, 3, 8)) == _oracle(spec, 3, 8)
+    assert list(enumerate_family(spec, 8)) == _oracle(spec, 8)
 
     # nu reads one shared stream of sublattices, which an interrupt leaves part-read
-    nu = FamilySpec("nu")
-    list(enumerate_family(nu, 2, 3))
+    nu = nu_family(2)
+    list(enumerate_family(nu, 3))
     made = []
     real_lattice = lattice_mod.Lattice
 
@@ -758,7 +770,7 @@ def test_prefix_recovers_from_an_interrupted_batch(monkeypatch):
 
     monkeypatch.setattr(lattice_mod, "Lattice", interrupted_lattice)
     with pytest.raises(KeyboardInterrupt):
-        list(enumerate_family(nu, 2, 5))
+        list(enumerate_family(nu, 5))
     assert made == [4, 4, 4]
     monkeypatch.setattr(lattice_mod, "Lattice", real_lattice)
-    assert list(enumerate_family(nu, 2, 5)) == _oracle(nu, 2, 5)
+    assert list(enumerate_family(nu, 5)) == _oracle(nu, 5)

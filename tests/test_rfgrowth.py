@@ -39,9 +39,9 @@ from rfva.rfgrowth import (
     smallest_valid_prime,
 )
 
-from test_lattice import FULL_FAMILY_CASES, full_family
+from test_lattice import FULL_FAMILY_CASES, full_family, nu_family
 
-NU = FamilySpec("nu")
+NU = nu_family(1)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -53,7 +53,7 @@ def test_divisibility_on_z_examples():
 
 def test_divisibility_rejects_zero():
     with pytest.raises(ZeroVector):
-        divisibility((0, 0), NU)
+        divisibility((0, 0), nu_family(2))
 
 
 def test_divisibility_invariant_family():
@@ -103,7 +103,7 @@ def test_family_chain_monotonicity():
         v = tuple(rng.randint(-4, 4) for _ in range(4))
         if all(x == 0 for x in v):
             continue
-        d_nu = divisibility(v, NU, index_budget=40)
+        d_nu = divisibility(v, nu_family(4), index_budget=40)
         d_inv = divisibility(v, FamilySpec("inv", q8), index_budget=40)
         d_com = divisibility(v, FamilySpec("com", q8), index_budget=200)
         assert d_nu <= d_inv <= d_com
@@ -142,7 +142,7 @@ def test_surjection_inequality_via_witness():
 
 
 def test_rf_profile_on_z():
-    prof = rf_profile(NU, 1, 6)
+    prof = rf_profile(NU, 6)
     assert prof.values == (2, 3, 3, 3, 3, 4)
     assert prof.values[-1] == 4
     assert not prof.partial
@@ -150,7 +150,7 @@ def test_rf_profile_on_z():
 
 def test_rf_profile_monotone_and_witnessed():
     rot4 = catalog_rep("rot(4)")
-    prof = rf_profile(FamilySpec("inv", rot4), 2, 4)
+    prof = rf_profile(FamilySpec("inv", rot4), 4)
     assert all(a <= b for a, b in zip(prof.values, prof.values[1:]))
     for (vec, d), value in zip(prof.witnesses, prof.values):
         assert d == value
@@ -158,14 +158,14 @@ def test_rf_profile_monotone_and_witnessed():
 
 
 def test_rf_profile_d4_invariant_family():
-    prof = rf_profile(FamilySpec("inv", catalog_rep("d4_paper")), 3, 12)
+    prof = rf_profile(FamilySpec("inv", catalog_rep("d4_paper")), 12)
     assert prof.values == (2, 8, 8, 9, 9, 9, 9, 9, 9, 9, 9, 25)
     assert prof.witnesses[-1] == ((0, 12, 0), 25)
     assert not prof.partial
 
 
 def test_rf_profile_rot4_radius_one():
-    prof = rf_profile(FamilySpec("inv", catalog_rep("rot(4)")), 2, 1)
+    prof = rf_profile(FamilySpec("inv", catalog_rep("rot(4)")), 1)
     assert prof.values == (2,)
 
 
@@ -189,7 +189,7 @@ def _ball_shell(m, r):
     yield from rec(0, r, [], False)
 
 
-def _scan_profile(spec, m, r_max, index_budget=DEFAULT_INDEX_BUDGET, d_of=None):
+def _scan_profile(spec, r_max, index_budget=DEFAULT_INDEX_BUDGET, d_of=None):
     """The RF profile by definition: D(v) for every vector of every l1-sphere,
     one per +-v pair, keeping the first vector that raises the maximum.
     d_of(v) is D(v), the divisibility call unless given."""
@@ -199,7 +199,7 @@ def _scan_profile(spec, m, r_max, index_budget=DEFAULT_INDEX_BUDGET, d_of=None):
     partial = False
     for r in range(1, r_max + 1):
         try:
-            for vec in _ball_shell(m, r):
+            for vec in _ball_shell(spec.rep.degree, r):
                 d = d_of(vec) if d_of else divisibility(vec, spec, index_budget)
                 if d > best:
                     best = d
@@ -214,7 +214,7 @@ def _scan_profile(spec, m, r_max, index_budget=DEFAULT_INDEX_BUDGET, d_of=None):
 
 
 def _spec(kind, name):
-    return FamilySpec(kind, rep=catalog_rep(name) if name else None)
+    return FamilySpec(kind, catalog_rep(name))
 
 
 def _conjugate(rep, seed):
@@ -235,19 +235,19 @@ def _conjugate(rep, seed):
 
 
 ORACLE_CASES = [
-    ("inv", "d4_paper", 3, 24),
-    ("inv", "quaternion_paper", 4, 8),
-    ("nu", None, 3, 12),
-    ("nu", None, 1, 12),
-    ("com", "d4_paper", 3, 6),
-    ("inv", "rot(4)", 2, 30),
+    ("inv", "d4_paper", 24),
+    ("inv", "quaternion_paper", 8),
+    ("nu", "trivial(3)", 12),
+    ("nu", "trivial(1)", 12),
+    ("com", "d4_paper", 6),
+    ("inv", "rot(4)", 30),
 ]
 
 
-@pytest.mark.parametrize("kind,name,m,r_max", ORACLE_CASES)
-def test_rf_profile_matches_the_ball_scan(kind, name, m, r_max):
-    got = rf_profile(_spec(kind, name), m, r_max)
-    assert got == _scan_profile(_spec(kind, name), m, r_max)
+@pytest.mark.parametrize("kind,name,r_max", ORACLE_CASES)
+def test_rf_profile_matches_the_ball_scan(kind, name, r_max):
+    got = rf_profile(_spec(kind, name), r_max)
+    assert got == _scan_profile(_spec(kind, name), r_max)
     assert got.radii == tuple(range(1, r_max + 1)) and not got.partial
 
 
@@ -264,8 +264,8 @@ def test_rf_profile_matches_the_ball_scan(kind, name, m, r_max):
 )
 def test_rf_profile_of_a_conjugate_matches_the_ball_scan(kind, name, r_max, seed):
     rep = _conjugate(catalog_rep(name), seed)
-    got = rf_profile(FamilySpec(kind, rep=rep), rep.degree, r_max)
-    assert got == _scan_profile(FamilySpec(kind, rep=rep), rep.degree, r_max)
+    got = rf_profile(FamilySpec(kind, rep), r_max)
+    assert got == _scan_profile(FamilySpec(kind, rep), r_max)
 
 
 def _full_divisibility(v, lattices):
@@ -282,7 +282,8 @@ def _full_divisibility(v, lattices):
 def test_divisibility_matches_the_full_family(case, data):
     """divisibility over the prime-power family is the least omitting index
     over the whole family, composite indices included."""
-    spec, m, budget = FULL_FAMILY_CASES[case]
+    spec, budget = FULL_FAMILY_CASES[case]
+    m = spec.rep.degree
     scale = data.draw(st.integers(1, 60), label="scale")
     w = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m), label="w")
     assume(any(w))
@@ -309,16 +310,16 @@ def test_divisibility_matches_the_full_family(case, data):
     ],
 )
 def test_rf_profile_matches_the_full_family_scan(case, r_max):
-    spec, m, budget = FULL_FAMILY_CASES[case]
+    spec, budget = FULL_FAMILY_CASES[case]
     full = full_family(case)
-    got = rf_profile(spec, m, r_max, index_budget=budget)
+    got = rf_profile(spec, r_max, index_budget=budget)
     assert not got.partial
-    expected = _scan_profile(spec, m, r_max, budget, lambda v: _full_divisibility(v, full))
+    expected = _scan_profile(spec, r_max, budget, lambda v: _full_divisibility(v, full))
     assert got == expected
 
 
 @pytest.mark.parametrize(
-    "argv,kind,budget,r_max,csv",
+    "argv,kind,budget,r_max,csv,warning",
     [
         (
             ["--index-budget", "8", "rf", "catalog:d4_paper", "--family", "inv", "--rmax", "6"],
@@ -329,6 +330,7 @@ def test_rf_profile_matches_the_full_family_scan(case, r_max):
             "1,2,0 0 1,2,partial=1\n"
             "2,8,0 2 0,8,partial=1\n"
             "3,8,0 2 0,8,partial=1\n",
+            "profile truncated by index budget",
         ),
         (
             ["--index-budget", "30", "rf", "catalog:d4_paper", "--family", "com", "--rmax", "4"],
@@ -336,18 +338,20 @@ def test_rf_profile_matches_the_full_family_scan(case, r_max):
             30,
             4,
             "r,rf,witness_vector,witness_index\n1,8,0 1 0,8,partial=1\n",
+            "profile truncated: the com family (coefficient box 2) has no further lattice"
+            " of index <= 30",
         ),
     ],
 )
-def test_partial_profiles_match_the_ball_scan(capsys, argv, kind, budget, r_max, csv):
+def test_partial_profiles_match_the_ball_scan(capsys, argv, kind, budget, r_max, csv, warning):
     assert run(argv + ["--csv", "-"]) == EXIT_COMPUTE
     captured = capsys.readouterr()
     assert captured.out == csv
-    assert captured.err == "warning: profile truncated by index budget\n"
+    assert captured.err == f"warning: {warning}\n"
     spec = _spec(kind, "d4_paper")
-    got = rf_profile(spec, 3, r_max, index_budget=budget)
+    got = rf_profile(spec, r_max, index_budget=budget)
     assert got.partial
-    assert got == _scan_profile(_spec(kind, "d4_paper"), 3, r_max, index_budget=budget)
+    assert got == _scan_profile(_spec(kind, "d4_paper"), r_max, index_budget=budget)
 
 
 def test_rf_profile_confirms_each_distinct_witness_once(monkeypatch):
@@ -358,7 +362,7 @@ def test_rf_profile_confirms_each_distinct_witness_once(monkeypatch):
         return divisibility(v, spec, index_budget)
 
     monkeypatch.setattr(rg, "divisibility", counting)
-    prof = rf_profile(FamilySpec("inv", catalog_rep("d4_paper")), 3, 24)
+    prof = rf_profile(FamilySpec("inv", catalog_rep("d4_paper")), 24)
     assert calls == sorted(set(calls), key=calls.index)
     assert calls == [vec for vec, _ in dict.fromkeys(prof.witnesses)]
 
@@ -366,7 +370,7 @@ def test_rf_profile_confirms_each_distinct_witness_once(monkeypatch):
 def test_a_witness_with_another_divisibility_is_refused(monkeypatch):
     monkeypatch.setattr(rg, "divisibility", lambda v, spec, index_budget: 3)
     with pytest.raises(UnsoundProfile, match=r"RF\(1\) = 2 has witness \(0, 0, 1\)"):
-        rf_profile(FamilySpec("inv", catalog_rep("d4_paper")), 3, 4)
+        rf_profile(FamilySpec("inv", catalog_rep("d4_paper")), 4)
 
 
 OPTIMIZED_CHECK = """
@@ -380,7 +384,7 @@ print("optimize", sys.flags.optimize, __debug__)
 real = rg.divisibility
 rg.divisibility = lambda v, spec, index_budget: real(v, spec, index_budget) + 1
 try:
-    rg.rf_profile(FamilySpec("inv", catalog_rep("d4_paper")), 3, 4)
+    rg.rf_profile(FamilySpec("inv", catalog_rep("d4_paper")), 4)
 except UnsoundProfile as exc:
     print("profile checked:", exc)
 """
@@ -438,7 +442,7 @@ def _sampled(prof, radii):
 
 
 def test_exponent_fit_constant_profile():
-    prof = _sampled(rf_profile(NU, 1, 40), (3, 5, 10, 20, 30, 40))
+    prof = _sampled(rf_profile(NU, 40), (3, 5, 10, 20, 30, 40))
     # replace by a constant to pin the zero-slope case
     const = RFProfile(
         spec=NU,
@@ -451,7 +455,7 @@ def test_exponent_fit_constant_profile():
 
 
 def test_exponent_fit_on_z():
-    full = rf_profile(NU, 1, 3000)
+    full = rf_profile(NU, 3000)
     assert full.radii == tuple(range(1, 3001))
     prof = _sampled(full, (3, 10, 30, 100, 300, 1000, 3000))
     k_hat, _ = exponent_fit(prof)
@@ -473,14 +477,14 @@ def test_exponent_fit_matches_numpy_lstsq(values):
     assert abs(residual - res) < 1e-12
 
 
-@pytest.mark.parametrize("m, r_max", ((0, 1), (-2, 3), (1, 0)))
-def test_rf_profile_rejects_an_empty_scan(m, r_max):
-    with pytest.raises(ValueError, match="at least 1"):
-        rf_profile(NU, m, r_max)
+@pytest.mark.parametrize("r_max", (0, -2))
+def test_rf_profile_rejects_an_empty_scan(r_max):
+    with pytest.raises(ValueError, match="r_max must be at least 1"):
+        rf_profile(NU, r_max)
 
 
 def test_exponent_fit_insufficient_data():
-    prof = rf_profile(NU, 1, 4)
+    prof = rf_profile(NU, 4)
     with pytest.raises(InsufficientData):
         exponent_fit(prof)
 
@@ -512,11 +516,11 @@ def test_lower_bound_certificate_computes_the_commutant_basis_once(monkeypatch, 
     lower_bound_certificate(rep, 3, samples=5)
     assert len(solved) == 1
     # a second certificate on an equal rep reuses the memoized basis
-    lower_bound_certificate(close_group(rep.generators), 2, samples=3, coefficient_box=1)
+    lower_bound_certificate(close_group(rep.generators), 2, samples=3)
     assert len(solved) == 1
 
 
-def _certify_every_draw(rep, s_max, samples, seed=rd.DEFAULT_SEED, coefficient_box=2):
+def _certify_every_draw(rep, s_max, samples, seed=rd.DEFAULT_SEED):
     """lower_bound_certificate as first written: one certificate per draw."""
     k = rd.exponent_k(rep, seed=seed)
     m = rep.degree
@@ -535,8 +539,7 @@ def _certify_every_draw(rep, s_max, samples, seed=rd.DEFAULT_SEED, coefficient_b
         cert = rg.commutant_certificate(rep, b, seed=seed)
         if cert.passed and cert.det == cert.x**cert.k:
             passed += 1
-    spec = FamilySpec("com", rep=rep, coefficient_box=coefficient_box)
-    com_lattices = list(enumerate_family(spec, m, DEFAULT_INDEX_BUDGET))
+    com_lattices = list(enumerate_family(FamilySpec("com", rep), DEFAULT_INDEX_BUDGET))
     s_values, vectors, arith, enum_ok = [], [], [], []
     for s in range(1, s_max + 1):
         l = math.lcm(*range(1, s + 1))
@@ -665,50 +668,6 @@ def test_a_raised_certificate_failure_fails_each_of_its_draws(monkeypatch, with_
     assert dataclasses.replace(report, certificates_passed=200) == passing
 
 
-@pytest.mark.parametrize("box", (-1, 0))
-def test_lower_bound_refuses_an_empty_coefficient_box(box):
-    with pytest.raises(ValueError, match="positive"):
-        lower_bound_certificate(catalog_rep("quaternion_paper"), 2, samples=5, coefficient_box=box)
-
-
-OPTIMIZED_BOX_CHECK = """
-import sys
-from rfva.catalog import catalog_rep
-from rfva.lattice import FamilySpec
-from rfva.rfgrowth import lower_bound_certificate
-
-print("optimize", sys.flags.optimize, __debug__)
-rep = catalog_rep("quaternion_paper")
-try:
-    FamilySpec("com", rep, coefficient_box=-1)
-except ValueError as exc:
-    print("family refused:", exc)
-for box in (-1, 0):
-    try:
-        lower_bound_certificate(rep, 2, samples=5, coefficient_box=box)
-    except ValueError as exc:
-        print("certificate refused:", exc)
-"""
-
-
-def test_the_coefficient_box_checks_run_under_python_O():
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_BOX_CHECK],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=60,
-    )
-    assert out.stdout.splitlines() == [
-        "optimize 1 False",
-        "family refused: the coefficient box must be non-negative",
-        "certificate refused: all bounds must be positive",
-        "certificate refused: all bounds must be positive",
-    ]
-
-
 def test_lower_bound_needs_irreducible():
     with pytest.raises(NotIrreducible):
         lower_bound_certificate(catalog_rep("d4_paper"), 2, samples=5)
@@ -733,23 +692,30 @@ def test_smallest_valid_prime_examples():
 )
 def test_prime_searches_agree(name, bounds):
     """exponent_report, upper_bound_witness and smallest_valid_prime share
-    one search: each takes the least prime = 1 mod |H| within the bound."""
+    one search: exponent_report takes the SPLIT_PRIMES least primes = 1 mod
+    |H| within the bound, and the others the least one."""
     rep = catalog_rep(name)
     vector = (1,) + (0,) * (rep.degree - 1)
     for bound in bounds:
-        try:
-            first = rd.exponent_report(rep, prime_bound=bound, n_primes=1).primes[0]
-        except PrimeSearchFailed:
-            first = None
-        if first is None:
+        primes = [
+            p
+            for p in range(2, bound + 1)
+            if (p - 1) % rep.order == 0 and all(p % d for d in range(2, p))
+        ]
+        if len(primes) < rd.SPLIT_PRIMES:
+            with pytest.raises(PrimeSearchFailed):
+                rd.exponent_report(rep, prime_bound=bound)
+        else:
+            report = rd.exponent_report(rep, prime_bound=bound)
+            assert report.primes == tuple(primes[: rd.SPLIT_PRIMES])
+        if not primes:
             with pytest.raises(PrimeSearchFailed):
                 upper_bound_witness(rep, vector, prime_bound=bound)
             with pytest.raises(SearchBoundExceeded):
                 smallest_valid_prime(1, rep.order, bound)
             continue
-        assert first <= bound
-        assert upper_bound_witness(rep, vector, prime_bound=bound).prime == first
-        assert smallest_valid_prime(1, rep.order, bound) == first
+        assert upper_bound_witness(rep, vector, prime_bound=bound).prime == primes[0]
+        assert smallest_valid_prime(1, rep.order, bound) == primes[0]
 
 
 def test_lower_bound_certificate_keeps_the_prime_search_bound():
