@@ -142,9 +142,7 @@ def emit_csv(profile: rfgrowth.RFProfile, destination) -> None:
 
 def _cmd_k(args):
     rep, _, _ = _resolve_rep(args.rep, args.element_bound)
-    report = repdecomp.exponent_report(
-        rep, seed=args.seed, prime_bound=args.prime_search_bound
-    )
+    report = repdecomp.exponent_report(rep, seed=args.seed)
     print(f"k = {report.k}")
     print(f"primes: {' '.join(str(p) for p in report.primes)}")
     print(f"constituent dimensions: {report.dimensions}")
@@ -217,9 +215,7 @@ def _cmd_witness(args):
         raise RfvaError(f"--vector needs comma-separated integers, got {args.vector!r}")
     rep, _, _ = _resolve_rep(args.rep, args.element_bound)
     v = tuple(int(x) for x in args.vector.split(","))
-    w = lattice.upper_bound_witness(
-        rep, v, seed=args.seed, prime_bound=args.prime_search_bound
-    )
+    w = lattice.upper_bound_witness(rep, v, seed=args.seed)
     print(f"vector: {w.vector}")
     print(f"prime: {w.prime}")
     print(f"constituent dimension: {w.dimension}")
@@ -240,9 +236,7 @@ def _certificate_check(rep, b, args) -> tuple[str, bool]:
     failed certificate fails its line, which names the failure when the
     certificate was not built."""
     try:
-        cert = repdecomp.commutant_certificate(
-            rep, b, seed=args.seed, prime_bound=args.prime_search_bound
-        )
+        cert = repdecomp.commutant_certificate(rep, b, seed=args.seed)
     except CertificateFailed as exc:
         if exc.certificate is None:
             return f"commutant certificate ({exc})", False
@@ -255,8 +249,7 @@ def _cmd_verify(args):
     failures = []
     if args.suite == "lowerbound":
         report = rfgrowth.lower_bound_certificate(
-            rep, args.smax, samples=args.samples, seed=args.seed,
-            index_budget=args.index_budget, prime_bound=args.prime_search_bound,
+            rep, args.smax, samples=args.samples, seed=args.seed, index_budget=args.index_budget
         )
         for s, a_ok, e_ok in zip(
             report.s_values, report.arithmetic_ok, report.enumeration_ok
@@ -274,9 +267,7 @@ def _cmd_verify(args):
         f"degree {info.degree}, order {info.order}, "
         f"{info.class_count} classes, abelian: {info.abelian}"
     )
-    report = repdecomp.exponent_report(
-        rep, seed=args.seed, prime_bound=args.prime_search_bound
-    )
+    report = repdecomp.exponent_report(rep, seed=args.seed)
     _check(
         f"constituent dimensions stable over primes {report.primes}",
         report.stable,
@@ -288,10 +279,7 @@ def _cmd_verify(args):
         failures,
     )
     split = repdecomp.q_split(rep, seed=args.seed)
-    sub_k = max(
-        repdecomp.exponent_k(c.rep, seed=args.seed, prime_bound=args.prime_search_bound)
-        for c in split.components
-    )
+    sub_k = max(repdecomp.exponent_k(c.rep, seed=args.seed) for c in split.components)
     _check("k equals max over Q-constituents", sub_k == report.k, failures)
     if table is not None:
         dec = repdecomp.k_from_character_table(rep, table)
@@ -302,9 +290,7 @@ def _cmd_verify(args):
         _check("conjugated rep preserves order", conj.order == rep.order, failures)
     for j in range(rep.degree):
         v = tuple(1 if i == j else 0 for i in range(rep.degree))
-        w = lattice.upper_bound_witness(
-            rep, v, seed=args.seed, prime_bound=args.prime_search_bound
-        )
+        w = lattice.upper_bound_witness(rep, v, seed=args.seed)
         _check(
             f"witness for e_{j}: index {w.index} = {w.prime}^{w.dimension}, d <= k",
             w.dimension <= report.k and not w.lattice.contains(v),
@@ -362,7 +348,6 @@ _GLOBAL_OPTIONS = {
     "seed": (int, repdecomp.DEFAULT_SEED),
     "element-bound": (int, grouprep.DEFAULT_ELEMENT_BOUND),
     "index-budget": (int, rfgrowth.DEFAULT_INDEX_BUDGET),
-    "prime-search-bound": (int, repdecomp.DEFAULT_PRIME_BOUND),
 }
 _COMMANDS = {
     "k": (_cmd_k, "growth exponent via mod-p splitting", ("rep",), {}),
@@ -444,7 +429,7 @@ def run(argv=None) -> int:
         if isinstance(args, str):
             print(args)
             return EXIT_OK
-        if min(args.element_bound, args.index_budget, args.prime_search_bound) <= 0:
+        if min(args.element_bound, args.index_budget) <= 0:
             raise ValueError("all bounds must be positive")
         return args.func(args)
     except LimitReached as exc:

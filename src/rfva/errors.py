@@ -41,14 +41,6 @@ class BadPrime(RfvaError):
     pass
 
 
-class PrimeSearchFailed(LimitReached):
-    pass
-
-
-class SearchBoundExceeded(LimitReached):
-    pass
-
-
 class InconsistentSplit(InternalFailure):
     """Constituent dimensions disagree across primes; indicates a bug."""
 

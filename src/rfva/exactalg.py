@@ -720,13 +720,9 @@ def _least_prime_power(n: int) -> tuple[int, int]:
     return p, next(e for e in count(1) if n % p ** (e + 1))
 
 
-def _primes_one_mod(n: int, bound: int):
-    """Primes p <= bound with p = 1 mod n, in increasing order."""
-    candidate = n + 1
-    while candidate <= bound:
-        if _isprime(candidate):
-            yield candidate
-        candidate += n
+def _primes_one_mod(n: int):
+    """The primes p = 1 mod n, in increasing order, without end (Dirichlet)."""
+    return filter(_isprime, count(n + 1, n))
 
 
 # ---------------------------------------------------------------------------

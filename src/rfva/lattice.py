@@ -7,7 +7,7 @@ Families:
   com -- images of integer matrices commuting with the representation,
          enumerated over the coefficient box COEFFICIENT_BOX (NOT complete;
          the universal statements about Com go through the certificate
-         instead).
+         instead), for a commutant of rank at most 8 (COM_BOX_VECTORS).
 
 nu and inv keep only the indices 1 and p^e.  A lattice N of index p^e * r, p
 prime, p not dividing r > 1, equals (N + p^e Z^m) meet (N + r Z^m), by the
@@ -60,8 +60,8 @@ from operator import mul
 from typing import Iterator
 
 from .errors import (
+    BudgetExceeded,
     DimensionMismatch,
-    PrimeSearchFailed,
     UnknownName,
     UnsoundLattice,
     UnsoundWitness,
@@ -81,10 +81,11 @@ from .exactalg import (
     kernel_fp,
 )
 from .grouprep import Rep
-from .repdecomp import DEFAULT_PRIME_BOUND, DEFAULT_SEED, commutant_basis, split_mod_p
+from .repdecomp import DEFAULT_SEED, commutant_basis, split_mod_p
 
 FAMILY_KINDS = ("nu", "inv", "com")
 COEFFICIENT_BOX = 2
+COM_BOX_VECTORS = 200_000
 
 
 @dataclass(frozen=True)
@@ -198,11 +199,20 @@ def commutant_image_lattices(rep: Rep, max_index: int):
 
     Im(-B) = Im(B), so one coefficient vector of each pair +-c is visited: the
     one whose last nonzero entry is positive (the zero vector gives B = 0).
+    A commutant whose box holds more than COM_BOX_VECTORS such vectors is
+    refused (BudgetExceeded) before the walk, whatever max_index is.
     """
     box = COEFFICIENT_BOX
     comm = commutant_basis(rep)
+    rank = len(comm.matrices)
+    vectors = ((2 * box + 1) ** rank - 1) // 2
+    if vectors > COM_BOX_VECTORS:
+        raise BudgetExceeded(
+            f"the com box of a rank-{rank} commutant holds {vectors} coefficient vectors, "
+            f"more than {COM_BOX_VECTORS}"
+        )
     found = {}
-    for coeffs in product(range(-box, box + 1), repeat=len(comm.matrices)):
+    for coeffs in product(range(-box, box + 1), repeat=rank):
         if next((c for c in reversed(coeffs) if c), 0) <= 0:
             continue
         b = comm.combination(coeffs)
@@ -492,12 +502,7 @@ def _cyclic_submodules(actions, p, d):
     return [sub for sub in found if len(sub) == d]
 
 
-def upper_bound_witness(
-    rep: Rep,
-    v,
-    seed: int = DEFAULT_SEED,
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-) -> Witness:
+def upper_bound_witness(rep: Rep, v, seed: int = DEFAULT_SEED) -> Witness:
     """Invariant lattice of index p^d (d <= k) omitting v, via splitting mod p.
 
     p is the smallest prime = 1 mod |H| not dividing a chosen nonzero entry
@@ -512,11 +517,7 @@ def upper_bound_witness(
     if all(x == 0 for x in v):
         raise ZeroVector("the witness construction needs a nonzero vector")
     a = next(x for x in v if x != 0)
-    p = next((p for p in _primes_one_mod(rep.order, prime_bound) if a % p), None)
-    if p is None:
-        raise PrimeSearchFailed(
-            f"no prime = 1 mod {rep.order} coprime to {a} below {prime_bound}"
-        )
+    p = next(p for p in _primes_one_mod(rep.order) if a % p)
     subspaces = split_mod_p(rep, p, seed=seed).subspaces
     scalars = [[p if i == j else 0 for j in range(rep.degree)] for i in range(rep.degree)]
     for chosen in sorted(range(len(subspaces)), key=lambda si: subspaces[si][0]):

@@ -37,7 +37,6 @@ from .errors import (
     NotInvariant,
     NotIrreducible,
     NotOrthonormal,
-    PrimeSearchFailed,
     SingularMatrix,
     UnresolvedClassWord,
     UnsoundCommutant,
@@ -73,7 +72,6 @@ from .grouprep import Rep, character_of_rep, close_group, conjugacy_classes
 DEFAULT_SEED = 0
 CONSECUTIVE_IRREDUCIBLE = 20
 SPLIT_TRY_BUDGET = 200
-DEFAULT_PRIME_BOUND = 200_000
 SPLIT_PRIMES = 3
 
 
@@ -422,11 +420,7 @@ class ExponentReport:
 
 
 @lru_cache(maxsize=None)
-def exponent_report(
-    rep: Rep,
-    seed: int = DEFAULT_SEED,
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-) -> ExponentReport:
+def exponent_report(rep: Rep, seed: int = DEFAULT_SEED) -> ExponentReport:
     """k = max constituent dimension, cross-checked over several primes.
 
     Uses the SPLIT_PRIMES smallest primes congruent to 1 mod |H|; the
@@ -434,15 +428,11 @@ def exponent_report(
     (InconsistentSplit if they do not, which would indicate a bug rather than
     bad input).
     """
-    primes = list(islice(_primes_one_mod(rep.order, prime_bound), SPLIT_PRIMES))
-    if len(primes) < SPLIT_PRIMES:
-        raise PrimeSearchFailed(
-            f"fewer than {SPLIT_PRIMES} primes = 1 mod {rep.order} below {prime_bound}"
-        )
+    primes = tuple(islice(_primes_one_mod(rep.order), SPLIT_PRIMES))
     by_prime = tuple(split_mod_p(rep, p, seed=seed).dimensions for p in primes)
     report = ExponentReport(
         k=max(by_prime[0]),
-        primes=tuple(primes),
+        primes=primes,
         dimensions=by_prime[0],
         dimensions_by_prime=by_prime,
     )
@@ -453,12 +443,10 @@ def exponent_report(
     return report
 
 
-def exponent_k(
-    rep: Rep, seed: int = DEFAULT_SEED, prime_bound: int = DEFAULT_PRIME_BOUND
-) -> int:
-    """exponent_report's k.  Every caller in the package passes seed and
-    prime_bound by keyword, as here, so their calls share one cache entry."""
-    return exponent_report(rep, seed=seed, prime_bound=prime_bound).k
+def exponent_k(rep: Rep, seed: int = DEFAULT_SEED) -> int:
+    """exponent_report's k.  Every caller in the package passes seed by
+    keyword, as here, so their calls share one cache entry."""
+    return exponent_report(rep, seed=seed).k
 
 
 # ---------------------------------------------------------------------------
@@ -697,12 +685,7 @@ class Certificate:
         return all(ok for _, ok in self.checks)
 
 
-def commutant_certificate(
-    rep: Rep,
-    b: IntMatrix,
-    seed: int = DEFAULT_SEED,
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-) -> Certificate:
+def commutant_certificate(rep: Rep, b: IntMatrix, seed: int = DEFAULT_SEED) -> Certificate:
     """Check the constructive lemma for a matrix commuting with the action.
 
     The products run on integer rows, and the charpoly and the adjugate of
@@ -723,7 +706,7 @@ def commutant_certificate(
         raise SingularMatrix("certificate requires a nonsingular matrix")
     if not q_split(rep, seed=seed).irreducible:
         raise NotIrreducible("the representation is not irreducible over Q")
-    k = exponent_k(rep, seed=seed, prime_bound=prime_bound)
+    k = exponent_k(rep, seed=seed)
     cp, adj = charpoly_and_adjugate(b)
     try:
         f = poly_kth_root(cp, k)

@@ -35,7 +35,6 @@ from .errors import (
     DimensionMismatch,
     InsufficientData,
     NotIrreducible,
-    SearchBoundExceeded,
     UnsoundProfile,
     ZeroVector,
 )
@@ -51,7 +50,6 @@ from .exactalg import (
 from .grouprep import Rep
 from .lattice import FamilySpec, commutant_image_lattices, enumerate_family, family_by_index
 from .repdecomp import (
-    DEFAULT_PRIME_BOUND,
     DEFAULT_SEED,
     commutant_basis,
     commutant_certificate,
@@ -211,7 +209,6 @@ def lower_bound_certificate(
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     index_budget: int = DEFAULT_INDEX_BUDGET,
-    prime_bound: int = DEFAULT_PRIME_BOUND,
 ) -> LowerBoundReport:
     """Finite verification of D_Com(v_s) >= s^k for v_s = lcm(1..s) e_1.
 
@@ -228,7 +225,7 @@ def lower_bound_certificate(
         raise ValueError("all bounds must be positive")
     if not q_split(rep, seed=seed).irreducible:
         raise NotIrreducible("the lower bound needs a Q-irreducible representation")
-    k = exponent_k(rep, seed=seed, prime_bound=prime_bound)
+    k = exponent_k(rep, seed=seed)
     m = rep.degree
     comm = commutant_basis(rep)
     rng = random.Random(seed)
@@ -243,7 +240,7 @@ def lower_bound_certificate(
             if det(b) == 0:
                 continue
             try:
-                ok = commutant_certificate(rep, b, seed=seed, prime_bound=prime_bound).passed
+                ok = commutant_certificate(rep, b, seed=seed).passed
             except CertificateFailed:
                 ok = False
             verdicts[b] = ok
@@ -270,14 +267,11 @@ def lower_bound_certificate(
     )
 
 
-def smallest_valid_prime(m: int, n: int, bound: int = 10_000_000) -> int:
+def smallest_valid_prime(m: int, n: int) -> int:
     """Least prime p with p = 1 mod n and p not dividing m."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    p = next((p for p in _primes_one_mod(n, bound) if m % p), None)
-    if p is None:
-        raise SearchBoundExceeded(f"no prime = 1 mod {n} coprime to {m} below {bound}")
-    return p
+    return next(p for p in _primes_one_mod(n) if m % p)
 
 
 def chebyshev_psi(s: int) -> float:

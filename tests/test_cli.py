@@ -29,8 +29,6 @@ from rfva.errors import (
     NotAClassFunction,
     NotAPartition,
     NotFinite,
-    PrimeSearchFailed,
-    SearchBoundExceeded,
     UnsoundCommutant,
     UnsoundLattice,
     UnsoundMinpoly,
@@ -134,14 +132,6 @@ def test_witness_command(capsys):
     assert "prime: 17" in out
 
 
-def test_witness_prime_search_bound(capsys):
-    argv = ["witness", "catalog:d4_paper", "--vector", "1,0,0"]
-    assert run(["--prime-search-bound", "16"] + argv) == EXIT_COMPUTE
-    assert "no prime = 1 mod 8 coprime to 1 below 16" in capsys.readouterr().err
-    assert run(["--prime-search-bound", "17"] + argv) == EXIT_OK
-    assert "prime: 17" in capsys.readouterr().out
-
-
 def test_verify_lemmas(capsys):
     assert run(["verify", "catalog:quaternion_paper"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -242,8 +232,6 @@ COMPUTE_ERRORS = (
     BudgetExceeded("stub failure"),
     InconclusiveSplit("Q", 2, 200, 0),
     NotFinite("stub failure"),
-    PrimeSearchFailed("stub failure"),
-    SearchBoundExceeded("stub failure"),
 )
 
 
@@ -357,6 +345,15 @@ def test_a_truncated_profile_names_the_limit_that_ended_it(argv, warning, capsys
     captured = capsys.readouterr()
     assert captured.out == "RF(1) = 2\n"
     assert captured.err == f"warning: {warning}\n"
+
+
+def test_a_com_box_beyond_its_limit_is_refused_before_the_walk(capsys):
+    # z:3 has a rank-9 commutant: (5^9 - 1)/2 = 976,562 coefficient vectors
+    assert run(["rf", "z:3", "--family", "com", "--rmax", "1"]) == EXIT_COMPUTE
+    assert _one_error_line(capsys) == (
+        "error: the com box of a rank-9 commutant holds 976562 coefficient vectors, "
+        "more than 200000"
+    )
 
 
 @pytest.mark.parametrize("family", ("nu", "inv", "com"))
@@ -562,28 +559,20 @@ def test_python_dash_m_rfva_runs_the_cli():
     assert "k = 2" in out.stdout.splitlines()
 
 
-def test_verify_shares_one_exponent_report_per_rep_seed_and_bound(capsys):
+def test_verify_shares_one_exponent_report_per_rep_and_seed(capsys):
     # the report line, the Q-constituent's k and the commutant certificate
-    # all ask for the same (rep, seed, bound)
+    # all ask for the same (rep, seed)
     argv = ["verify", "catalog:quaternion_paper", "--suite", "lemmas"]
-    for bound, misses in ((200_000, 1), (100_000, 2), (200_000, 2)):
+    for seed, misses in ((0, 1), (1, 2), (0, 2)):
         if misses == 1:
             repdecomp.exponent_report.cache_clear()
-        assert run(["--prime-search-bound", str(bound)] + argv) == EXIT_OK
+        assert run(["--seed", str(seed)] + argv) == EXIT_OK
         assert repdecomp.exponent_report.cache_info().misses == misses
     capsys.readouterr()
 
 
-def test_lowerbound_suite_keeps_the_prime_search_bound(capsys):
-    # 17 is the only prime = 1 mod 8 below 41; the report needs three
-    argv = ["verify", "catalog:quaternion_paper", "--suite", "lowerbound", "--smax", "2"]
-    assert run(["--prime-search-bound", "40"] + argv + ["--samples", "2"]) == EXIT_COMPUTE
-    assert "fewer than 3 primes" in capsys.readouterr().err
-    assert run(["--prime-search-bound", "73"] + argv + ["--samples", "2"]) == EXIT_OK
-
-
 REP = "catalog:d4_paper"
-GLOBAL_OPTIONS = ("--seed", "--element-bound", "--index-budget", "--prime-search-bound")
+GLOBAL_OPTIONS = ("--seed", "--element-bound", "--index-budget")
 COMMAND_OPTIONS = {
     "k": (),
     "decompose": ("--field",),
@@ -598,8 +587,7 @@ COMMAND_OPTIONS = {
 OPTION_FORMS = (
     (["OPT", "k", REP], "--seed", "3", "--se", "seed", 3),
     (["OPT", "k", REP], "--element-bound", "9", "--el", "element_bound", 9),
-    (["OPT", "k", REP], "--index-budget", "5", "--in", "index_budget", 5),
-    (["OPT", "k", REP], "--prime-search-bound", "-4", "--pr", "prime_search_bound", -4),
+    (["OPT", "k", REP], "--index-budget", "-4", "--in", "index_budget", -4),
     (["decompose", REP, "OPT"], "--field", "fp:17", "--fi", "field", "fp:17"),
     (["rf", REP, "OPT", "--rmax", "2"], "--family", "inv", "--fa", "family", "inv"),
     (["rf", "OPT", REP], "--rmax", "3", "--rm", "rmax", 3),
@@ -650,6 +638,7 @@ def test_flags_positionals_and_defaults_parse():
     [],
     ["k", REP, "--bogus"],
     ["--bogus", "k", REP],
+    ["--prime-search-bound", "5", "k", REP],  # the prime search has no bound to set
     ["-x", "k", REP],
     ["verify", REP, "--s", "2"],  # not a unique prefix
     ["char", REP, "--table=yes"],

@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import random
 import subprocess
@@ -16,7 +17,7 @@ from sympy.polys.matrices import DomainMatrix
 import rfva.lattice as lattice_mod
 import rfva.repdecomp as rd
 from rfva.catalog import catalog_matrix, catalog_rep
-from rfva.errors import DimensionMismatch, PrimeSearchFailed, SingularMatrix, ZeroVector
+from rfva.errors import BudgetExceeded, DimensionMismatch, SingularMatrix, ZeroVector
 from rfva.exactalg import (
     IntMatrix,
     IntPoly,
@@ -198,6 +199,15 @@ def test_half_box_matches_the_odometer(name, seed):
         assert got
 
 
+def test_the_com_box_walk_is_refused_beyond_its_limit():
+    # rank 8 holds (5^8 - 1)/2 = 195,312 <= COM_BOX_VECTORS; trivial(3)'s rank 9 does not
+    assert lattice_mod.COM_BOX_VECTORS == 200_000
+    rank8 = catalog_rep("product(quaternion_paper,quaternion_paper)")
+    assert len(commutant_basis(rank8).matrices) == 8
+    with pytest.raises(BudgetExceeded, match="rank-9 commutant holds 976562"):
+        commutant_image_lattices(catalog_rep("trivial(3)"), 10)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 4))
 def test_a_negated_matrix_has_the_same_image(seed, n):
@@ -218,14 +228,18 @@ def test_witness_examples():
     assert w3.prime == 5 and w3.index == 5
 
 
-def test_witness_prime_stays_within_the_search_bound():
+def test_witness_prime_is_the_least_one_mod_the_order_not_dividing_the_entry():
     d4 = catalog_rep("d4_paper")
-    with pytest.raises(PrimeSearchFailed):
-        upper_bound_witness(d4, (1, 0, 0), prime_bound=16)
-    assert upper_bound_witness(d4, (1, 0, 0), prime_bound=17).prime == 17
-    with pytest.raises(PrimeSearchFailed):
-        upper_bound_witness(d4, (17, 0, 0), prime_bound=40)
-    assert upper_bound_witness(d4, (17, 0, 0), prime_bound=41).prime == 41
+    assert upper_bound_witness(d4, (17 * 41 * 73, 0, 0)).prime == 89
+    # a is divisible by every prime = 1 mod 8 below 200,000 (a sieve finds them)
+    n = 200_000
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    primes = [p for p in range(1, n, 8) if sieve[p]]
+    assert len(primes) == 4466
+    assert upper_bound_witness(d4, (math.prod(primes), 0, 0)).prime == 200_009
 
 
 def test_witness_after_exponent_report_reuses_its_split(monkeypatch):

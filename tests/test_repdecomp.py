@@ -25,7 +25,6 @@ from rfva.errors import (
     NotInvariant,
     NotIrreducible,
     NotOrthonormal,
-    PrimeSearchFailed,
     SingularMatrix,
     UnresolvedClassWord,
 )
@@ -355,13 +354,6 @@ def test_certificate_scalar_matrices():
     assert ident.x == 1 and ident.det == 1
 
 
-def test_certificate_keeps_the_prime_search_bound():
-    # the exponent report behind k needs three primes = 1 mod 8: 17, 41, 73
-    with pytest.raises(PrimeSearchFailed):
-        commutant_certificate(Q8, QUAT_B, prime_bound=72)
-    assert commutant_certificate(Q8, QUAT_B, prime_bound=73).k == 2
-
-
 def test_certificate_rejects_non_commuting():
     with pytest.raises(NotCommuting):
         commutant_certificate(Q8, catalog_matrix("invariant_det2_lattice"))
@@ -385,7 +377,7 @@ def test_certificate_random_commutant_samples():
 
 def test_certificate_fails_closed(monkeypatch):
     # Q8's charpoly has degree 4, so it has no cube root
-    monkeypatch.setattr(rd, "exponent_k", lambda rep, seed, prime_bound: 3)
+    monkeypatch.setattr(rd, "exponent_k", lambda rep, seed: 3)
     with pytest.raises(CertificateFailed, match="not a k-th power"):
         commutant_certificate(Q8, QUAT_B)
     monkeypatch.undo()
@@ -401,7 +393,7 @@ def test_certificate_fails_closed(monkeypatch):
     }
 
 
-def _reference_certificate(rep, b, seed=rd.DEFAULT_SEED, prime_bound=rd.DEFAULT_PRIME_BOUND):
+def _reference_certificate(rep, b, seed=rd.DEFAULT_SEED):
     """The certificate on IntMatrix products, with x*Z^m inside Im(B) read
     from the HNF of the columns of B, one membership test per x*e_j."""
     if b.rows != rep.degree or not b.is_square():
@@ -413,7 +405,7 @@ def _reference_certificate(rep, b, seed=rd.DEFAULT_SEED, prime_bound=rd.DEFAULT_
         raise SingularMatrix("certificate requires a nonsingular matrix")
     if not q_split(rep, seed=seed).irreducible:
         raise NotIrreducible("the representation is not irreducible over Q")
-    k = exponent_k(rep, seed=seed, prime_bound=prime_bound)
+    k = exponent_k(rep, seed=seed)
     try:
         f = poly_kth_root(charpoly(b), k)
     except NotAPower as exc:
@@ -627,7 +619,7 @@ expect(UnsoundMinpoly, "cayley-hamilton", ea.minpoly, ea.IntMatrix.identity(2))
 ea._pivot_rows = real_pivot_rows
 
 real_root = rd.poly_kth_root
-rd.exponent_k = lambda rep, seed, prime_bound: 0
+rd.exponent_k = lambda rep, seed: 0
 rd.poly_kth_root = lambda f, k: real_root(f, 2)
 expect(
     InexactDivision,

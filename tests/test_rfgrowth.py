@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import count, islice
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,6 @@ from rfva.errors import (
     CertificateFailed,
     InsufficientData,
     NotIrreducible,
-    PrimeSearchFailed,
-    SearchBoundExceeded,
     UnsoundProfile,
     ZeroVector,
 )
@@ -680,50 +679,20 @@ def test_smallest_valid_prime_examples():
     assert smallest_valid_prime(6, 1) == 5
 
 
-@pytest.mark.parametrize(
-    "name, bounds",
-    (
-        ("trivial(1)", (1, 2, 3, 5)),
-        ("rot(4)", (4, 5, 12, 13, 30)),
-        ("perm_sym(3)", (6, 7, 12, 13)),
-        ("d4_paper", (16, 17, 40, 41)),
-        ("perm_sym(4)", (72, 73, 96, 97)),
-    ),
-)
-def test_prime_searches_agree(name, bounds):
+@pytest.mark.parametrize("name", ("trivial(1)", "rot(4)", "perm_sym(3)", "d4_paper", "perm_sym(4)"))
+def test_prime_searches_agree(name):
     """exponent_report, upper_bound_witness and smallest_valid_prime share
     one search: exponent_report takes the SPLIT_PRIMES least primes = 1 mod
-    |H| within the bound, and the others the least one."""
+    |H|, and the others the least one, here found by trial division."""
     rep = catalog_rep(name)
     vector = (1,) + (0,) * (rep.degree - 1)
-    for bound in bounds:
-        primes = [
-            p
-            for p in range(2, bound + 1)
-            if (p - 1) % rep.order == 0 and all(p % d for d in range(2, p))
-        ]
-        if len(primes) < rd.SPLIT_PRIMES:
-            with pytest.raises(PrimeSearchFailed):
-                rd.exponent_report(rep, prime_bound=bound)
-        else:
-            report = rd.exponent_report(rep, prime_bound=bound)
-            assert report.primes == tuple(primes[: rd.SPLIT_PRIMES])
-        if not primes:
-            with pytest.raises(PrimeSearchFailed):
-                upper_bound_witness(rep, vector, prime_bound=bound)
-            with pytest.raises(SearchBoundExceeded):
-                smallest_valid_prime(1, rep.order, bound)
-            continue
-        assert upper_bound_witness(rep, vector, prime_bound=bound).prime == primes[0]
-        assert smallest_valid_prime(1, rep.order, bound) == primes[0]
-
-
-def test_lower_bound_certificate_keeps_the_prime_search_bound():
-    # k comes from an exponent report over three primes = 1 mod 8: 17, 41, 73
-    q8 = catalog_rep("quaternion_paper")
-    with pytest.raises(PrimeSearchFailed):
-        lower_bound_certificate(q8, 2, samples=2, prime_bound=72)
-    assert lower_bound_certificate(q8, 2, samples=2, prime_bound=73).k == 2
+    primes = tuple(islice(
+        (p for p in count(2) if (p - 1) % rep.order == 0 and all(p % d for d in range(2, p))),
+        rd.SPLIT_PRIMES,
+    ))
+    assert rd.exponent_report(rep).primes == primes
+    assert upper_bound_witness(rep, vector).prime == primes[0]
+    assert smallest_valid_prime(1, rep.order) == primes[0]
 
 
 def test_chebyshev_psi_values():
