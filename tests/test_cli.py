@@ -58,6 +58,14 @@ def test_k_d4(capsys):
     assert "17 41 73" in out
 
 
+def test_k_perm_sym_8_takes_its_primes_however_large(capsys):
+    # |H| = 40,320: the least three primes = 1 mod |H| lie beyond 160,000
+    assert run(["--element-bound", "50000", "k", "catalog:perm_sym(8)"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "k = 7" in lines
+    assert "primes: 161281 241921 282241" in lines
+
+
 def test_char_with_table(capsys):
     assert run(["char", "catalog:d4_paper", "--table"]) == EXIT_OK
     out = capsys.readouterr().out

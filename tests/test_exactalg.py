@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import product, takewhile
 
 import pytest
 import sympy
@@ -31,6 +31,7 @@ from rfva.exactalg import (
     _matrix_minpoly,
     _pivot_rows,
     _poly_eval_matrix,
+    _primes_one_mod,
     _scaled_inverse,
     _scaled_kernel,
     _spanned,
@@ -501,6 +502,16 @@ def test_isprime_refuses_to_guess_beyond_its_range():
         with pytest.raises(PrimalityUnknown):
             _isprime(n)
     assert _isprime(_MR_LIMIT + 1) is False  # even: a small factor decides it
+
+
+# (n, an end past which no prime is compared); 40320 = |perm_sym(8)|, whose
+# primes = 1 mod n below 300,000 are 161281, 241921 and 282241
+@pytest.mark.parametrize(("n", "end"), (
+    (1, 3_000), (2, 3_000), (8, 50_000), (24, 50_000), (40320, 300_000),
+))
+def test_primes_one_mod_yields_every_prime_one_mod_n_in_order(n, end):
+    primes = [p for p in sympy.primerange(2, end) if p % n == 1 % n]
+    assert list(takewhile(lambda p: p < end, _primes_one_mod(n))) == primes
 
 
 @settings(max_examples=300, deadline=None)
