@@ -106,11 +106,17 @@ def _int_argument(head, args, name, least):
 
 def catalog_rep(name: str, element_bound: int = DEFAULT_ELEMENT_BOUND) -> Rep:
     """Resolve a catalog name to a Rep; raises UnknownName otherwise."""
+    return close_group(_generators(name), element_bound)
+
+
+def _generators(name: str) -> tuple[IntMatrix, ...]:
+    """The generator matrices of a catalog name; a product's are read from
+    its entries' generators, so only the product is closed."""
     name = name.strip()
     if name == "d4_paper":
-        return close_group(D4_GENERATORS, element_bound)
+        return tuple(map(IntMatrix.from_rows, D4_GENERATORS))
     if name == "quaternion_paper":
-        return close_group(QUATERNION_GENERATORS, element_bound)
+        return tuple(map(IntMatrix.from_rows, QUATERNION_GENERATORS))
     m = _CALL.match(name)
     if not m:
         raise UnknownName(f"unknown catalog representation {name!r}")
@@ -118,25 +124,20 @@ def catalog_rep(name: str, element_bound: int = DEFAULT_ELEMENT_BOUND) -> Rep:
     if head == "rot":
         if args != ["4"]:
             raise UnknownName("only rot(4) is provided")
-        return close_group([[[0, -1], [1, 0]]], element_bound)
+        return (IntMatrix.from_rows([[0, -1], [1, 0]]),)
     if head == "trivial":
         ident = IntMatrix.identity(_int_argument(head, args, "m", 1))
-        return close_group([ident, ident], element_bound)
+        return (ident, ident)
     if head in ("perm_sym", "std_sym"):
         n = _int_argument(head, args, "n", 2)
-        gens = _sym_generators(n) if head == "perm_sym" else _std_sym_generators(n)
-        return close_group(gens, element_bound)
+        return _sym_generators(n) if head == "perm_sym" else _std_sym_generators(n)
     if head == "product":
         if len(args) != 2:
             raise UnknownName("product takes exactly two entries")
-        left = catalog_rep(args[0], element_bound)
-        right = catalog_rep(args[1], element_bound)
-        gens = []
-        for gl in left.generators:
-            gens.append(_block_diag(gl, IntMatrix.identity(right.degree)))
-        for gr in right.generators:
-            gens.append(_block_diag(IntMatrix.identity(left.degree), gr))
-        return close_group(gens, element_bound)
+        left, right = _generators(args[0]), _generators(args[1])
+        gens = [_block_diag(g, IntMatrix.identity(right[0].rows)) for g in left]
+        gens += [_block_diag(IntMatrix.identity(left[0].rows), g) for g in right]
+        return tuple(gens)
     raise UnknownName(f"unknown catalog representation {name!r}")
 
 

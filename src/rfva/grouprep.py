@@ -34,6 +34,7 @@ Soundness checks raise typed errors, so they also run under python -O.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import mul
 
 from .errors import NotAClassFunction, NotAPartition, NotFinite, NotInvertible
@@ -291,15 +292,5 @@ def validate_rep(rep: Rep) -> RepReport:
 
 
 def is_abelian_image(rep: Rep) -> bool:
-    """True iff the image group is abelian (generator pairs suffice).
-
-    right[0][i] is the index of generator i, so right[right[0][i]][j] is the
-    index of the product of generators i and j.
-    """
-    right = rep.right
-    n = len(rep.generators)
-    return all(
-        right[right[0][i]][j] == right[right[0][j]][i]
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
+    """True iff the image group is abelian: iff the generators commute."""
+    return all(a * b == b * a for a, b in combinations(rep.generators, 2))

@@ -2,7 +2,8 @@
 
 Families:
   nu  -- the sublattices of prime-power index (and Z^m itself), every HNF
-         basis of such an index enumerated;
+         basis of such an index enumerated by enumerate_sublattices, one
+         index at a time, and no composite index read;
   inv -- those of them invariant under a representation, built directly;
   com -- images of integer matrices commuting with the representation,
          enumerated over the coefficient box COEFFICIENT_BOX (NOT complete;
@@ -52,12 +53,9 @@ stream of lattices.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass, field
-from itertools import groupby, islice, product
+from itertools import groupby, product
 from operator import mul
-from typing import Iterator
 
 from .errors import (
     BudgetExceeded,
@@ -166,19 +164,15 @@ def _diagonals(m, n):
             yield (d,) + rest
 
 
-def enumerate_sublattices(m: int, max_index: int):
-    """Every sublattice of Z^m of index <= max_index, exactly once.
-
-    Ordered by index, then lexicographically by basis rows.
-    """
-    for n in range(1, max_index + 1):
-        batch = []
-        for diag in _diagonals(m, n):
-            for rows in _hnf_rows(diag, m):
-                batch.append(rows)
-        batch.sort()
-        for rows in batch:
-            yield Lattice(basis=IntMatrix.from_rows(rows), index=n)
+def enumerate_sublattices(m: int, index: int):
+    """Every sublattice of Z^m of the given index, exactly once, ordered
+    lexicographically by basis rows."""
+    batch = []
+    for diag in _diagonals(m, index):
+        batch.extend(_hnf_rows(diag, m))
+    batch.sort()
+    for rows in batch:
+        yield Lattice(basis=IntMatrix.from_rows(rows), index=index)
 
 
 def is_invariant_lattice(lat: Lattice, rep: Rep) -> bool:
@@ -223,29 +217,20 @@ def commutant_image_lattices(rep: Rep, max_index: int):
     return sorted(found.values(), key=lambda lat: (lat.index, lat.basis.entries))
 
 
-def _sublattice_count(m: int, n: int) -> int:
-    """Number of sublattices of Z^m of index n: column j of an HNF basis has
-    j entries reduced modulo diag[j]."""
-    return sum(
-        math.prod(d**j for j, d in enumerate(diag)) for diag in _diagonals(m, n)
-    )
-
-
 @dataclass
 class _Prefix:
     """A nu or inv family's lattices of index <= done, by index; the list
     at an index that is neither 1 nor a prime power is empty.
 
-    nu reads each index from source, the stream of all sublattices of Z^m;
-    inv builds it from the lattices of smaller index.  inv also keeps what
-    its mod-p steps would otherwise redo at every index: the generators'
-    integer characteristic polynomials (charpolys), their roots mod each
-    prime met so far (roots, by prime), and the action matrices of each
-    lattice a prime-power step has read (actions, by basis), which the
-    steps at the next m powers of that prime read again.
+    nu enumerates each index by itself; inv builds it from the lattices of
+    smaller index.  inv also keeps what its mod-p steps would otherwise redo
+    at every index: the generators' integer characteristic polynomials
+    (charpolys), their roots mod each prime met so far (roots, by prime), and
+    the action matrices of each lattice a prime-power step has read
+    (actions, by basis), which the steps at the next m powers of that prime
+    read again.
     """
 
-    source: Iterator[Lattice] | None = None
     done: int = 0
     by_index: dict = field(default_factory=dict)
     charpolys: list[IntPoly] = field(default_factory=list)
@@ -256,8 +241,8 @@ class _Prefix:
 def enumerate_family(spec: FamilySpec, max_index: int):
     """Stream the family's lattices of index <= max_index, index-ordered.
 
-    nu reads every sublattice of Z^m and keeps those of index 1 or a prime
-    power; inv builds only the invariant ones of those indices, by mod-p
+    nu enumerates every sublattice of Z^m of index 1 or a prime power, and
+    no other; inv builds only the invariant ones of those indices, by mod-p
     submodule steps (see the module docstring), and checks each with
     is_invariant_lattice.  The stream reads family_by_index, so every call
     on one spec shares the spec's cached prefix.
@@ -287,26 +272,16 @@ def family_by_index(spec: FamilySpec, max_index: int):
     for n in range(1, max_index + 1):
         prefix = spec._cache.get("prefix")
         if prefix is None:
-            if spec.kind == "nu":
-                prefix = _Prefix(source=enumerate_sublattices(m, sys.maxsize))
-            else:
-                prefix = _Prefix(charpolys=[charpoly(g) for g in spec.rep.generators])
-            spec._cache["prefix"] = prefix
-        # An interrupted nu batch drops the prefix, so a new one may lag.
+            charpolys = [charpoly(g) for g in spec.rep.generators] if spec.kind == "inv" else []
+            prefix = spec._cache["prefix"] = _Prefix(charpolys=charpolys)
         while prefix.done < n:
             k = prefix.done + 1
-            if spec.kind == "nu":
-                try:
-                    # every batch is read, kept or not, to keep the stream aligned
-                    batch = list(islice(prefix.source, _sublattice_count(m, k)))
-                except BaseException:
-                    # The source may have lost part of the batch: start afresh.
-                    spec._cache.pop("prefix", None)
-                    raise
             p, e = _least_prime_power(k) if k > 1 else (1, 0)
             if p**e != k:
                 batch = []
-            elif spec.kind == "inv":
+            elif spec.kind == "nu":
+                batch = list(enumerate_sublattices(m, k))
+            else:
                 batch = _invariant_batch(spec.rep, prefix, p, e)
             prefix.by_index[k] = batch
             prefix.done = k

@@ -4,6 +4,8 @@ Three mutually cross-checking routes to the exponent live here:
 
 * splitting the reduction mod p for primes p = 1 (mod |H|), where the prime
   field is a splitting field, giving k as the maximal constituent dimension;
+  isomorphic constituents are grouped by a nonzero H-map between them, so
+  this route reads only the generators and |H|, never the class tables;
 * the character-table route (inner products against supplied irreducible
   characters);
 * the commutant-matrix certificate for Q-irreducible representations, which
@@ -365,8 +367,10 @@ def split_mod_p(rep: Rep, p: int, seed: int = DEFAULT_SEED) -> Constituents:
     """Full decomposition of F_p^m into irreducible invariant subspaces.
 
     Requires p = 1 (mod |H|), which makes F_p a splitting field and the module
-    semisimple.  Isotypic grouping is by the character of the restricted
-    action (ordinary characters suffice because p does not divide |H|).
+    semisimple.  Each part goes to the group of the first earlier part that
+    is isomorphic to it, tested on the generators' actions alone: every part
+    has End = F_p, so the commutant of U + V has dimension 4 if U and V are
+    isomorphic and 2 if not (Schur's lemma).
     Memoized like q_split and exponent_report: the result is immutable.
     """
     if not _isprime(p):
@@ -375,25 +379,30 @@ def split_mod_p(rep: Rep, p: int, seed: int = DEFAULT_SEED) -> Constituents:
         raise BadPrime(f"{p} is not congruent to 1 mod |H| = {rep.order}")
     splitter = _ModuleSplitter(rep, p, random.Random(seed))
     full = [tuple(1 if i == j else 0 for i in range(rep.degree)) for j in range(rep.degree)]
-    parts = splitter.split(full)
-    # verify and group by character on conjugacy-class representatives
-    classes = conjugacy_classes(rep)
-    keyed = {}
-    order = []
-    for basis in parts:
+    found = []  # (generator actions on the group's first part, its bases)
+    for basis in splitter.split(full):
         d = len(basis)
-        traces = []
-        for ci in classes.representatives:
-            r = splitter.restrict(rep.elements[ci], basis)
-            traces.append(sum(r[i][i] for i in range(d)) % p)
-        key = (d, tuple(traces))
-        if key not in keyed:
-            keyed[key] = []
-            order.append(key)
-        keyed[key].append(tuple(tuple(v) for v in basis))
+        action = [splitter.scaled_action(g, basis)[0] for g in rep.generators]
+        for first, bases in found:
+            if len(bases[0]) != d:
+                continue
+            pair = [
+                [row + [0] * d for row in a] + [[0] * d + row for row in b]
+                for a, b in zip(first, action)
+            ]
+            nullity = len(_scaled_kernel(_commutation_system(pair, 2 * d), p)[0])
+            if nullity not in (2, 4):
+                raise UnsoundSplit(
+                    f"the sum of two irreducible parts has a {nullity}-dimensional commutant"
+                )
+            if nullity == 4:
+                bases.append(tuple(map(tuple, basis)))
+                break
+        else:
+            found.append((action, [tuple(map(tuple, basis))]))
     groups = tuple(
-        ConstituentGroup(dimension=key[0], multiplicity=len(keyed[key]), bases=tuple(keyed[key]))
-        for key in order
+        ConstituentGroup(dimension=len(bases[0]), multiplicity=len(bases), bases=tuple(bases))
+        for _, bases in found
     )
     total = sum(g.dimension * g.multiplicity for g in groups)
     if total != rep.degree:

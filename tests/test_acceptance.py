@@ -125,6 +125,25 @@ def test_criterion_06_abelian_corollary():
         assert is_abelian_image(rep) == (exponent_k(rep) == 1), gens
 
 
+def _abelian_by_right_table(rep):
+    """The right-table test is_abelian_image once ran: right[0][i] is the
+    index of generator i, so g_i g_j = g_j g_i iff their indices agree."""
+    right, n = rep.right, len(rep.generators)
+    return all(
+        right[right[0][i]][j] == right[right[0][j]][i] for i in range(n) for j in range(i + 1, n)
+    )
+
+
+def test_abelian_image_matches_the_right_table():
+    reps = [catalog_rep(name) for name in CATALOG]
+    rng = random.Random(0)
+    for _ in range(50):
+        reps.append(close_group([_random_monomial(rng, 3), _random_monomial(rng, 3)]))
+    verdicts = [is_abelian_image(rep) for rep in reps]
+    assert verdicts == [_abelian_by_right_table(rep) for rep in reps]
+    assert True in verdicts and False in verdicts
+
+
 def test_criterion_07_witness_soundness():
     start = time.monotonic()
     rng = random.Random(42)

@@ -66,6 +66,26 @@ def test_k_perm_sym_8_takes_its_primes_however_large(capsys):
     assert "primes: 161281 241921 282241" in lines
 
 
+def test_route_one_commands_run_without_conjugacy_classes(monkeypatch, capsys):
+    """k, decompose --field fp:P and witness read only the generators and |H|."""
+
+    def refuse(rep):
+        raise AssertionError("conjugacy classes were read")
+
+    monkeypatch.setattr(grouprep, "conjugacy_classes", refuse)
+    monkeypatch.setattr(repdecomp, "conjugacy_classes", refuse)
+    repdecomp.split_mod_p.cache_clear()
+    repdecomp.exponent_report.cache_clear()
+    for argv in (
+        ["k", "catalog:product(d4_paper,quaternion_paper)"],
+        ["decompose", "catalog:product(d4_paper,d4_paper)", "--field", "fp:193"],
+        ["witness", "catalog:quaternion_paper", "--vector", "1,2,3,4"],
+    ):
+        assert run(argv) == EXIT_OK, argv
+    out = capsys.readouterr().out
+    assert "k = 2" in out and "dimension 2 x 1" in out
+
+
 def test_char_with_table(capsys):
     assert run(["char", "catalog:d4_paper", "--table"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product, takewhile
+from itertools import chain, product, takewhile
 
 import pytest
 import sympy
@@ -965,7 +965,7 @@ def _lattice(rows):
 
 
 # the 33 sublattices of Z^2 of index at most 6
-SMALL_LATTICES = list(enumerate_sublattices(2, 6))
+SMALL_LATTICES = list(chain.from_iterable(enumerate_sublattices(2, n) for n in range(1, 7)))
 
 
 @settings(max_examples=80, deadline=None)

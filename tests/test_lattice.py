@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
 from pathlib import Path
 
 import pytest
@@ -80,21 +80,26 @@ def test_contains_examples():
         contains(two_z2, (1, 0, 0))
 
 
+def _sublattices_up_to(m, max_index):
+    """Every sublattice of Z^m of index <= max_index, by index."""
+    return chain.from_iterable(enumerate_sublattices(m, n) for n in range(1, max_index + 1))
+
+
 def test_enumerate_sublattices_counts():
     # number of index-n sublattices of Z^2 is sigma(n)
-    lats = list(enumerate_sublattices(2, 12))
+    lats = list(_sublattices_up_to(2, 12))
     counts = Counter(l.index for l in lats)
     for n in range(1, 13):
         assert counts[n] == sympy.divisor_sigma(n), n
 
 
 def test_enumerate_sublattices_rank_one():
-    lats = list(enumerate_sublattices(1, 5))
+    lats = list(_sublattices_up_to(1, 5))
     assert [l.basis[0, 0] for l in lats] == [1, 2, 3, 4, 5]
 
 
 def test_enumerate_sublattices_unique_and_ordered():
-    lats = list(enumerate_sublattices(2, 8))
+    lats = list(_sublattices_up_to(2, 8))
     keys = [(l.index, l.basis.entries) for l in lats]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
@@ -332,7 +337,7 @@ def _full_family(spec, budget):
     every sublattice, filtered by invariance for inv."""
     return [
         lat
-        for lat in enumerate_sublattices(spec.rep.degree, budget)
+        for lat in _sublattices_up_to(spec.rep.degree, budget)
         if spec.kind == "nu" or is_invariant_lattice(lat, spec.rep)
     ]
 
@@ -421,6 +426,20 @@ def test_a_composite_index_lattice_meets_two_family_lattices(case):
         for part in parts[1:]:
             meet = intersection(meet, part)
         assert meet == lat
+
+
+def test_nu_enumerates_only_the_indices_it_keeps(monkeypatch):
+    seen = []
+    real = lattice_mod.enumerate_sublattices
+
+    def recording(m, index):
+        seen.append(index)
+        return real(m, index)
+
+    monkeypatch.setattr(lattice_mod, "enumerate_sublattices", recording)
+    lats = list(enumerate_family(nu_family(2), 12))
+    assert seen == [1, 2, 3, 4, 5, 7, 8, 9, 11]
+    assert lats == [lat for lat in _sublattices_up_to(2, 12) if _is_one_or_prime_power(lat.index)]
 
 
 SHARED_PREFIX_CASES = [
@@ -770,7 +789,7 @@ def test_prefix_recovers_from_an_interrupted_batch(monkeypatch):
     assert 4 not in prefix.by_index
     assert list(enumerate_family(spec, 8)) == _oracle(spec, 8)
 
-    # nu reads one shared stream of sublattices, which an interrupt leaves part-read
+    # an interrupt in the middle of a nu batch leaves the prefix at its last whole index
     nu = nu_family(2)
     list(enumerate_family(nu, 3))
     made = []

@@ -580,6 +580,10 @@ mod17 = real_split(rd._ModuleSplitter(d4, 17, random.Random(0)), full)
 over_q = real_split(rd._ModuleSplitter(d4, None, random.Random(0)), full)
 rd._ModuleSplitter.split = lambda self, basis: mod17[:-1]
 expect(UnsoundSplit, "split total", rd.split_mod_p, d4, 17)
+# two reducible parts of trivial(4): the commutant of their sum is M_4(F_5)
+halves = [[(1, 0, 0, 0), (0, 1, 0, 0)], [(0, 0, 1, 0), (0, 0, 0, 1)]]
+rd._ModuleSplitter.split = lambda self, basis: halves
+expect(UnsoundSplit, "hom", rd.split_mod_p, catalog_rep("trivial(4)"), 5)
 rd._ModuleSplitter.split = lambda self, basis: over_q + over_q[:1]
 expect(UnsoundSplit, "q vectors", rd.q_split, d4)
 rd._ModuleSplitter.split = lambda self, basis: over_q
@@ -651,6 +655,7 @@ def test_split_and_certificate_checks_run_under_python_O():
         "content checked: monic minimal polynomial has content 2",
         "std_sym checked: the sum-zero sublattice is not invariant",
         "split total checked: constituent dimensions sum to 2, not 3",
+        "hom checked: the sum of two irreducible parts has a 16-dimensional commutant",
         "q vectors checked: Q-constituent bases hold 4 vectors, not 3",
         "q rank checked: projected lattice has rank 2, not 1",
         "q integral checked: a generator acts non-integrally on a projected lattice",
@@ -676,8 +681,8 @@ from rfva.errors import UnsoundSplit
 
 print("optimize", sys.flags.optimize, __debug__)
 # span(e1) under rot(4)'s rotation, span(e1, e2) under d4_paper's generators;
-# split returns a 1-dimensional basis as it is, and split_mod_p's traces and
-# q_split's actions restrict it
+# split returns a 1-dimensional basis as it is, and split_mod_p's Hom test
+# and q_split's actions restrict it
 for name, basis in (("rot(4)", [(1, 0)]), ("d4_paper", [(1, 0, 0), (0, 1, 0)])):
     rep = catalog_rep(name)
     for p in (None, rd.exponent_report(rep).primes[0]):
@@ -891,22 +896,31 @@ class _FractionSplitter:
         raise AssertionError("the reference split is inconclusive")
 
 
-def _reference_split_mod_p(rep, p, seed=0):
-    splitter = _FractionSplitter(rep, p, random.Random(seed))
-    parts = splitter.split([tuple(int(i == j) for i in range(rep.degree)) for j in range(rep.degree)])
+def _group_by_class_traces(rep, p, parts, restrict):
+    """The grouping split_mod_p once made, kept as a reference: parts of
+    equal dimension whose traces mod p agree on every conjugacy class are
+    one isomorphism type (p does not divide |H|), the types in order of
+    first appearance and each type's bases in order."""
     classes = conjugacy_classes(rep)
     keyed = {}
     for basis in parts:
         traces = []
         for ci in classes.representatives:
-            r = splitter.restrict(rep.elements[ci], basis)
+            r = restrict(rep.elements[ci], basis)
             traces.append(sum(r[i][i] for i in range(len(basis))) % p)
         keyed.setdefault((len(basis), tuple(traces)), []).append(tuple(tuple(v) for v in basis))
-    groups = tuple(
+    return tuple(
         rd.ConstituentGroup(dimension=key[0], multiplicity=len(bases), bases=tuple(bases))
         for key, bases in keyed.items()
     )
-    return rd.Constituents(field=p, groups=groups)
+
+
+def _reference_split_mod_p(rep, p, seed=0):
+    splitter = _FractionSplitter(rep, p, random.Random(seed))
+    parts = splitter.split([tuple(int(i == j) for i in range(rep.degree)) for j in range(rep.degree)])
+    return rd.Constituents(
+        field=p, groups=_group_by_class_traces(rep, p, parts, splitter.restrict)
+    )
 
 
 def _reference_q_split(rep, seed=0):
@@ -1044,6 +1058,33 @@ def test_splits_of_conjugates_with_repeated_constituents(name, seed):
         cons = split_mod_p(rep, p)
         assert cons.dimensions == split_mod_p(base, p).dimensions
         _assert_invariant_parts_of_rank_m(rep, [basis for _, basis in cons.subspaces], p)
+
+
+# --- grouping the mod-p constituents ---------------------------------------
+
+GROUPING_REPS = SPLIT_ORACLE_REPS + tuple(
+    n for n in REPEATED_CONSTITUENT_REPS if n not in SPLIT_ORACLE_REPS
+)
+
+
+@pytest.mark.parametrize("name", GROUPING_REPS)
+def test_hom_grouping_matches_the_class_trace_grouping(name):
+    """The groups (dimensions, multiplicities and bases, in order) equal the
+    class-trace grouping of the same parts at each exponent prime, for the
+    catalog rep and 5 seeded conjugates of it."""
+    base = catalog_rep(name)
+    for seed in range(6):
+        rep = base
+        if seed:
+            gens = base.generators
+            q, q_inv = _unimodular_pair(gens[0].rows, random.Random(f"grouping:{name}:{seed}"))
+            rep = close_group([q_inv * g * q for g in gens])
+        for p in exponent_report(rep).primes:
+            splitter = rd._ModuleSplitter(rep, p, random.Random(0))
+            full = [tuple(int(i == j) for i in range(rep.degree)) for j in range(rep.degree)]
+            parts = splitter.split(full)
+            expected = _group_by_class_traces(rep, p, parts, splitter.restrict)
+            assert split_mod_p(rep, p).groups == expected, (seed, p)
 
 
 @pytest.mark.parametrize("p", (None, 5))
