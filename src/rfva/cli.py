@@ -4,11 +4,13 @@ getopt reads argv by one table of the commands and options, which -h prints.
 Representations are named as `catalog:NAME`, `z:m` (another name for
 `catalog:trivial(m)`, the trivial action on Z^m), or a path to a JSON
 representation file of integers, as `catalog dump NAME [--output F]` writes.
-All randomness flows from --seed (default 0); identical argv plus seed gives
-byte-identical CSV output. Exit codes: 0 success, 1 computational failure (a
-budget or bound exceeded, errors.LimitReached, or a verify line that prints
-FAIL), 2 invalid input, 3 internal failure (one of the tool's own soundness
-checks failed, which indicates a bug; errors.InternalFailure).
+--seed (default 0) feeds only the Q split (decompose --field q and verify's
+Q cross-check) and the lower bound's samples; k, the mod-p split and the
+witness take no seed. Identical argv plus seed gives byte-identical output.
+Exit codes: 0 success, 1 computational failure (a budget or bound exceeded,
+errors.LimitReached, or a verify line that prints FAIL), 2 invalid input, 3
+internal failure (one of the tool's own soundness checks failed, which
+indicates a bug; errors.InternalFailure).
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def emit_csv(profile: rfgrowth.RFProfile, destination) -> None:
 
 def _cmd_k(args):
     rep, _, _ = _resolve_rep(args.rep, args.element_bound)
-    report = repdecomp.exponent_report(rep, seed=args.seed)
+    report = repdecomp.exponent_report(rep)
     print(f"k = {report.k}")
     print(f"primes: {' '.join(str(p) for p in report.primes)}")
     print(f"constituent dimensions: {report.dimensions}")
@@ -166,7 +168,7 @@ def _cmd_decompose(args):
     if not (field.startswith("fp:") and field[3:].isdecimal()):
         raise RfvaError(f"unknown field {field!r} (use q or fp:P)")
     p = int(field[3:])
-    cons = repdecomp.split_mod_p(rep, p, seed=args.seed)
+    cons = repdecomp.split_mod_p(rep, p)
     print(f"mod-{p} constituent dimensions: {cons.dimensions}")
     for g in cons.groups:
         print(f"dimension {g.dimension} x {g.multiplicity}")
@@ -215,7 +217,7 @@ def _cmd_witness(args):
         raise RfvaError(f"--vector needs comma-separated integers, got {args.vector!r}")
     rep, _, _ = _resolve_rep(args.rep, args.element_bound)
     v = tuple(int(x) for x in args.vector.split(","))
-    w = lattice.upper_bound_witness(rep, v, seed=args.seed)
+    w = lattice.upper_bound_witness(rep, v)
     print(f"vector: {w.vector}")
     print(f"prime: {w.prime}")
     print(f"constituent dimension: {w.dimension}")
@@ -267,7 +269,7 @@ def _cmd_verify(args):
         f"degree {info.degree}, order {info.order}, "
         f"{info.class_count} classes, abelian: {info.abelian}"
     )
-    report = repdecomp.exponent_report(rep, seed=args.seed)
+    report = repdecomp.exponent_report(rep)
     _check(
         f"constituent dimensions stable over primes {report.primes}",
         report.stable,
@@ -279,7 +281,7 @@ def _cmd_verify(args):
         failures,
     )
     split = repdecomp.q_split(rep, seed=args.seed)
-    sub_k = max(repdecomp.exponent_k(c.rep, seed=args.seed) for c in split.components)
+    sub_k = max(repdecomp.exponent_k(c.rep) for c in split.components)
     _check("k equals max over Q-constituents", sub_k == report.k, failures)
     if table is not None:
         dec = repdecomp.k_from_character_table(rep, table)
@@ -290,7 +292,7 @@ def _cmd_verify(args):
         _check("conjugated rep preserves order", conj.order == rep.order, failures)
     for j in range(rep.degree):
         v = tuple(1 if i == j else 0 for i in range(rep.degree))
-        w = lattice.upper_bound_witness(rep, v, seed=args.seed)
+        w = lattice.upper_bound_witness(rep, v)
         _check(
             f"witness for e_{j}: index {w.index} = {w.prime}^{w.dimension}, d <= k",
             w.dimension <= report.k and not w.lattice.contains(v),

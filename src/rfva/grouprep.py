@@ -13,10 +13,12 @@ each generator keeps a table from a row to that row times g, and multiplies
 each distinct row once, by dot products; e*g then costs m table lookups, and
 the product is looked up by its entries.
 
-close_group keeps what it learns: the index of every element and the
-right-multiplication table, which holds the index of e*g for every e and g.
-The other group tables are built once, on first use, in a private cache that
-is not part of the Rep's value: the inverse of every element and the
+A Rep's value is its degree and generators: two Reps with the same
+generators are equal and hash alike, and the closure, which the generators
+determine, is not compared.  close_group keeps what it learns: the index of
+every element and the right-multiplication table, which holds the index of
+e*g for every e and g.  The other group tables are built once, on first use,
+by the cached property Rep._tables: the inverse of every element and the
 conjugacy classes.  They cost O(|H|*#gens^2) table lookups and #gens
 adjugates, and no matrix products:
 
@@ -34,6 +36,7 @@ Soundness checks raise typed errors, so they also run under python -O.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from operator import mul
 
@@ -45,25 +48,16 @@ DEFAULT_ELEMENT_BOUND = 20_000
 
 @dataclass(frozen=True)
 class Rep:
-    """An integral representation: generator images plus their finite closure."""
+    """An integral representation: generator images plus their finite
+    closure; equal and hashed by degree and generators alone."""
 
     degree: int
     generators: tuple[IntMatrix, ...]
-    elements: tuple[IntMatrix, ...]
-    # From close_group: index[e] is the position of e in elements, and
-    # right[i][g] the index of elements[i] * generators[g].
+    # From close_group, in breadth-first order: index[e] is the position of
+    # e in elements, and right[i][g] the index of elements[i] * generators[g].
+    elements: tuple[IntMatrix, ...] = field(repr=False, compare=False)
     index: dict[IntMatrix, int] = field(repr=False, compare=False)
     right: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-    # Hash, inverse table and classes, filled on first use; see _tables.
-    _cache: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False, hash=False
-    )
-
-    def __hash__(self) -> int:
-        h = self._cache.get("hash")
-        if h is None:
-            h = self._cache["hash"] = hash((self.degree, self.generators, self.elements))
-        return h
 
     @property
     def order(self) -> int:
@@ -74,8 +68,8 @@ class Rep:
 
     def inverse(self, m: IntMatrix) -> IntMatrix:
         """Inverse of a matrix of determinant +-1, by adjugate; NotInvertible
-        for any other determinant. _build_tables calls it on the generators
-        only and reaches every other element's inverse by index."""
+        for any other determinant. _tables calls it on the generators only
+        and reaches every other element's inverse by index."""
         d = det(m)
         if d not in (1, -1):
             raise NotInvertible(f"determinant {d} is not +1 or -1")
@@ -88,6 +82,23 @@ class Rep:
         for g in word:
             i = self.right[i][g]
         return self.elements[i]
+
+    @cached_property
+    def _tables(self) -> _Tables:
+        """The inverse and class tables, built on first use (module notes)."""
+        right = self.right
+        # left[g][i] is the index of generators[g]^-1 * elements[i]
+        left = [_left_multiplication(right, self.index[self.inverse(g)]) for g in self.generators]
+        inverse = [None] * len(right)
+        inverse[0] = 0
+        for i, row in enumerate(right):
+            for g_inv, j in zip(left, row):
+                if inverse[j] is None:
+                    inverse[j] = g_inv[inverse[i]]
+        inverse = tuple(inverse)
+        classes = _class_orbits(right, inverse)
+        _check_partition(classes, len(right))
+        return _Tables(inverse=inverse, classes=classes)
 
 
 @dataclass(frozen=True)
@@ -191,13 +202,6 @@ class _Tables:
     classes: ConjClasses
 
 
-def _tables(rep: Rep) -> _Tables:
-    tables = rep._cache.get("tables")
-    if tables is None:
-        tables = rep._cache["tables"] = _build_tables(rep)
-    return tables
-
-
 def _left_multiplication(right, start) -> list[int]:
     """The index of h * e for every element e, h the element at index start.
 
@@ -211,22 +215,6 @@ def _left_multiplication(right, start) -> list[int]:
             if out[j] is None:
                 out[j] = heg
     return out
-
-
-def _build_tables(rep: Rep) -> _Tables:
-    right = rep.right
-    # left[g][i] is the index of generators[g]^-1 * elements[i]
-    left = [_left_multiplication(right, rep.index[rep.inverse(g)]) for g in rep.generators]
-    inverse = [None] * len(right)
-    inverse[0] = 0
-    for i, row in enumerate(right):
-        for g_inv, j in zip(left, row):
-            if inverse[j] is None:
-                inverse[j] = g_inv[inverse[i]]
-    inverse = tuple(inverse)
-    classes = _class_orbits(right, inverse)
-    _check_partition(classes, len(right))
-    return _Tables(inverse=inverse, classes=classes)
 
 
 def _class_orbits(right, inverse) -> ConjClasses:
@@ -265,7 +253,7 @@ def _check_partition(classes: ConjClasses, order: int) -> None:
 
 def conjugacy_classes(rep: Rep) -> ConjClasses:
     """Classes ordered by their first-discovered member in BFS element order."""
-    return _tables(rep).classes
+    return rep._tables.classes
 
 
 def character_of_rep(rep: Rep) -> ClassFunction:

@@ -44,16 +44,17 @@ Enumeration order is fixed (index, then lexicographic basis) so divisibility
 minima are reproducible.
 
 Each FamilySpec enumerates its family once.  family_by_index serves every
-call on one spec, index by index, from a cached prefix of the family: for nu
-and inv, one prefix per spec that grows one whole index at a time, and only
-as far as a caller asks; for com, one list per index budget.  The cache lives
-as long as the spec does, and enumerate_family is the same family as one
-stream of lattices.
+call on one spec, index by index, from the spec's cached prefix of the
+family: for nu and inv it grows one whole index at a time, and only as far
+as a caller asks; for com one box walk fills it up to the largest index
+budget asked for so far.  The prefix lives as long as the spec does, and
+enumerate_family is the same family as one stream of lattices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby, product
 from operator import mul
 
@@ -79,7 +80,7 @@ from .exactalg import (
     kernel_fp,
 )
 from .grouprep import Rep
-from .repdecomp import DEFAULT_SEED, commutant_basis, split_mod_p
+from .repdecomp import commutant_basis, split_mod_p
 
 FAMILY_KINDS = ("nu", "inv", "com")
 COEFFICIENT_BOX = 2
@@ -94,15 +95,16 @@ class FamilySpec:
 
     kind: str  # "nu" | "inv" | "com"
     rep: Rep
-    # Enumerated lattices, filled on first use: "prefix" -> _Prefix for nu
-    # and inv, index budget -> list for com; see enumerate_family.
-    _cache: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False, hash=False
-    )
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise UnknownName(f"unknown family kind {self.kind!r}")
+
+    @cached_property
+    def _prefix(self) -> _Prefix:
+        """The lattices enumerated so far; see family_by_index."""
+        charpolys = [charpoly(g) for g in self.rep.generators] if self.kind == "inv" else []
+        return _Prefix(charpolys=charpolys)
 
 
 @dataclass(frozen=True)
@@ -219,8 +221,9 @@ def commutant_image_lattices(rep: Rep, max_index: int):
 
 @dataclass
 class _Prefix:
-    """A nu or inv family's lattices of index <= done, by index; the list
-    at an index that is neither 1 nor a prime power is empty.
+    """A family's lattices of index <= done, by index: for nu and inv the
+    list at an index that is neither 1 nor a prime power is empty, and com
+    holds only the indices it has lattices at.
 
     nu enumerates each index by itself; inv builds it from the lattices of
     smaller index.  inv also keeps what its mod-p steps would otherwise redo
@@ -256,24 +259,22 @@ def family_by_index(spec: FamilySpec, max_index: int):
     n <= max_index at which the family has any, in increasing n; for nu and
     inv, n is 1 or a prime power (see the module docstring).
 
-    Every call on one spec reads the spec's cached family: for nu and inv a
-    prefix that grows by one whole index at a time, and only as far as the
-    caller reads, so each lattice is enumerated once per spec; for com the
-    one list of the commutant images of index <= max_index.
+    Every call on one spec reads the spec's cached prefix: for nu and inv it
+    grows by one whole index at a time, and only as far as the caller reads,
+    so each lattice is enumerated once per spec; for com one box walk fills
+    it with the commutant images of every index <= max_index, and is redone
+    only for a larger max_index.
     """
+    prefix = spec._prefix
     if spec.kind == "com":
-        lats = spec._cache.get(max_index)
-        if lats is None:
-            lats = spec._cache[max_index] = commutant_image_lattices(spec.rep, max_index)
-        for n, batch in groupby(lats, key=lambda lat: lat.index):
-            yield n, list(batch)
+        if prefix.done < max_index:
+            lats = commutant_image_lattices(spec.rep, max_index)
+            prefix.by_index = {n: list(b) for n, b in groupby(lats, key=lambda lat: lat.index)}
+            prefix.done = max_index
+        yield from ((n, b) for n, b in prefix.by_index.items() if n <= max_index)
         return
     m = spec.rep.degree
     for n in range(1, max_index + 1):
-        prefix = spec._cache.get("prefix")
-        if prefix is None:
-            charpolys = [charpoly(g) for g in spec.rep.generators] if spec.kind == "inv" else []
-            prefix = spec._cache["prefix"] = _Prefix(charpolys=charpolys)
         while prefix.done < n:
             k = prefix.done + 1
             p, e = _least_prime_power(k) if k > 1 else (1, 0)
@@ -477,7 +478,7 @@ def _cyclic_submodules(actions, p, d):
     return [sub for sub in found if len(sub) == d]
 
 
-def upper_bound_witness(rep: Rep, v, seed: int = DEFAULT_SEED) -> Witness:
+def upper_bound_witness(rep: Rep, v) -> Witness:
     """Invariant lattice of index p^d (d <= k) omitting v, via splitting mod p.
 
     p is the smallest prime = 1 mod |H| not dividing a chosen nonzero entry
@@ -493,7 +494,7 @@ def upper_bound_witness(rep: Rep, v, seed: int = DEFAULT_SEED) -> Witness:
         raise ZeroVector("the witness construction needs a nonzero vector")
     a = next(x for x in v if x != 0)
     p = next(p for p in _primes_one_mod(rep.order) if a % p)
-    subspaces = split_mod_p(rep, p, seed=seed).subspaces
+    subspaces = split_mod_p(rep, p).subspaces
     scalars = [[p if i == j else 0 for j in range(rep.degree)] for i in range(rep.degree)]
     for chosen in sorted(range(len(subspaces)), key=lambda si: subspaces[si][0]):
         stack = [

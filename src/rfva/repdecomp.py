@@ -15,6 +15,10 @@ Rational splitting is randomized (seeded); Q-irreducibility is certified by
 a deterministic sweep over small commutant combinations followed by a run of
 consecutive random draws whose minimal polynomials are all irreducible.  The
 failure mode is a clean InconclusiveSplit, never a silently wrong split.
+
+The mod-p route takes no seed: F_p^m splits uniquely up to isomorphism, so
+its random candidates, if its deterministic sweep leaves any to draw, come
+from a stream of fixed seed DEFAULT_SEED.
 """
 
 from __future__ import annotations
@@ -233,7 +237,8 @@ class _ModuleSplitter:
     # -- splitting element candidates
 
     def candidate_stream(self, commutant, scale):
-        """Deterministic sweep first, then seeded random small combinations.
+        """Deterministic sweep first, then random small combinations from
+        the splitter's rng: over Q seeded by the caller, over F_p by DEFAULT_SEED.
 
         Over Q the commutant holds s X_i, s its common scale, and a
         candidate z = sum c_i X_i comes as z times the least common
@@ -363,21 +368,22 @@ class Constituents:
 
 
 @lru_cache(maxsize=None)
-def split_mod_p(rep: Rep, p: int, seed: int = DEFAULT_SEED) -> Constituents:
+def split_mod_p(rep: Rep, p: int) -> Constituents:
     """Full decomposition of F_p^m into irreducible invariant subspaces.
 
     Requires p = 1 (mod |H|), which makes F_p a splitting field and the module
     semisimple.  Each part goes to the group of the first earlier part that
     is isomorphic to it, tested on the generators' actions alone: every part
     has End = F_p, so the commutant of U + V has dimension 4 if U and V are
-    isomorphic and 2 if not (Schur's lemma).
+    isomorphic and 2 if not (Schur's lemma).  The split is unique up to
+    isomorphism, so the random candidates take the fixed seed DEFAULT_SEED.
     Memoized like q_split and exponent_report: the result is immutable.
     """
     if not _isprime(p):
         raise BadPrime(f"{p} is not prime")
     if rep.order > 1 and p % rep.order != 1:
         raise BadPrime(f"{p} is not congruent to 1 mod |H| = {rep.order}")
-    splitter = _ModuleSplitter(rep, p, random.Random(seed))
+    splitter = _ModuleSplitter(rep, p, random.Random(DEFAULT_SEED))
     full = [tuple(1 if i == j else 0 for i in range(rep.degree)) for j in range(rep.degree)]
     found = []  # (generator actions on the group's first part, its bases)
     for basis in splitter.split(full):
@@ -429,7 +435,7 @@ class ExponentReport:
 
 
 @lru_cache(maxsize=None)
-def exponent_report(rep: Rep, seed: int = DEFAULT_SEED) -> ExponentReport:
+def exponent_report(rep: Rep) -> ExponentReport:
     """k = max constituent dimension, cross-checked over several primes.
 
     Uses the SPLIT_PRIMES smallest primes congruent to 1 mod |H|; the
@@ -438,7 +444,7 @@ def exponent_report(rep: Rep, seed: int = DEFAULT_SEED) -> ExponentReport:
     bad input).
     """
     primes = tuple(islice(_primes_one_mod(rep.order), SPLIT_PRIMES))
-    by_prime = tuple(split_mod_p(rep, p, seed=seed).dimensions for p in primes)
+    by_prime = tuple(split_mod_p(rep, p).dimensions for p in primes)
     report = ExponentReport(
         k=max(by_prime[0]),
         primes=primes,
@@ -452,10 +458,9 @@ def exponent_report(rep: Rep, seed: int = DEFAULT_SEED) -> ExponentReport:
     return report
 
 
-def exponent_k(rep: Rep, seed: int = DEFAULT_SEED) -> int:
-    """exponent_report's k.  Every caller in the package passes seed by
-    keyword, as here, so their calls share one cache entry."""
-    return exponent_report(rep, seed=seed).k
+def exponent_k(rep: Rep) -> int:
+    """exponent_report's k."""
+    return exponent_report(rep).k
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +495,7 @@ class QSplit:
 
 
 @lru_cache(maxsize=None)
-def q_split(rep: Rep, seed: int = DEFAULT_SEED) -> QSplit:
+def q_split(rep: Rep, *, seed: int = DEFAULT_SEED) -> QSplit:
     """Decompose Q^m into Q-irreducible invariant subspaces.
 
     Randomized (seeded) but certified: reducible subspaces are split by
@@ -678,8 +683,8 @@ class Certificate:
     f is the (degree n) minimal polynomial of B, the charpoly is f^k, x is the
     field norm of the eigenvalue, and the recorded checks witness
     det B = x^k, B*M = -f(0)*I for M = sum_{i>=1} a_i B^{i-1},
-    Adj(B) = -(x^k/f(0))*M, and x*Z^m inside Im(B), the last by the integer
-    preimage Y = -(x/f(0))*M with B*Y = x*I.
+    Adj(B) = -(x^k/f(0))*M, and x*Z^m inside Im(B), the last as
+    x*Adj(B) = 0 (mod det B): B^-1 x = x*Adj(B)/det B is integral.
     """
 
     k: int
@@ -694,13 +699,12 @@ class Certificate:
         return all(ok for _, ok in self.checks)
 
 
-def commutant_certificate(rep: Rep, b: IntMatrix, seed: int = DEFAULT_SEED) -> Certificate:
+def commutant_certificate(rep: Rep, b: IntMatrix, *, seed: int = DEFAULT_SEED) -> Certificate:
     """Check the constructive lemma for a matrix commuting with the action.
 
     The products run on integer rows, and the charpoly and the adjugate of
-    B come from one Faddeev-LeVerrier run.  x*Z^m inside Im(B) is shown by a
-    witness: for an integer Y with B*Y = x*I, the column Y e_j is a preimage
-    of x*e_j.
+    B come from one Faddeev-LeVerrier run.  x*Z^m inside Im(B) is read from
+    that adjugate and det B alone, independently of M.
     """
     if b.rows != rep.degree or not b.is_square():
         raise NotCommuting("matrix degree does not match the representation")
@@ -715,7 +719,7 @@ def commutant_certificate(rep: Rep, b: IntMatrix, seed: int = DEFAULT_SEED) -> C
         raise SingularMatrix("certificate requires a nonsingular matrix")
     if not q_split(rep, seed=seed).irreducible:
         raise NotIrreducible("the representation is not irreducible over Q")
-    k = exponent_k(rep, seed=seed)
+    k = exponent_k(rep)
     cp, adj = charpoly_and_adjugate(b)
     try:
         f = poly_kth_root(cp, k)
@@ -738,11 +742,10 @@ def commutant_certificate(rep: Rep, b: IntMatrix, seed: int = DEFAULT_SEED) -> C
         raise InexactDivision(f"x^k = {x**k} is not divisible by f(0) = {a0}")
     adj_rows = [list(row) for row in adj.entries]
     checks.append(("adjugate", adj_rows == _mat_scale(m_rows, -(x**k // a0), None)))
-    # the preimage Y = -(x/f(0)) M of x I; integral, as x = +-f(0)
-    x_units = x % a0 == 0 and _mat_mul(
-        b_rows, _mat_scale(m_rows, -(x // a0), None), None
-    ) == _mat_scale(ident, x, None)
-    checks.append(("x_lattice_in_image", x_units))
+    # B y = x e_j has the one solution y = x Adj(B) e_j / det B, integral or
+    # not; det B = +-cp(0), from the run that gave Adj(B)
+    c0 = cp(0)
+    checks.append(("x_lattice_in_image", all(x * a % c0 == 0 for row in adj_rows for a in row)))
     cert = Certificate(k=k, n=n, f=f, x=x, det=d, checks=tuple(checks))
     if not cert.passed:
         failed = [name for name, ok in cert.checks if not ok]

@@ -207,6 +207,7 @@ def lower_bound_certificate(
     rep: Rep,
     s_max: int,
     samples: int = DEFAULT_SAMPLES,
+    *,
     seed: int = DEFAULT_SEED,
     index_budget: int = DEFAULT_INDEX_BUDGET,
 ) -> LowerBoundReport:
@@ -225,7 +226,7 @@ def lower_bound_certificate(
         raise ValueError("all bounds must be positive")
     if not q_split(rep, seed=seed).irreducible:
         raise NotIrreducible("the lower bound needs a Q-irreducible representation")
-    k = exponent_k(rep, seed=seed)
+    k = exponent_k(rep)
     m = rep.degree
     comm = commutant_basis(rep)
     rng = random.Random(seed)

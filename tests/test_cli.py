@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,7 @@ from rfva.errors import (
 )
 from rfva.lattice import FamilySpec
 from rfva.rfgrowth import RFProfile, rf_profile
+from test_grouprep import _unimodular_pair
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -587,15 +589,47 @@ def test_python_dash_m_rfva_runs_the_cli():
     assert "k = 2" in out.stdout.splitlines()
 
 
-def test_verify_shares_one_exponent_report_per_rep_and_seed(capsys):
-    # the report line, the Q-constituent's k and the commutant certificate
-    # all ask for the same (rep, seed)
-    argv = ["verify", "catalog:quaternion_paper", "--suite", "lemmas"]
-    for seed, misses in ((0, 1), (1, 2), (0, 2)):
-        if misses == 1:
+@pytest.mark.parametrize(
+    "name",
+    ["d4_paper", "quaternion_paper", "perm_sym(5)", "product(d4_paper,d4_paper)", "std_sym(4)"],
+)
+def test_route_one_prints_the_same_at_every_seed(name, tmp_path, capsys):
+    """k, the mod-p split and the witness take no seed: --seed 0 and --seed 9
+    print the same, for the catalog rep and for a seeded Q^-1 g Q conjugate."""
+    rep = catalog_rep(name)
+    q, q_inv = _unimodular_pair(rep.degree, random.Random(f"seedless:{name}"))
+    path = tmp_path / "conjugate.json"
+    path.write_text(json.dumps({
+        "name": f"conjugate:{name}",
+        "degree": rep.degree,
+        "generators": [[list(row) for row in (q_inv * g * q).entries] for g in rep.generators],
+    }))
+    p = repdecomp.exponent_report(rep).primes[0]
+    vector = ",".join(map(str, [1, 2] + [0] * (rep.degree - 3) + [-1]))
+    for source in (f"catalog:{name}", str(path)):
+        commands = (
+            ["k", source],
+            ["decompose", source, "--field", f"fp:{p}"],
+            ["witness", source, "--vector", vector],
+        )
+        outputs = []
+        for seed in (0, 9):
             repdecomp.exponent_report.cache_clear()
+            repdecomp.split_mod_p.cache_clear()
+            for argv in commands:
+                assert run(["--seed", str(seed), *argv]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
+def test_verify_shares_one_exponent_report_per_rep(capsys):
+    # the report line, the Q-constituent's k and the commutant certificate
+    # all ask for the same rep, and the report takes no seed
+    argv = ["verify", "catalog:quaternion_paper", "--suite", "lemmas"]
+    repdecomp.exponent_report.cache_clear()
+    for seed in (0, 1, 0):
         assert run(["--seed", str(seed)] + argv) == EXIT_OK
-        assert repdecomp.exponent_report.cache_info().misses == misses
+        assert repdecomp.exponent_report.cache_info().misses == 1
     capsys.readouterr()
 
 

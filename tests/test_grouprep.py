@@ -13,7 +13,6 @@ from rfva.exactalg import IntMatrix, det
 from rfva.grouprep import (
     ConjClasses,
     _class_orbits,
-    _tables,
     character_of_rep,
     close_group,
     conjugacy_classes,
@@ -246,7 +245,7 @@ def _assert_tables_match_the_product_reference(gens):
     index, right, inverse = _reference_tables(rep)
     assert rep.index == index
     assert [list(row) for row in rep.right] == right
-    tables = _tables(rep)
+    tables = rep._tables
     assert tables.inverse == inverse
     assert tables.classes == _class_orbits(right, inverse)
     return rep
@@ -264,7 +263,7 @@ def test_closure_tables_match_the_product_reference(name, seed):
         gens = tuple(q_inv * g * q for g in gens)
     rep = _assert_tables_match_the_product_reference(gens)
     if seed:
-        assert _tables(rep).classes == _classes_by_all_elements(rep)
+        assert rep._tables.classes == _classes_by_all_elements(rep)
 
 
 @pytest.mark.parametrize("name", ("std_sym(5)", "perm_sym(5)", "quaternion_paper"))
@@ -274,7 +273,7 @@ def test_closure_tables_match_the_product_reference_on_dense_conjugates(name):
     gens = catalog_rep(name).generators
     q, q_inv = _unimodular_pair(gens[0].rows, random.Random(f"dense:{name}"), ops=12)
     rep = _assert_tables_match_the_product_reference(tuple(q_inv * g * q for g in gens))
-    assert _tables(rep).classes == _classes_by_all_elements(rep)
+    assert rep._tables.classes == _classes_by_all_elements(rep)
     rows = {row for e in rep.elements for row in e.entries}
     nonzero = {sum(map(bool, row)) for row in rows}
     assert min(nonzero) * 2 <= rep.degree < max(nonzero) * 2
@@ -307,7 +306,7 @@ def test_closure_multiplies_each_distinct_row_once_per_generator(monkeypatch, na
 def test_inverse_table_perm_sym5():
     rep = catalog_rep("perm_sym(5)")
     ident = IntMatrix.identity(5)
-    inverse_indices = _tables(rep).inverse
+    inverse_indices = rep._tables.inverse
     for i, e in enumerate(rep.elements):
         inverse = rep.elements[inverse_indices[i]]
         assert e * inverse == ident
@@ -326,6 +325,23 @@ def test_used_rep_equals_fresh_closure_and_hits_cache():
     hits = exponent_report.cache_info().hits
     assert exponent_report(fresh) is report
     assert exponent_report.cache_info().hits == hits + 1
+
+
+def test_a_report_hit_on_a_fresh_closure_reads_only_the_generators(monkeypatch):
+    """A Rep is hashed and compared by its generators: an exponent_report hit
+    on a separately closed perm_sym(7) hashes and compares a few matrices per
+    generator, not the 5,040 elements."""
+    used = catalog_rep("perm_sym(7)")
+    report = exponent_report(used)
+    fresh = close_group([IntMatrix.from_rows(g.entries) for g in used.generators])
+    calls = []
+    for name in ("__hash__", "__eq__"):
+        real = getattr(IntMatrix, name)
+        monkeypatch.setattr(
+            IntMatrix, name, lambda self, *a, _real=real: calls.append(self) or _real(self, *a)
+        )
+    assert exponent_report(fresh) is report
+    assert len(calls) <= 4 * len(fresh.generators)
 
 
 OPTIMIZED_CHECKS = """

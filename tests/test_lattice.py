@@ -251,7 +251,7 @@ def test_witness_after_exponent_report_reuses_its_split(monkeypatch):
     rep = catalog_rep("quaternion_paper")
     rd.exponent_report.cache_clear()
     rd.split_mod_p.cache_clear()
-    report = rd.exponent_report(rep, seed=5)
+    report = rd.exponent_report(rep)
     splits = []
     real = rd._ModuleSplitter.split
 
@@ -261,11 +261,9 @@ def test_witness_after_exponent_report_reuses_its_split(monkeypatch):
 
     monkeypatch.setattr(rd._ModuleSplitter, "split", counting)
     # v's first entry is 1, so the witness splits at the report's first prime
-    w = upper_bound_witness(rep, (1, 0, 0, 0), seed=5)
+    w = upper_bound_witness(rep, (1, 0, 0, 0))
     assert w.prime == report.primes[0]
     assert splits == []
-    upper_bound_witness(rep, (1, 0, 0, 0), seed=6)
-    assert splits and set(splits) == {w.prime}
 
 
 def test_witness_rejects_zero():
@@ -535,7 +533,7 @@ def test_inv_prefix_checks_each_built_lattice_once(monkeypatch):
     # every family lattice up to the largest D needed, checked once as it is
     # built, and no index beyond
     assert calls == _oracle(spec, 25)
-    assert spec._cache["prefix"].done == 25
+    assert spec._prefix.done == 25
 
 
 # --- the mod-p steps of the inv family, against reference versions ---------
@@ -638,7 +636,7 @@ def test_inv_family_finds_roots_once_per_prime_and_actions_once_per_lattice(monk
     rep = catalog_rep("d4_paper")
     spec = FamilySpec("inv", rep)
     assert rf_profile(spec, 12).values[-1] == 25
-    assert spec._cache["prefix"].done == 25
+    assert spec._prefix.done == 25
     assert polys == list(rep.generators)
     assert primes == list(sympy.primerange(2, 26))
     assert len({lat.basis for lat in acted}) == len(acted)
@@ -652,10 +650,10 @@ def test_used_spec_equals_fresh_spec():
     for kind in ("nu", "inv", "com"):
         used = FamilySpec(kind, rep)
         list(enumerate_family(used, 6))
-        assert used._cache
+        assert used._prefix.done == 6
         fresh = FamilySpec(kind, rep)
         assert used == fresh and hash(used) == hash(fresh)
-        assert repr(used) == repr(fresh) and "_cache" not in repr(used)
+        assert repr(used) == repr(fresh) and "_prefix" not in repr(used)
 
 
 @pytest.mark.parametrize("kind", ["nu", "inv", "com"])
@@ -784,7 +782,7 @@ def test_prefix_recovers_from_an_interrupted_batch(monkeypatch):
         list(enumerate_family(spec, 8))
     # the interrupt came in the middle of index 4, which d4 has 5 lattices of
     assert [lat.index for lat in calls] == [4] * 5
-    prefix = spec._cache["prefix"]
+    prefix = spec._prefix
     assert prefix.done == 3 and [len(prefix.by_index[n]) for n in (1, 2, 3)] == [1, 3, 1]
     assert 4 not in prefix.by_index
     assert list(enumerate_family(spec, 8)) == _oracle(spec, 8)

@@ -377,7 +377,7 @@ def test_certificate_random_commutant_samples():
 
 def test_certificate_fails_closed(monkeypatch):
     # Q8's charpoly has degree 4, so it has no cube root
-    monkeypatch.setattr(rd, "exponent_k", lambda rep, seed: 3)
+    monkeypatch.setattr(rd, "exponent_k", lambda rep: 3)
     with pytest.raises(CertificateFailed, match="not a k-th power"):
         commutant_certificate(Q8, QUAT_B)
     monkeypatch.undo()
@@ -393,7 +393,7 @@ def test_certificate_fails_closed(monkeypatch):
     }
 
 
-def _reference_certificate(rep, b, seed=rd.DEFAULT_SEED):
+def _reference_certificate(rep, b):
     """The certificate on IntMatrix products, with x*Z^m inside Im(B) read
     from the HNF of the columns of B, one membership test per x*e_j."""
     if b.rows != rep.degree or not b.is_square():
@@ -403,9 +403,9 @@ def _reference_certificate(rep, b, seed=rd.DEFAULT_SEED):
     d = det(b)
     if d == 0:
         raise SingularMatrix("certificate requires a nonsingular matrix")
-    if not q_split(rep, seed=seed).irreducible:
+    if not q_split(rep).irreducible:
         raise NotIrreducible("the representation is not irreducible over Q")
-    k = exponent_k(rep, seed=seed)
+    k = exponent_k(rep)
     try:
         f = poly_kth_root(charpoly(b), k)
     except NotAPower as exc:
@@ -497,7 +497,7 @@ CHECK_MUTATIONS = {
     "det_is_x_pow_k": ("d == x**k", "d + 1 == x**k"),
     "b_times_m": ("_mat_scale(ident, -a0, None)", "_mat_scale(ident, 1 - a0, None)"),
     "adjugate": ("-(x**k // a0)", "1 - (x**k // a0)"),
-    "x_lattice_in_image": ("_mat_scale(ident, x, None)", "_mat_scale(ident, x + 1, None)"),
+    "x_lattice_in_image": ("x * a % c0", "(x + 1) * a % c0"),
 }
 
 
@@ -623,7 +623,7 @@ expect(UnsoundMinpoly, "cayley-hamilton", ea.minpoly, ea.IntMatrix.identity(2))
 ea._pivot_rows = real_pivot_rows
 
 real_root = rd.poly_kth_root
-rd.exponent_k = lambda rep, seed: 0
+rd.exponent_k = lambda rep: 0
 rd.poly_kth_root = lambda f, k: real_root(f, 2)
 expect(
     InexactDivision,

@@ -521,7 +521,7 @@ def test_lower_bound_certificate_computes_the_commutant_basis_once(monkeypatch, 
 
 def _certify_every_draw(rep, s_max, samples, seed=rd.DEFAULT_SEED):
     """lower_bound_certificate as first written: one certificate per draw."""
-    k = rd.exponent_k(rep, seed=seed)
+    k = rd.exponent_k(rep)
     m = rep.degree
     basis = rd.commutant_basis(rep).matrices
     rng = random.Random(seed)
