@@ -4,9 +4,8 @@ getopt reads argv by one table of the commands and options, which -h prints.
 Representations are named as `catalog:NAME`, `z:m` (another name for
 `catalog:trivial(m)`, the trivial action on Z^m), or a path to a JSON
 representation file of integers, as `catalog dump NAME [--output F]` writes.
---seed (default 0) feeds only the Q split (decompose --field q and verify's
-Q cross-check) and the lower bound's samples; k, the mod-p split and the
-witness take no seed. Identical argv plus seed gives byte-identical output.
+No command takes a seed: the Q split and the lower bound's samples each draw
+from one fixed stream, so identical argv gives byte-identical output.
 Exit codes: 0 success, 1 computational failure (a budget or bound exceeded,
 errors.LimitReached, or a verify line that prints FAIL), 2 invalid input, 3
 internal failure (one of the tool's own soundness checks failed, which
@@ -88,6 +87,11 @@ def load_rep_file(path: str) -> RepFile:
     for g in gens:
         if not g.is_square() or g.rows != degree:
             raise RfvaError(f"generator shape does not match degree in {path}")
+    try:
+        for b in examples:
+            repdecomp.commuting_det(degree, gens, b)
+    except RfvaError as exc:
+        raise RfvaError(f"bad commutant example in {path}: {exc}") from exc
     return RepFile(
         name=str(doc.get("name", path)),
         degree=degree,
@@ -155,7 +159,7 @@ def _cmd_decompose(args):
     rep, _, _ = _resolve_rep(args.rep, args.element_bound)
     field = args.field
     if field == "q":
-        split = repdecomp.q_split(rep, seed=args.seed)
+        split = repdecomp.q_split(rep)
         print(f"Q-constituent degrees: {split.degrees}")
         for i, comp in enumerate(split.components):
             print(
@@ -233,12 +237,12 @@ def _check(label: str, ok: bool, failures: list) -> None:
         failures.append(label)
 
 
-def _certificate_check(rep, b, args) -> tuple[str, bool]:
+def _certificate_check(rep, b) -> tuple[str, bool]:
     """The label and verdict of the commutant-certificate line for b; a
     failed certificate fails its line, which names the failure when the
     certificate was not built."""
     try:
-        cert = repdecomp.commutant_certificate(rep, b, seed=args.seed)
+        cert = repdecomp.commutant_certificate(rep, b)
     except CertificateFailed as exc:
         if exc.certificate is None:
             return f"commutant certificate ({exc})", False
@@ -251,7 +255,7 @@ def _cmd_verify(args):
     failures = []
     if args.suite == "lowerbound":
         report = rfgrowth.lower_bound_certificate(
-            rep, args.smax, samples=args.samples, seed=args.seed, index_budget=args.index_budget
+            rep, args.smax, samples=args.samples, index_budget=args.index_budget
         )
         for s, a_ok, e_ok in zip(
             report.s_values, report.arithmetic_ok, report.enumeration_ok
@@ -280,14 +284,14 @@ def _cmd_verify(args):
         is_abelian_image(rep) == (report.k == 1),
         failures,
     )
-    split = repdecomp.q_split(rep, seed=args.seed)
+    split = repdecomp.q_split(rep)
     sub_k = max(repdecomp.exponent_k(c.rep) for c in split.components)
     _check("k equals max over Q-constituents", sub_k == report.k, failures)
     if table is not None:
         dec = repdecomp.k_from_character_table(rep, table)
         _check("character-table k agrees", dec.k == report.k, failures)
     for b in examples:
-        _check(*_certificate_check(rep, b, args), failures)
+        _check(*_certificate_check(rep, b), failures)
         conj = repdecomp.conjugate_rep(rep, b)
         _check("conjugated rep preserves order", conj.order == rep.order, failures)
     for j in range(rep.degree):
@@ -347,7 +351,6 @@ def _cmd_catalog(args):
 # a flag, a tuple lists the choices, and a default of ... marks it required. A
 # command maps to (handler, summary, positionals, options); "[name]" may be left out.
 _GLOBAL_OPTIONS = {
-    "seed": (int, repdecomp.DEFAULT_SEED),
     "element-bound": (int, grouprep.DEFAULT_ELEMENT_BOUND),
     "index-budget": (int, rfgrowth.DEFAULT_INDEX_BUDGET),
 }

@@ -11,14 +11,14 @@ Three mutually cross-checking routes to the exponent live here:
 * the commutant-matrix certificate for Q-irreducible representations, which
   checks det B = x^k together with x*Z^m inside Im B for commuting B.
 
-Rational splitting is randomized (seeded); Q-irreducibility is certified by
-a deterministic sweep over small commutant combinations followed by a run of
+Rational splitting is randomized; Q-irreducibility is certified by a
+deterministic sweep over small commutant combinations followed by a run of
 consecutive random draws whose minimal polynomials are all irreducible.  The
 failure mode is a clean InconclusiveSplit, never a silently wrong split.
 
-The mod-p route takes no seed: F_p^m splits uniquely up to isomorphism, so
-its random candidates, if its deterministic sweep leaves any to draw, come
-from a stream of fixed seed DEFAULT_SEED.
+Nothing takes a seed: Q^m and F_p^m split uniquely up to isomorphism, so each
+splitter draws its random candidates from a private stream of fixed seed
+DEFAULT_SEED.
 """
 
 from __future__ import annotations
@@ -169,10 +169,10 @@ class _ModuleSplitter:
     polynomial that is a power of one irreducible gives no split.
     """
 
-    def __init__(self, rep: Rep, p: int | None, rng: random.Random):
+    def __init__(self, rep: Rep, p: int | None):
         self.rep = rep
         self.p = p
-        self.rng = rng
+        self.rng = random.Random(DEFAULT_SEED)
         self._maps = {}  # basis -> (pivot columns, s M^-1 by columns, s, basis columns)
 
     # -- subspace plumbing
@@ -238,7 +238,7 @@ class _ModuleSplitter:
 
     def candidate_stream(self, commutant, scale):
         """Deterministic sweep first, then random small combinations from
-        the splitter's rng: over Q seeded by the caller, over F_p by DEFAULT_SEED.
+        the splitter's own rng, of fixed seed DEFAULT_SEED.
 
         Over Q the commutant holds s X_i, s its common scale, and a
         candidate z = sum c_i X_i comes as z times the least common
@@ -376,14 +376,14 @@ def split_mod_p(rep: Rep, p: int) -> Constituents:
     is isomorphic to it, tested on the generators' actions alone: every part
     has End = F_p, so the commutant of U + V has dimension 4 if U and V are
     isomorphic and 2 if not (Schur's lemma).  The split is unique up to
-    isomorphism, so the random candidates take the fixed seed DEFAULT_SEED.
+    isomorphism, so the splitter's fixed-seed stream serves every caller.
     Memoized like q_split and exponent_report: the result is immutable.
     """
     if not _isprime(p):
         raise BadPrime(f"{p} is not prime")
     if rep.order > 1 and p % rep.order != 1:
         raise BadPrime(f"{p} is not congruent to 1 mod |H| = {rep.order}")
-    splitter = _ModuleSplitter(rep, p, random.Random(DEFAULT_SEED))
+    splitter = _ModuleSplitter(rep, p)
     full = [tuple(1 if i == j else 0 for i in range(rep.degree)) for j in range(rep.degree)]
     found = []  # (generator actions on the group's first part, its bases)
     for basis in splitter.split(full):
@@ -495,17 +495,17 @@ class QSplit:
 
 
 @lru_cache(maxsize=None)
-def q_split(rep: Rep, *, seed: int = DEFAULT_SEED) -> QSplit:
+def q_split(rep: Rep) -> QSplit:
     """Decompose Q^m into Q-irreducible invariant subspaces.
 
-    Randomized (seeded) but certified: reducible subspaces are split by
+    Randomized (fixed stream) but certified: reducible subspaces are split by
     kernels of factored commutant minimal polynomials, and irreducibility is
     declared either deterministically (commutant of dimension one) or after a
     run of consecutive random commutant draws with irreducible minimal
     polynomial.  Raises InconclusiveSplit if neither happens in budget.
     """
     m = rep.degree
-    splitter = _ModuleSplitter(rep, None, random.Random(seed))
+    splitter = _ModuleSplitter(rep, None)
     parts = splitter.split([tuple(int(i == j) for i in range(m)) for j in range(m)])
     if len(parts) == 1:
         comp = QComponent(
@@ -699,25 +699,32 @@ class Certificate:
         return all(ok for _, ok in self.checks)
 
 
-def commutant_certificate(rep: Rep, b: IntMatrix, *, seed: int = DEFAULT_SEED) -> Certificate:
+def commuting_det(degree: int, generators, b: IntMatrix) -> int:
+    """det B for a nonsingular degree x degree B commuting with every
+    generator; NotCommuting or SingularMatrix for any other B."""
+    if b.rows != degree or not b.is_square():
+        raise NotCommuting("matrix degree does not match the representation")
+    if any(
+        _mat_mul(b.entries, g.entries, None) != _mat_mul(g.entries, b.entries, None)
+        for g in generators
+    ):
+        raise NotCommuting("matrix does not commute with all generators")
+    d = det(b)
+    if d == 0:
+        raise SingularMatrix("certificate requires a nonsingular matrix")
+    return d
+
+
+def commutant_certificate(rep: Rep, b: IntMatrix) -> Certificate:
     """Check the constructive lemma for a matrix commuting with the action.
 
     The products run on integer rows, and the charpoly and the adjugate of
     B come from one Faddeev-LeVerrier run.  x*Z^m inside Im(B) is read from
     that adjugate and det B alone, independently of M.
     """
-    if b.rows != rep.degree or not b.is_square():
-        raise NotCommuting("matrix degree does not match the representation")
+    d = commuting_det(rep.degree, rep.generators, b)
     b_rows = b.entries
-    if any(
-        _mat_mul(b_rows, g.entries, None) != _mat_mul(g.entries, b_rows, None)
-        for g in rep.generators
-    ):
-        raise NotCommuting("matrix does not commute with all generators")
-    d = det(b)
-    if d == 0:
-        raise SingularMatrix("certificate requires a nonsingular matrix")
-    if not q_split(rep, seed=seed).irreducible:
+    if not q_split(rep).irreducible:
         raise NotIrreducible("the representation is not irreducible over Q")
     k = exponent_k(rep)
     cp, adj = charpoly_and_adjugate(b)

@@ -208,7 +208,6 @@ def lower_bound_certificate(
     s_max: int,
     samples: int = DEFAULT_SAMPLES,
     *,
-    seed: int = DEFAULT_SEED,
     index_budget: int = DEFAULT_INDEX_BUDGET,
 ) -> LowerBoundReport:
     """Finite verification of D_Com(v_s) >= s^k for v_s = lcm(1..s) e_1.
@@ -224,12 +223,12 @@ def lower_bound_certificate(
     """
     if min(s_max, samples) < 1:
         raise ValueError("all bounds must be positive")
-    if not q_split(rep, seed=seed).irreducible:
+    if not q_split(rep).irreducible:
         raise NotIrreducible("the lower bound needs a Q-irreducible representation")
     k = exponent_k(rep)
     m = rep.degree
     comm = commutant_basis(rep)
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     verdicts = {}
     passed = 0
     total = 0
@@ -241,7 +240,7 @@ def lower_bound_certificate(
             if det(b) == 0:
                 continue
             try:
-                ok = commutant_certificate(rep, b, seed=seed).passed
+                ok = commutant_certificate(rep, b).passed
             except CertificateFailed:
                 ok = False
             verdicts[b] = ok

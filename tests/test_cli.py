@@ -417,6 +417,22 @@ def test_malformed_rep_file(tmp_path, capsys):
         assert "malformed representation file" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize(("example", "reason"), (
+    ([[1, 0], [0, 2]], "does not commute"),
+    ([[0, 0], [0, 0]], "nonsingular"),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "degree does not match"),
+), ids=("noncommuting", "singular", "3x3"))
+def test_a_bad_commutant_example_fails_before_any_output(example, reason, tmp_path, capsys):
+    path = tmp_path / "rot4.json"
+    path.write_text(json.dumps({
+        "degree": 2, "generators": [[[0, -1], [1, 0]]], "commutant_examples": [example],
+    }))
+    for command in ("k", "verify"):
+        assert run([command, str(path)]) == EXIT_USAGE
+        line = _one_error_line(capsys)
+        assert line.startswith(f"error: bad commutant example in {path}: ") and reason in line
+
+
 # where each integer field of a rep file sits: (field, path to one entry)
 REP_FILE_FIELDS = (
     ("degree", ("degree",)),
@@ -589,52 +605,66 @@ def test_python_dash_m_rfva_runs_the_cli():
     assert "k = 2" in out.stdout.splitlines()
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["d4_paper", "quaternion_paper", "perm_sym(5)", "product(d4_paper,d4_paper)", "std_sym(4)"],
-)
-def test_route_one_prints_the_same_at_every_seed(name, tmp_path, capsys):
-    """k, the mod-p split and the witness take no seed: --seed 0 and --seed 9
-    print the same, for the catalog rep and for a seeded Q^-1 g Q conjugate."""
-    rep = catalog_rep(name)
-    q, q_inv = _unimodular_pair(rep.degree, random.Random(f"seedless:{name}"))
-    path = tmp_path / "conjugate.json"
-    path.write_text(json.dumps({
-        "name": f"conjugate:{name}",
-        "degree": rep.degree,
-        "generators": [[list(row) for row in (q_inv * g * q).entries] for g in rep.generators],
-    }))
-    p = repdecomp.exponent_report(rep).primes[0]
-    vector = ",".join(map(str, [1, 2] + [0] * (rep.degree - 3) + [-1]))
-    for source in (f"catalog:{name}", str(path)):
-        commands = (
-            ["k", source],
-            ["decompose", source, "--field", f"fp:{p}"],
-            ["witness", source, "--vector", vector],
-        )
-        outputs = []
-        for seed in (0, 9):
-            repdecomp.exponent_report.cache_clear()
-            repdecomp.split_mod_p.cache_clear()
-            for argv in commands:
-                assert run(["--seed", str(seed), *argv]) == EXIT_OK
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+def _private_stream_call(case):
+    rep = catalog_rep("product(rot(4),rot(4))")
+    if case == "lower bound":
+        return lambda: rfgrowth.lower_bound_certificate(catalog_rep("quaternion_paper"), 4)
+    if case == "conjugate":
+        q, q_inv = _unimodular_pair(rep.degree, random.Random("private:product(rot(4),rot(4))"))
+        rep = grouprep.close_group([q_inv * g * q for g in rep.generators])
+    return lambda: repdecomp.q_split.__wrapped__(rep)
+
+
+@pytest.mark.parametrize("case", ("product", "conjugate", "lower bound"))
+def test_random_streams_are_private(case, monkeypatch):
+    """The Q split and the lower bound draw from fixed streams of their own:
+    reseeding and drawing from the global random module between two calls
+    changes neither their draws nor their results, and each call leaves the
+    global state as it found it.  The Q split runs on product(rot(4),rot(4))
+    and on a seeded Q^-1 g Q conjugate of it."""
+    draws = []
+    real_stream = repdecomp._ModuleSplitter.candidate_stream
+
+    def recording_stream(self, commutant, scale):
+        for z, is_random in real_stream(self, commutant, scale):
+            draws.append((tuple(map(tuple, z)), is_random))
+            yield z, is_random
+
+    def recording_certificate(rep, b):
+        draws.append((b, True))
+        return real_certificate(rep, b)
+
+    real_certificate = rfgrowth.commutant_certificate
+    monkeypatch.setattr(repdecomp._ModuleSplitter, "candidate_stream", recording_stream)
+    monkeypatch.setattr(rfgrowth, "commutant_certificate", recording_certificate)
+    call = _private_stream_call(case)
+    runs = []
+    for state in (0, 9):
+        random.seed(state)
+        random.random()
+        before = random.getstate()
+        for cached in (repdecomp.q_split, repdecomp.split_mod_p, repdecomp.exponent_report):
+            cached.cache_clear()
+        draws.clear()
+        runs.append((call(), list(draws)))
+        assert random.getstate() == before
+    assert runs[0] == runs[1]
+    assert any(is_random for _, is_random in runs[0][1])
 
 
 def test_verify_shares_one_exponent_report_per_rep(capsys):
     # the report line, the Q-constituent's k and the commutant certificate
-    # all ask for the same rep, and the report takes no seed
+    # all ask for the same rep
     argv = ["verify", "catalog:quaternion_paper", "--suite", "lemmas"]
     repdecomp.exponent_report.cache_clear()
-    for seed in (0, 1, 0):
-        assert run(["--seed", str(seed)] + argv) == EXIT_OK
+    for _ in range(2):
+        assert run(argv) == EXIT_OK
         assert repdecomp.exponent_report.cache_info().misses == 1
     capsys.readouterr()
 
 
 REP = "catalog:d4_paper"
-GLOBAL_OPTIONS = ("--seed", "--element-bound", "--index-budget")
+GLOBAL_OPTIONS = ("--element-bound", "--index-budget")
 COMMAND_OPTIONS = {
     "k": (),
     "decompose": ("--field",),
@@ -647,7 +677,6 @@ COMMAND_OPTIONS = {
 # (argv with OPT where the option goes, option, value, a unique prefix of the
 # option, attribute, parsed value); global options go before the command
 OPTION_FORMS = (
-    (["OPT", "k", REP], "--seed", "3", "--se", "seed", 3),
     (["OPT", "k", REP], "--element-bound", "9", "--el", "element_bound", 9),
     (["OPT", "k", REP], "--index-budget", "-4", "--in", "index_budget", -4),
     (["decompose", REP, "OPT"], "--field", "fp:17", "--fi", "field", "fp:17"),
@@ -685,7 +714,7 @@ def test_flags_positionals_and_defaults_parse():
     assert (args.action, args.name) == ("dump", "d4_paper")
     assert _parse(["catalog", "list"]).name is None
     args = _parse(["rf", "z:1", "--rmax", "2"])
-    assert (args.rep, args.family, args.csv, args.seed) == ("z:1", "nu", None, 0)
+    assert (args.rep, args.family, args.csv) == ("z:1", "nu", None)
     assert (args.element_bound, args.index_budget) == (
         grouprep.DEFAULT_ELEMENT_BOUND, rfgrowth.DEFAULT_INDEX_BUDGET
     )
@@ -694,7 +723,8 @@ def test_flags_positionals_and_defaults_parse():
 
 
 @pytest.mark.parametrize("argv", (
-    ["k", REP, "--seed", "3"],  # global options go before the command
+    ["k", REP, "--element-bound", "3"],  # global options go before the command
+    ["--seed", "0", "k", REP],  # nothing takes a seed
     ["rf", "z:1", "--rmax", "2", "--output", "x"],
     ["nonsense", REP],
     [],
@@ -715,7 +745,7 @@ def test_flags_positionals_and_defaults_parse():
     ["witness", REP],
     ["catalog"],
     ["rf", "z:1", "--rmax", "x"],
-    ["--seed", "1.5", "k", REP],
+    ["--index-budget", "1.5", "k", REP],
     ["--element-bound=", "k", REP],
     ["verify", REP, "--smax", "two"],
 ), ids=" ".join)

@@ -522,7 +522,6 @@ def test_each_certificate_check_can_fail_alone(check):
 
 
 OPTIMIZED_CHECKS = """
-import random
 import sys
 from fractions import Fraction
 import rfva.catalog as cat
@@ -558,10 +557,10 @@ def lossy_primary(self, z, factors):
     return part + [[1, 0, 0]] if len(calls) == 2 else part
 
 rd._ModuleSplitter.primary_part = lossy_primary
-expect(UnsoundSplit, "primary", rd._ModuleSplitter(d4, None, random.Random(0)).split, full)
+expect(UnsoundSplit, "primary", rd._ModuleSplitter(d4, None).split, full)
 rd._ModuleSplitter.primary_part = real_primary
 
-splitter = rd._ModuleSplitter(catalog_rep("rot(4)"), None, random.Random(0))
+splitter = rd._ModuleSplitter(catalog_rep("rot(4)"), None)
 expect(UnsoundSplit, "integral", splitter.factor_minpoly, [[Fraction(1, 2)]])
 real_factor = rd.factor_over_integers
 rd.factor_over_integers = lambda f: (2, real_factor(f)[1])
@@ -576,8 +575,8 @@ cat._sym_generators = real_sym
 
 # feed split_mod_p and q_split a corrupted split or a corrupted step of it
 real_split = rd._ModuleSplitter.split
-mod17 = real_split(rd._ModuleSplitter(d4, 17, random.Random(0)), full)
-over_q = real_split(rd._ModuleSplitter(d4, None, random.Random(0)), full)
+mod17 = real_split(rd._ModuleSplitter(d4, 17), full)
+over_q = real_split(rd._ModuleSplitter(d4, None), full)
 rd._ModuleSplitter.split = lambda self, basis: mod17[:-1]
 expect(UnsoundSplit, "split total", rd.split_mod_p, d4, 17)
 # two reducible parts of trivial(4): the commutant of their sum is M_4(F_5)
@@ -673,7 +672,6 @@ def test_split_and_certificate_checks_run_under_python_O():
 # --- subspaces that are not invariant ----------------------------------------
 
 NOT_INVARIANT_CHECKS = """
-import random
 import sys
 import rfva.repdecomp as rd
 from rfva.catalog import catalog_rep
@@ -686,7 +684,7 @@ print("optimize", sys.flags.optimize, __debug__)
 for name, basis in (("rot(4)", [(1, 0)]), ("d4_paper", [(1, 0, 0), (0, 1, 0)])):
     rep = catalog_rep(name)
     for p in (None, rd.exponent_report(rep).primes[0]):
-        splitter = rd._ModuleSplitter(rep, p, random.Random(0))
+        splitter = rd._ModuleSplitter(rep, p)
         for label, call in (("restrict", lambda: splitter.restrict(rep.generators[0], basis)),
                             ("split", lambda: splitter.split(basis))):
             try:
@@ -724,7 +722,7 @@ def test_restrict_of_an_invariant_subspace_matches_a_linear_solve():
     comes back as ints."""
     for rep in (D4, Q8, catalog_rep("perm_sym(4)")):
         for p in (None,) + exponent_report(rep).primes[:1]:
-            splitter = rd._ModuleSplitter(rep, p, random.Random(0))
+            splitter = rd._ModuleSplitter(rep, p)
             full = [tuple(int(i == j) for i in range(rep.degree)) for j in range(rep.degree)]
             for basis in splitter.split(full):
                 for g in rep.elements[:12]:
@@ -732,7 +730,7 @@ def test_restrict_of_an_invariant_subspace_matches_a_linear_solve():
                     expected = [list(row) for row in zip(*cols)]
                     assert splitter.restrict(g, basis) == expected
         for comp in q_split(rep).components:
-            splitter = rd._ModuleSplitter(rep, None, random.Random(0))
+            splitter = rd._ModuleSplitter(rep, None)
             child = [splitter.restrict(g, comp.basis_numerator.entries) for g in rep.generators]
             assert all(type(x) is int for g in child for row in g for x in row)
             assert [IntMatrix.from_rows(g) for g in child] == list(comp.rep.generators)
@@ -1080,7 +1078,7 @@ def test_hom_grouping_matches_the_class_trace_grouping(name):
             q, q_inv = _unimodular_pair(gens[0].rows, random.Random(f"grouping:{name}:{seed}"))
             rep = close_group([q_inv * g * q for g in gens])
         for p in exponent_report(rep).primes:
-            splitter = rd._ModuleSplitter(rep, p, random.Random(0))
+            splitter = rd._ModuleSplitter(rep, p)
             full = [tuple(int(i == j) for i in range(rep.degree)) for j in range(rep.degree)]
             parts = splitter.split(full)
             expected = _group_by_class_traces(rep, p, parts, splitter.restrict)
@@ -1100,7 +1098,7 @@ def test_a_primary_part_is_the_kernel_of_the_full_power(monkeypatch, p):
         "candidate_stream",
         lambda self, commutant, scale: first.pop() if first else real(self, commutant, scale),
     )
-    splitter = rd._ModuleSplitter(catalog_rep("trivial(3)"), p, random.Random(0))
+    splitter = rd._ModuleSplitter(catalog_rep("trivial(3)"), p)
     parts = splitter.split([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert sorted(map(len, parts)) == [1, 1, 1] and [(0, 0, 1)] in parts
     assert all(v[2] == 0 for basis in parts if basis != [(0, 0, 1)] for v in basis)
@@ -1118,5 +1116,5 @@ def test_a_power_of_one_irreducible_resets_the_irreducible_streak(monkeypatch):
         "candidate_stream",
         lambda self, commutant, scale: ((z, True) for z in draws),
     )
-    splitter = rd._ModuleSplitter(catalog_rep("trivial(2)"), None, random.Random(0))
+    splitter = rd._ModuleSplitter(catalog_rep("trivial(2)"), None)
     assert splitter.split([(1, 0), (0, 1)]) == [[(1, 0)], [(0, 1)]]

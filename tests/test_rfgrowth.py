@@ -519,12 +519,12 @@ def test_lower_bound_certificate_computes_the_commutant_basis_once(monkeypatch, 
     assert len(solved) == 1
 
 
-def _certify_every_draw(rep, s_max, samples, seed=rd.DEFAULT_SEED):
+def _certify_every_draw(rep, s_max, samples):
     """lower_bound_certificate as first written: one certificate per draw."""
     k = rd.exponent_k(rep)
     m = rep.degree
     basis = rd.commutant_basis(rep).matrices
-    rng = random.Random(seed)
+    rng = random.Random(rd.DEFAULT_SEED)
     passed = 0
     total = 0
     while total < samples:
@@ -535,7 +535,7 @@ def _certify_every_draw(rep, s_max, samples, seed=rd.DEFAULT_SEED):
         if det(b) == 0:
             continue
         total += 1
-        cert = rg.commutant_certificate(rep, b, seed=seed)
+        cert = rg.commutant_certificate(rep, b)
         if cert.passed and cert.det == cert.x**cert.k:
             passed += 1
     com_lattices = list(enumerate_family(FamilySpec("com", rep), DEFAULT_INDEX_BUDGET))
