@@ -9,13 +9,16 @@ from one fixed stream, so identical argv gives byte-identical output.
 Exit codes: 0 success, 1 computational failure (a budget or bound exceeded,
 errors.LimitReached, or a verify line that prints FAIL), 2 invalid input, 3
 internal failure (one of the tool's own soundness checks failed, which
-indicates a bug; errors.InternalFailure).
+indicates a bug; errors.InternalFailure), 141 stdout closed early by its
+reader (as in `rfva rf z:1 --rmax 3000 | head -1`; nothing failed, and
+stderr stays empty).
 """
 
 from __future__ import annotations
 
 import getopt
 import json
+import os
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -42,6 +45,7 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 
 @dataclass(frozen=True)
@@ -449,4 +453,12 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (`rfva ... | head`); stdout goes to devnull
+        # so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)

@@ -508,9 +508,9 @@ def minpoly(m: IntMatrix) -> IntPoly:
 # linear algebra over a field: lists of rows over Q (p None; entries int or
 # Fraction) or over F_p (p prime, entries in [0, p)).  Elimination over Q is
 # fraction-free: _pivot_rows keeps every pivot row a primitive integer row,
-# and the kernels, inverses and minimal polynomials read their results off
-# those rows as int entries with one common scale.  kernel_q, whose
-# results are Fractions, divides at the end.
+# and the kernels and inverses read their results off those rows as int
+# entries with one common scale.  kernel_q, whose results are Fractions,
+# divides at the end.  _matrix_minpoly runs its own incremental elimination.
 
 
 def _mat_mul(a, b, p):
@@ -658,20 +658,44 @@ def _poly_eval_matrix(coeffs, m, p):
 def _matrix_minpoly(m, p):
     """Monic minimal polynomial (ascending coefficients) of a field matrix.
 
-    Finds the least d with M^d in the span of I, M, ..., M^(d-1); the
-    pivot rows of the columns vec(M^0), ..., vec(M^d) hold its coordinates
-    there.  Over Q a coefficient is an int when it is integral (always, for
-    an integer matrix) and a Fraction otherwise.
+    One Krylov elimination finds the least d with M^d in the span of I, M,
+    ..., M^(d-1).  Row d is vec(M^d) followed by its combination of powers,
+    the unit vector e_d; it is reduced against the echelon rows of the
+    powers before it, and the first whose vec part reduces to zero (pivot
+    past it) holds a relation sum c_i M^i = 0 in its combination part.  Over
+    F_p each pivot is normalised to 1.  Over Q the elimination is
+    fraction-free on M' = den M, an int matrix: a row with entry f at the
+    pivot pv of echelon row e becomes pv * row - f * e, a new echelon row is
+    divided by its content, and the relation of M' scales back to M's.
+    Over Q a coefficient is an int when it is integral (always, for an
+    integer matrix) and a Fraction otherwise.
     """
-    n = len(m)
-    powers = [_identity(n)]
-    for d in range(1, n + 1):
-        powers.append(_mat_mul(powers[-1], m, p))
-        red, pivots = _pivot_rows(
-            [[pw[r][c] for pw in powers] for r in range(n) for c in range(n)], p
-        )
-        if len(pivots) == d:
-            return [_quotient(-row[d], row[i], p) for i, row in enumerate(red)] + [1]
+    n, den = len(m), 1
+    if p is None:
+        den = math.lcm(*(x.denominator for row in m for x in row))
+        m = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    echelon = []  # (row, pivot column)
+    power = _identity(n)
+    for d in range(n + 1):
+        if d:
+            power = _mat_mul(power, m, p)
+        row = [x for r in power for x in r] + [int(i == d) for i in range(n + 1)]
+        for e, j in echelon:
+            if f := row[j]:
+                if p is None:
+                    row = [e[j] * x - f * y for x, y in zip(row, e)]
+                else:
+                    row = [(x - f * y) % p for x, y in zip(row, e)]
+        j = next(c for c, x in enumerate(row) if x)
+        if j >= n * n:
+            c = row[n * n :]
+            return [_quotient(x, c[d] * den ** (d - i), p) for i, x in enumerate(c[:d])] + [1]
+        if p is None:
+            g = math.gcd(*row)
+            echelon.append(([x // g for x in row], j))
+        else:
+            inv = pow(row[j], -1, p)
+            echelon.append(([x * inv % p for x in row], j))
     raise UnsoundMinpoly(f"no annihilating polynomial of degree <= {n} (Cayley-Hamilton)")
 
 
@@ -917,7 +941,16 @@ def _hensel_lift(f, factors, p, a):
 
 
 def _zassenhaus(g):
-    """Irreducible factors over Z of a square-free primitive g with lc > 0."""
+    """Irreducible factors over Z of a square-free primitive g with lc > 0.
+
+    Degree 1 is irreducible, and a x^2 + b x + c splits iff b^2 - 4ac is a
+    square r^2, into the primitive parts of 2a x + b -+ r; higher degrees
+    go to Zassenhaus: factors mod a prime, Hensel lifted, then recombined.
+    """
+    if len(g) <= 3:
+        disc = g[1] ** 2 - 4 * g[0] * g[2] if len(g) == 3 else -1
+        r = math.isqrt(max(disc, 0))
+        return [_primitive([g[1] + s, 2 * g[2]]) for s in (-r, r)] if r * r == disc else [g]
     for p in filter(_isprime, count(2)):
         gp = [c % p for c in g]
         if g[-1] % p and len(_gf_gcd(gp, _gf_diff(gp, p), p)) == 1:

@@ -14,6 +14,7 @@ from rfva.cli import (
     EXIT_COMPUTE,
     EXIT_INTERNAL,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_USAGE,
     _parse,
     emit_csv,
@@ -137,6 +138,63 @@ ISOTYPIC_Q_SPLITS = {
 def test_isotypic_q_splits_print_the_pinned_bases(name, capsys):
     assert run(["decompose", f"catalog:{name}", "--field", "q"]) == EXIT_OK
     assert capsys.readouterr().out == ISOTYPIC_Q_SPLITS[name]
+
+
+# The Q split's stdout depends on every candidate it tries and on what it
+# decides about each, so a change to the minimal polynomial or the factoring
+# that altered either would show here.
+PINNED_Q_SPLITS = {
+    "product(d4_paper,quaternion_paper)": (
+        "Q-constituent degrees: (1, 2, 4)\n"
+        "component 0: dim 4, denominator 1, image order 8\n"
+        "  basis (0, 0, 0, 1, 0, 0, 0)\n"
+        "  basis (0, 0, 0, 0, 1, 0, 0)\n"
+        "  basis (0, 0, 0, 0, 0, 1, 0)\n"
+        "  basis (0, 0, 0, 0, 0, 0, 1)\n"
+        "component 1: dim 1, denominator 1, image order 1\n"
+        "  basis (1, 0, -2, 0, 0, 0, 0)\n"
+        "component 2: dim 2, denominator 1, image order 8\n"
+        "  basis (1, 0, -1, 0, 0, 0, 0)\n"
+        "  basis (0, 1, 0, 0, 0, 0, 0)\n"
+    ),
+    "perm_sym(5)": (
+        "Q-constituent degrees: (1, 4)\n"
+        "component 0: dim 1, denominator 5, image order 1\n"
+        "  basis (1, 1, 1, 1, 1)\n"
+        "component 1: dim 4, denominator 5, image order 120\n"
+        "  basis (1, -4, 1, 1, 1)\n"
+        "  basis (0, 5, -5, 0, 0)\n"
+        "  basis (0, 0, 5, -5, 0)\n"
+        "  basis (0, 0, 0, 5, -5)\n"
+    ),
+    # a Q^-1 g Q conjugate of product(d4_paper,rot(4)), from a rep file
+    "conjugate": (
+        "Q-constituent degrees: (1, 2, 2)\n"
+        "component 0: dim 1, denominator 1, image order 1\n"
+        "  basis (3, 3, -2, 0, 0)\n"
+        "component 1: dim 2, denominator 1, image order 8\n"
+        "  basis (1, 0, 0, 1, 0)\n"
+        "  basis (0, 2, -1, -2, 0)\n"
+        "component 2: dim 2, denominator 1, image order 4\n"
+        "  basis (1, 1, -1, 0, 1)\n"
+        "  basis (0, 0, 0, 1, 0)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_Q_SPLITS))
+def test_q_splits_print_the_pinned_stdout(name, tmp_path, capsys):
+    target = f"catalog:{name}"
+    if name == "conjugate":
+        rng = random.Random("decompose:product(d4_paper,rot(4))")
+        rep = catalog_rep("product(d4_paper,rot(4))")
+        q, q_inv = _unimodular_pair(rep.degree, rng, ops=6)
+        gens = [[list(r) for r in (q_inv * g * q).entries] for g in rep.generators]
+        doc = {"name": name, "degree": rep.degree, "generators": gens}
+        target = str(tmp_path / "conjugate.json")
+        Path(target).write_text(json.dumps(doc))
+    assert run(["decompose", target, "--field", "q"]) == EXIT_OK
+    assert capsys.readouterr().out == PINNED_Q_SPLITS[name]
 
 
 def test_rf_csv_stdout(capsys):
@@ -603,6 +661,23 @@ def test_python_dash_m_rfva_runs_the_cli():
     )
     assert out.returncode == EXIT_OK, out.stderr
     assert "k = 2" in out.stdout.splitlines()
+
+
+def test_a_reader_that_closes_early_ends_the_command_quietly():
+    """rf z:1 --rmax 20000 writes about 280 kB, more than a pipe holds: after
+    its reader takes one line and closes, the next write fails.  The command
+    exits with EXIT_PIPE and writes nothing to stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rfva", "rf", "z:1", "--rmax", "20000"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"RF(1) = 2\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert (proc.wait(timeout=60), stderr) == (EXIT_PIPE, b"")
+    assert EXIT_PIPE not in (EXIT_OK, EXIT_COMPUTE, EXIT_USAGE, EXIT_INTERNAL)
 
 
 def _private_stream_call(case):

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import chain, product, takewhile
+from itertools import chain, islice, product, takewhile
 
 import pytest
 import sympy
@@ -28,13 +28,16 @@ from rfva.exactalg import (
     _identity,
     _isprime,
     _least_prime_power,
+    _mat_mul,
     _matrix_minpoly,
     _pivot_rows,
     _poly_eval_matrix,
     _primes_one_mod,
+    _quotient,
     _scaled_inverse,
     _scaled_kernel,
     _spanned,
+    _zassenhaus,
     adjugate,
     charpoly,
     det,
@@ -55,7 +58,7 @@ from rfva.exactalg import (
 
 from rfva.grouprep import close_group
 from rfva.lattice import enumerate_sublattices
-from rfva.repdecomp import _commutation_system, exponent_report
+from rfva.repdecomp import _commutation_system, _ModuleSplitter, exponent_report, q_split
 from test_grouprep import ORACLE_CATALOG, _unimodular_pair
 
 QUAT_B = IntMatrix.from_rows(
@@ -777,6 +780,192 @@ def test_matrix_minpoly_against_sympy(rows, p):
     for g, _ in f.factor_list()[1]:
         assert not kills(f.quo(g))
     assert _poly_eval_matrix(coeffs, rows, p) == [[0] * len(rows)] * len(rows)
+
+
+# --- the Krylov minimal polynomial against the per-degree elimination -------
+
+
+def _per_degree_minpoly(m, p):
+    """The least d with M^d in the span of I, ..., M^(d-1), by one _pivot_rows
+    on the columns vec(M^0), ..., vec(M^d) for each d in turn: the routine
+    that the Krylov elimination replaced, kept as an oracle."""
+    n = len(m)
+    powers = [_identity(n)]
+    for d in range(1, n + 1):
+        powers.append(_mat_mul(powers[-1], m, p))
+        red, pivots = _pivot_rows(
+            [[pw[r][c] for pw in powers] for r in range(n) for c in range(n)], p
+        )
+        if len(pivots) == d:
+            return [_quotient(-row[d], row[i], p) for i, row in enumerate(red)] + [1]
+    raise AssertionError("Cayley-Hamilton")
+
+
+def _block_diag(*blocks):
+    n = sum(map(len, blocks))
+    out, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at : at + len(row)] = row
+        at += len(b)
+    return out
+
+
+def _jordan(value, n):
+    return [[value * (i == j) + (j == i + 1) for j in range(n)] for i in range(n)]
+
+
+def _companion(coeffs):
+    """The companion matrix of the monic x^n + sum coeffs[i] x^i."""
+    n = len(coeffs)
+    return [[int(i == j + 1) for j in range(n - 1)] + [-coeffs[i]] for i in range(n)]
+
+
+def _dense(m, rng):
+    """Q^-1 M Q for a unimodular Q: the same minimal polynomial, no zeros."""
+    q, q_inv = _unimodular_pair(len(m), rng, ops=2 * len(m))
+    return [list(r) for r in (q_inv * IntMatrix.from_rows(m) * q).entries]
+
+
+C3 = _companion([5, -2, 0])  # x^3 - 2x + 5
+SHAPED_MATRICES = {
+    "scalar": [[3 * (i == j) for j in range(3)] for i in range(3)],
+    "zero": [[0] * 4 for _ in range(4)],
+    "nilpotent jordan": _jordan(0, 4),
+    "nilpotent of index 2": _block_diag(_jordan(0, 2), _jordan(0, 2)),
+    "companion": C3,
+    "companion of (x - 1)^2 (x + 2)": _companion([2, -3, 0]),
+    "jordan blocks of one eigenvalue": _block_diag(_jordan(2, 2), _jordan(2, 2), [[2]]),
+    "two equal companion blocks": _block_diag(C3, C3),
+    "repeated eigenvalues": _block_diag(_jordan(1, 2), [[1]], [[-1]], [[-1]]),
+}
+# the minimal polynomial has lower degree than the characteristic polynomial
+LOW_DEGREE = {
+    "scalar": 1,
+    "zero": 1,
+    "nilpotent of index 2": 2,
+    "jordan blocks of one eigenvalue": 2,
+    "two equal companion blocks": 3,
+    "repeated eigenvalues": 3,
+}
+
+
+def _assert_minpoly_matches_the_oracle(m, p):
+    coeffs = _matrix_minpoly(m, p)
+    expected = _per_degree_minpoly(m, p)
+    assert coeffs == expected
+    assert [type(x) for x in coeffs] == [type(x) for x in expected]
+    return coeffs
+
+
+@pytest.mark.parametrize("p", (None, 2, 7, 241))
+@pytest.mark.parametrize("name", sorted(SHAPED_MATRICES))
+def test_krylov_minpoly_matches_the_per_degree_oracle_on_shaped_matrices(name, p):
+    """Values and types, on the matrix, a dense conjugate of it and (over Q)
+    that conjugate over 3."""
+    m = SHAPED_MATRICES[name]
+    dense = _dense(m, random.Random(f"minpoly:{name}"))
+    if p is not None:
+        m, dense = ([[x % p for x in row] for row in a] for a in (m, dense))
+    for a in (m, dense):
+        coeffs = _assert_minpoly_matches_the_oracle(a, p)
+        assert len(coeffs) - 1 == LOW_DEGREE.get(name, len(m)) or p == 2
+    if p is None:
+        _assert_minpoly_matches_the_oracle([[Fraction(x, 3) for x in r] for r in dense], p)
+
+
+def test_krylov_minpoly_of_a_rational_matrix_mixes_ints_and_fractions():
+    """C / 3 for the companion C of x^3 - 2x + 5 has x^3 - 2/9 x + 5/27."""
+    coeffs = _matrix_minpoly([[Fraction(x, 3) for x in r] for r in C3], None)
+    assert coeffs == [Fraction(5, 27), Fraction(-2, 9), 0, 1]
+    assert [type(x) for x in coeffs] == [Fraction, Fraction, int, int]
+
+
+def _candidates(name, p, n_random=20):
+    """The splitter's sweep and its first n_random random candidates on the
+    commutant of the whole space, over Q (p None) or F_p."""
+    rep = catalog_rep(name)
+    splitter = _ModuleSplitter(rep, p)
+    gens = [g.entries for g in rep.generators]
+    vecs, scale = _scaled_kernel(_commutation_system(gens, rep.degree), p)
+    d = rep.degree
+    commutant = [[list(v[r * d : (r + 1) * d]) for r in range(d)] for v in vecs]
+    c = len(commutant)
+    return list(islice(splitter.candidate_stream(commutant, scale), c * c + n_random))
+
+
+# catalog reps of every family with degree m <= 7
+CANDIDATE_REPS = ORACLE_CATALOG + (
+    "perm_sym(6)",
+    "perm_sym(7)",
+    "std_sym(6)",
+    "std_sym(7)",
+    "trivial(5)",  # a commutant of dimension 25: 625 sweep candidates
+    "product(rot(4),rot(4))",
+    "product(quaternion_paper,rot(4))",
+)
+
+
+@pytest.mark.parametrize("name", CANDIDATE_REPS)
+def test_krylov_minpoly_matches_the_per_degree_oracle_on_split_candidates(name):
+    """Over Q and at the exponent_report primes: the sweep and 20 random
+    candidates of the whole space, and every candidate a Q split tries."""
+    rep = catalog_rep(name)
+    for p in (None, *exponent_report(rep).primes):
+        for z, _ in _candidates(name, p):
+            _assert_minpoly_matches_the_oracle(z, p)
+    seen = []
+    real = _ModuleSplitter.factor_minpoly
+    _ModuleSplitter.factor_minpoly = lambda self, z: seen.append(z) or real(self, z)
+    try:
+        q_split.__wrapped__(rep)
+    finally:
+        _ModuleSplitter.factor_minpoly = real
+    for z in seen:
+        _assert_minpoly_matches_the_oracle(z, None)
+
+
+# --- closed-form quadratic factors against dup_factor_list -------------------
+
+QUADRATICS = [IntPoly((c, b, a)) for a in range(1, 7) for b in range(-7, 8) for c in range(-7, 8)]
+
+
+def test_quadratics_cover_every_kind_of_discriminant():
+    kinds = {"square": 0, "non-square": 0, "negative": 0, "rational roots": 0}
+    for f in QUADRATICS:
+        c, b, a = f.coeffs
+        disc = b * b - 4 * a * c
+        r = math.isqrt(max(disc, 0))
+        if disc < 0:
+            kinds["negative"] += 1
+        elif r * r != disc:
+            kinds["non-square"] += 1
+        else:
+            kinds["square"] += 1
+            kinds["rational roots"] += (b + r) % (2 * a) != 0 and math.gcd(a, b, c) == 1
+    assert all(kinds.values()), kinds
+
+
+def test_quadratics_factor_as_dup_factor_list_does():
+    """Leading coefficients 1..6 with square, non-square and negative
+    discriminants, contents and a root x = 0 included."""
+    for f in QUADRATICS:
+        assert factor_over_integers(f) == _zz_factor_reference(f), f
+        assert factor_over_integers(f.pow(2)) == _zz_factor_reference(f.pow(2)), f
+
+
+@pytest.mark.parametrize(("f", "factors"), (
+    (IntPoly((1, 5, 6)), [IntPoly((1, 2)), IntPoly((1, 3))]),  # (2x + 1)(3x + 1)
+    (IntPoly((-2, 1, 6)), [IntPoly((-1, 2)), IntPoly((2, 3))]),  # (2x - 1)(3x + 2)
+    (IntPoly((-1, 0, 4)), [IntPoly((-1, 2)), IntPoly((1, 2))]),  # (2x - 1)(2x + 1)
+    (IntPoly((-2, 0, 1)), [IntPoly((-2, 0, 1))]),  # x^2 - 2
+    (IntPoly((1, 1, 1)), [IntPoly((1, 1, 1))]),  # negative discriminant
+    (IntPoly((3, 2)), [IntPoly((3, 2))]),
+))
+def test_square_free_quadratics_split_into_primitive_linear_factors(f, factors):
+    """Rational roots that are not integers give primitive, not monic, factors."""
+    assert sorted(_zassenhaus(list(f.coeffs))) == sorted(list(g.coeffs) for g in factors)
+    assert factor_over_integers(f) == (1, [(g, 1) for g in factors])
 
 
 # --- the integer echelon kernel against sympy and the earlier routines -------

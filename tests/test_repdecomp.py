@@ -616,10 +616,12 @@ real_minpoly = ea._matrix_minpoly
 ea._matrix_minpoly = lambda m, p: [Fraction(1, 2), Fraction(1)]
 expect(UnsoundMinpoly, "minpoly integral", ea.minpoly, ea.IntMatrix.identity(2))
 ea._matrix_minpoly = real_minpoly
-real_pivot_rows = ea._pivot_rows
-ea._pivot_rows = lambda rows, p: (rows, list(range(len(rows[0]))))
+# I, M and M^2 independent: no power of the Krylov elimination reduces to zero
+real_mat_mul = ea._mat_mul
+powers = iter([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
+ea._mat_mul = lambda a, b, p: next(powers)
 expect(UnsoundMinpoly, "cayley-hamilton", ea.minpoly, ea.IntMatrix.identity(2))
-ea._pivot_rows = real_pivot_rows
+ea._mat_mul = real_mat_mul
 
 real_root = rd.poly_kth_root
 rd.exponent_k = lambda rep: 0
@@ -1118,3 +1120,27 @@ def test_a_power_of_one_irreducible_resets_the_irreducible_streak(monkeypatch):
     )
     splitter = rd._ModuleSplitter(catalog_rep("trivial(2)"), None)
     assert splitter.split([(1, 0), (0, 1)]) == [[(1, 0)], [(0, 1)]]
+
+
+def test_the_quaternion_q_split_tries_36_candidates_20_of_them_random(monkeypatch):
+    """The quaternion rep is Q-irreducible with a 4-dimensional commutant:
+    the split factors the minimal polynomials of the 16 sweep candidates,
+    then of 20 random ones, all irreducible, and stops there."""
+    tried = []
+    real_stream = rd._ModuleSplitter.candidate_stream
+    real_factor = rd._ModuleSplitter.factor_minpoly
+
+    def recording_stream(self, commutant, scale):
+        for z, is_random in real_stream(self, commutant, scale):
+            tried.append(is_random)
+            yield z, is_random
+
+    def counted_factor(self, z):
+        factors = real_factor(self, z)
+        tried[-1] = (tried[-1], len(factors))
+        return factors
+
+    monkeypatch.setattr(rd._ModuleSplitter, "candidate_stream", recording_stream)
+    monkeypatch.setattr(rd._ModuleSplitter, "factor_minpoly", counted_factor)
+    assert len(q_split.__wrapped__(catalog_rep("quaternion_paper")).components) == 1
+    assert tried == [(False, 1)] * 16 + [(True, 1)] * 20
