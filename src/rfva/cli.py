@@ -255,6 +255,9 @@ def _certificate_check(rep, b) -> tuple[str, bool]:
 
 
 def _cmd_verify(args):
+    for name in ("smax", "samples"):
+        if args.suite == "lemmas" and name in args.given:
+            raise RfvaError(f"--{name} applies only to --suite lowerbound")
     rep, table, examples = _resolve_rep(args.rep, args.element_bound)
     failures = []
     if args.suite == "lowerbound":
@@ -407,8 +410,9 @@ def _read_options(pairs, table, args) -> bool:
 
 
 def _parse(argv):
-    """The namespace argv asks for, with its handler as `func`, or the usage
-    text when it asks for -h or --help. Global options precede the command."""
+    """The namespace argv asks for, with its handler as `func` and the names
+    of the command options argv gives as `given`, or the usage text when it
+    asks for -h or --help. Global options precede the command."""
     def longopts(table):
         return ["help", *(n if kind is bool else n + "=" for n, (kind, _) in table.items())]
     pairs, rest = getopt.getopt(argv, "h", longopts(_GLOBAL_OPTIONS))
@@ -423,6 +427,7 @@ def _parse(argv):
     pairs, words = getopt.gnu_getopt(rest, "h", longopts(options))
     if _read_options(pairs, options, args):
         return _usage([command])
+    args.given = {flag[2:] for flag, _ in pairs}
     for name in options:
         if getattr(args, name) is ...:
             raise RfvaError(f"{command} needs --{name}")

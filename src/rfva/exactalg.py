@@ -410,26 +410,46 @@ def integer_row_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
 
 
 def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant by fraction-free Bareiss elimination (_bareiss)."""
     if not m.is_square():
         raise DimensionMismatch("determinant of a non-square matrix")
-    a = [list(r) for r in m.entries]
-    n = m.rows
+    return _bareiss(m.entries)[0]
+
+
+def _bareiss(rows, rhs=None) -> tuple[int, list[int] | None]:
+    """det M for the square integer rows of M and, given b, y = det(M) M^-1 b.
+
+    Each step's entries are minors of [M | b], so every division by the
+    previous pivot is exact (Bareiss, Math. Comp. 1968).  y = Adj(M) b is
+    integral (Cramer), and back substitution reads it off; it is None
+    without b or when det M = 0.
+    """
+    n = len(rows)
+    a = [list(row) for row in rows] if rhs is None else [[*r, x] for r, x in zip(rows, rhs)]
     sign = 1
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if swap is None:
-                return 0
+                return 0, None
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            row = a[i]
+            f = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * p - f * pivot_row[j]) // prev
+        prev = p
+    d = sign * a[n - 1][n - 1]
+    if rhs is None or d == 0:
+        return d, None
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        y[i] = (d * a[i][n] - sum(map(mul, a[i][i + 1 : n], y[i + 1 :]))) // a[i][i]
+    return d, y
 
 
 def _trace(rows) -> int:
@@ -437,7 +457,7 @@ def _trace(rows) -> int:
     return sum(row[i] for i, row in enumerate(rows))
 
 
-def _faddeev_leverrier(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
+def _faddeev_leverrier(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
     """Charpoly coefficients (ascending) and the adjugate, both exact.
 
     With charpoly = X^n + c_1 X^(n-1) + ... + c_n, N_0 = I and
@@ -445,9 +465,9 @@ def _faddeev_leverrier(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
     exact for integer input, and the adjugate is (-1)^(n+1) N_(n-1).  Each
     N_k is a polynomial in A, so A N_k = N_k A and one product per step,
     N_k A against the columns of A, gives the next A N_k.  The recursion runs
-    on integer rows; only the adjugate becomes an IntMatrix.  Nothing is
-    kept between calls: a caller that needs both results takes them from
-    one call, through charpoly_and_adjugate.
+    on integer rows, and the adjugate is returned as rows.  Nothing is kept
+    between calls: a caller that needs both results takes them from one
+    call, through charpoly_and_adjugate.
     """
     n = m.rows
     a_cols = tuple(zip(*m.entries))
@@ -465,11 +485,9 @@ def _faddeev_leverrier(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
                 row[i] += ck
             horner = step
             step = [[sum(map(mul, row, col)) for col in a_cols] for row in horner]
-    if n % 2 == 1:
-        adj = IntMatrix(tuple(map(tuple, horner)))
-    else:
-        adj = IntMatrix(tuple(tuple(-x for x in row) for row in horner))
-    return tuple(reversed(coeffs_desc)), adj
+    if n % 2 == 0:
+        horner = [[-x for x in row] for row in horner]
+    return tuple(reversed(coeffs_desc)), horner
 
 
 def charpoly(m: IntMatrix) -> IntPoly:
@@ -479,8 +497,8 @@ def charpoly(m: IntMatrix) -> IntPoly:
     return IntPoly(_faddeev_leverrier(m)[0])
 
 
-def charpoly_and_adjugate(m: IntMatrix) -> tuple[IntPoly, IntMatrix]:
-    """charpoly(m) and adjugate(m), from one Faddeev-LeVerrier run."""
+def charpoly_and_adjugate(m: IntMatrix) -> tuple[IntPoly, list[list[int]]]:
+    """charpoly(m) and the rows of adjugate(m), from one Faddeev-LeVerrier run."""
     if not m.is_square():
         raise DimensionMismatch("charpoly and adjugate of a non-square matrix")
     coeffs, adj = _faddeev_leverrier(m)
@@ -491,7 +509,7 @@ def adjugate(m: IntMatrix) -> IntMatrix:
     """Adjugate matrix: M * adjugate(M) = det(M) * identity, exactly."""
     if not m.is_square():
         raise DimensionMismatch("adjugate of a non-square matrix")
-    return _faddeev_leverrier(m)[1]
+    return IntMatrix(tuple(map(tuple, _faddeev_leverrier(m)[1])))
 
 
 def minpoly(m: IntMatrix) -> IntPoly:

@@ -190,13 +190,24 @@ def is_invariant_lattice(lat: Lattice, rep: Rep) -> bool:
 
 def commutant_image_lattices(rep: Rep, max_index: int):
     """HNF-distinct images Im B of index <= max_index, sorted by (index, basis),
-    for B = sum c_i E_i over the commutant basis with every |c_i| <=
+    for the B of the coefficient box (_com_box)."""
+    found = {}
+    for b in _com_box(rep):
+        d = det(b)
+        if d != 0 and abs(d) <= max_index:
+            lat = lattice_from_matrix(b)
+            found.setdefault(lat.basis, lat)
+    return sorted(found.values(), key=lambda lat: (lat.index, lat.basis.entries))
+
+
+def _com_box(rep: Rep):
+    """B = sum c_i E_i over the commutant basis, for the c with every |c_i| <=
     COEFFICIENT_BOX.
 
     Im(-B) = Im(B), so one coefficient vector of each pair +-c is visited: the
     one whose last nonzero entry is positive (the zero vector gives B = 0).
     A commutant whose box holds more than COM_BOX_VECTORS such vectors is
-    refused (BudgetExceeded) before the walk, whatever max_index is.
+    refused (BudgetExceeded) before the walk.
     """
     box = COEFFICIENT_BOX
     comm = commutant_basis(rep)
@@ -207,16 +218,9 @@ def commutant_image_lattices(rep: Rep, max_index: int):
             f"the com box of a rank-{rank} commutant holds {vectors} coefficient vectors, "
             f"more than {COM_BOX_VECTORS}"
         )
-    found = {}
     for coeffs in product(range(-box, box + 1), repeat=rank):
-        if next((c for c in reversed(coeffs) if c), 0) <= 0:
-            continue
-        b = comm.combination(coeffs)
-        d = det(b)
-        if d != 0 and abs(d) <= max_index:
-            lat = lattice_from_matrix(b)
-            found.setdefault(lat.basis, lat)
-    return sorted(found.values(), key=lambda lat: (lat.index, lat.basis.entries))
+        if next((c for c in reversed(coeffs) if c), 0) > 0:
+            yield comm.combination(coeffs)
 
 
 @dataclass

@@ -719,15 +719,15 @@ def commutant_certificate(rep: Rep, b: IntMatrix) -> Certificate:
     """Check the constructive lemma for a matrix commuting with the action.
 
     The products run on integer rows, and the charpoly and the adjugate of
-    B come from one Faddeev-LeVerrier run.  x*Z^m inside Im(B) is read from
-    that adjugate and det B alone, independently of M.
+    B, as rows, come from one Faddeev-LeVerrier run.  x*Z^m inside Im(B) is
+    read from that adjugate and det B alone, independently of M.
     """
     d = commuting_det(rep.degree, rep.generators, b)
     b_rows = b.entries
     if not q_split(rep).irreducible:
         raise NotIrreducible("the representation is not irreducible over Q")
     k = exponent_k(rep)
-    cp, adj = charpoly_and_adjugate(b)
+    cp, adj_rows = charpoly_and_adjugate(b)
     try:
         f = poly_kth_root(cp, k)
     except NotAPower as exc:
@@ -736,10 +736,10 @@ def commutant_certificate(rep: Rep, b: IntMatrix) -> Certificate:
     a0 = f(0)
     x = a0 if n % 2 == 0 else -a0
     ident = _identity(rep.degree)
-    # M = a_1 I + a_2 B + ... + a_n B^(n-1), by Horner from a_n = 1
+    # M = a_1 I + a_2 B + ... + a_n B^(n-1), by Horner from B + a_(n-1) I
     m_rows = ident
-    for a in reversed(f.coeffs[1:-1]):
-        m_rows = _mat_mul(m_rows, b_rows, None)
+    for j, a in enumerate(reversed(f.coeffs[1:-1])):
+        m_rows = _mat_mul(m_rows, b_rows, None) if j else [list(row) for row in b_rows]
         for i, row in enumerate(m_rows):
             row[i] += a
     checks = []
@@ -747,11 +747,10 @@ def commutant_certificate(rep: Rep, b: IntMatrix) -> Certificate:
     checks.append(("b_times_m", _mat_mul(b_rows, m_rows, None) == _mat_scale(ident, -a0, None)))
     if x**k % a0 != 0:
         raise InexactDivision(f"x^k = {x**k} is not divisible by f(0) = {a0}")
-    adj_rows = [list(row) for row in adj.entries]
     checks.append(("adjugate", adj_rows == _mat_scale(m_rows, -(x**k // a0), None)))
     # B y = x e_j has the one solution y = x Adj(B) e_j / det B, integral or
     # not; det B = +-cp(0), from the run that gave Adj(B)
-    c0 = cp(0)
+    c0 = cp.coeffs[0]
     checks.append(("x_lattice_in_image", all(x * a % c0 == 0 for row in adj_rows for a in row)))
     cert = Certificate(k=k, n=n, f=f, x=x, det=d, checks=tuple(checks))
     if not cert.passed:

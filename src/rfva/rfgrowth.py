@@ -35,12 +35,14 @@ from .errors import (
     DimensionMismatch,
     InsufficientData,
     NotIrreducible,
+    UnsoundLattice,
     UnsoundProfile,
     ZeroVector,
 )
 from .exactalg import (
     IntMatrix,
     Lattice,
+    _bareiss,
     _isprime,
     _primes_one_mod,
     det,
@@ -48,7 +50,7 @@ from .exactalg import (
     shortest_vectors,
 )
 from .grouprep import Rep
-from .lattice import FamilySpec, commutant_image_lattices, enumerate_family, family_by_index
+from .lattice import FamilySpec, _com_box, enumerate_family, family_by_index
 from .repdecomp import (
     DEFAULT_SEED,
     commutant_basis,
@@ -218,8 +220,8 @@ def lower_bound_certificate(
     index >= s^k).  Every nonsingular draw B counts toward samples, but each
     distinct B is certified once per call and its verdict reused for its
     repeats; a B whose certificate fails (CertificateFailed) fails each of
-    its draws.  The Com box visits one coefficient vector of each +-c pair, as
-    Im(-B) = Im(B), and the last check is over the enumerated family only.
+    its draws.  The last check is over the enumerated family only, read by
+    one Bareiss elimination per box matrix (_com_least_omitting).
     """
     if min(s_max, samples) < 1:
         raise ValueError("all bounds must be positive")
@@ -246,25 +248,40 @@ def lower_bound_certificate(
             verdicts[b] = ok
         total += 1
         passed += ok
-    com_lattices = commutant_image_lattices(rep, index_budget)
-    s_values, vectors, arith, enum_ok = [], [], [], []
-    for s in range(1, s_max + 1):
-        l = math.lcm(*range(1, s + 1))
-        v = tuple(l if i == 0 else 0 for i in range(m))
-        s_values.append(s)
-        vectors.append(v)
-        arith.append(all(l % x == 0 for x in range(1, s + 1)))
-        ok = all(lat.index >= s**k for lat in com_lattices if not lat.contains(v))
-        enum_ok.append(ok)
+    s_values = tuple(range(1, s_max + 1))
+    lcms = [math.lcm(*range(1, s + 1)) for s in s_values]
+    least = _com_least_omitting(rep, lcms, index_budget)
     return LowerBoundReport(
         k=k,
-        s_values=tuple(s_values),
-        vectors=tuple(vectors),
-        arithmetic_ok=tuple(arith),
-        enumeration_ok=tuple(enum_ok),
+        s_values=s_values,
+        vectors=tuple((l,) + (0,) * (m - 1) for l in lcms),
+        arithmetic_ok=tuple(all(l % x == 0 for x in s_values[:s]) for s, l in zip(s_values, lcms)),
+        enumeration_ok=tuple(n is None or n >= s**k for s, n in zip(s_values, least)),
         certificates_passed=passed,
         certificates_total=total,
     )
+
+
+def _com_least_omitting(rep: Rep, lcms, index_budget: int) -> list[int | None]:
+    """For each l in lcms, the least index |det B| of an image Im B omitting
+    l e_1 (None if there is none), over the com box's B with 0 < |det B| <=
+    index_budget: commutant_image_lattices' minima, with no lattice built.
+
+    One Bareiss elimination of [B | e_1] gives det B and y = det(B) B^-1 e_1,
+    checked as B y = det(B) e_1 (UnsoundLattice otherwise).  e_1 has order
+    o = |det B| / gcd(det B, y) in Z^m / Im B, so l e_1 is in Im B iff o | l.
+    """
+    e1 = (1,) + (0,) * (rep.degree - 1)
+    orders = {}
+    for b in _com_box(rep):
+        d, y = _bareiss(b.entries, e1)
+        if d == 0 or abs(d) > index_budget:
+            continue
+        if b.apply(y) != tuple(d * x for x in e1):
+            raise UnsoundLattice(f"B y = det(B) e_1 fails for the Bareiss y of B = {b.entries}")
+        o = abs(d) // math.gcd(d, *y)
+        orders[o] = min(orders.get(o, abs(d)), abs(d))
+    return [min((n for o, n in orders.items() if l % o), default=None) for l in lcms]
 
 
 def smallest_valid_prime(m: int, n: int) -> int:

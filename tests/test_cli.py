@@ -409,6 +409,15 @@ def test_output_is_an_option_of_catalog_not_a_global_one(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("suite", ([], ["--suite", "lemmas"]), ids=("default", "lemmas"))
+@pytest.mark.parametrize(("option", "prefix"), (("--smax", "--sm"), ("--samples", "--sa")))
+def test_the_lemmas_suite_refuses_the_lower_bound_options(suite, option, prefix, capsys):
+    """Both options used to be ignored there, with exit 0."""
+    for tokens in ([f"{option}=3"], [option, "3"], [prefix, "3"]):
+        assert run(["verify", "catalog:quaternion_paper", *suite, *tokens]) == EXIT_USAGE
+        assert _one_error_line(capsys) == f"error: {option} applies only to --suite lowerbound"
+
+
 def test_exit_codes():
     assert run(["k", "catalog:not_a_thing"]) == EXIT_USAGE
     # the com family of trivial(1) in the default box holds Z and 2Z only
@@ -795,6 +804,8 @@ def test_flags_positionals_and_defaults_parse():
     )
     args = _parse(["verify", REP])
     assert (args.suite, args.smax, args.samples) == ("lemmas", 4, rfgrowth.DEFAULT_SAMPLES)
+    assert args.given == set()
+    assert _parse(["verify", REP, "--sm", "2", "--suite=lowerbound"]).given == {"smax", "suite"}
 
 
 @pytest.mark.parametrize("argv", (

@@ -24,6 +24,7 @@ from rfva.exactalg import (
     _MR_LIMIT,
     IntMatrix,
     IntPoly,
+    _bareiss,
     _divisors,
     _identity,
     _isprime,
@@ -176,6 +177,37 @@ def test_det_and_charpoly_against_sympy(m):
     cp = sympy.Poly(sm.charpoly().as_expr(), sympy.Symbol("lambda"))
     expected = tuple(int(c) for c in reversed(cp.all_coeffs()))
     assert charpoly(m).coeffs == expected
+
+
+def test_bareiss_solve_gives_the_det_and_the_adjugate_times_b():
+    """_bareiss(M, b) = (det M, Adj(M) b), with det M = (-1)^n charpoly(0),
+    on seeded matrices up to 6 x 6: singular ones, nonsingular ones with a
+    vanishing leading minor (a row swap), and negative determinants."""
+    rng = random.Random("bareiss-solve")
+    seen = {"singular": 0, "swap": 0, "negative": 0}
+    for draw in range(2000):
+        n = 1 + draw % 6
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        if draw % 5 == 1:  # the last row a combination of the first two
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[min(1, n - 1)])]
+        elif draw % 5 == 2 and n > 1:  # a singular leading 1 x 1 or 2 x 2 block
+            k = rng.randint(1, min(2, n - 1))
+            rows[k - 1][:k] = [rng.randint(-2, 2) * x for x in rows[0][:k]] if k > 1 else [0]
+        m = IntMatrix.from_rows(rows)
+        rhs = [rng.randint(-3, 3) for _ in range(n)] if draw % 2 else [1] + [0] * (n - 1)
+        d, y = _bareiss(m.entries, rhs)
+        assert d == det(m) == (-1) ** n * charpoly(m).coeffs[0]
+        if d == 0:
+            assert y is None
+        else:
+            assert m.apply(y) == tuple(d * x for x in rhs)
+            assert tuple(y) == adjugate(m).apply(rhs)
+        minors = [det(IntMatrix.from_rows([r[:k] for r in rows[:k]])) for k in range(1, n)]
+        seen["singular"] += d == 0
+        seen["swap"] += d != 0 and 0 in minors
+        seen["negative"] += d < 0
+    assert min(seen.values()) >= 100, seen
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,6 +11,7 @@ import pytest
 
 import rfva.exactalg as ea
 import rfva.repdecomp as rd
+import rfva.rfgrowth as rg
 from rfva.catalog import (
     catalog_character_table,
     catalog_matrix,
@@ -479,6 +480,77 @@ def test_certificate_matches_the_intmatrix_reference(case):
         assert _outcome(commutant_certificate, rep, b) == _outcome(_reference_certificate, rep, b)
 
 
+def _parent_certificate(rep, b):
+    """commutant_certificate before its Horner step began at B + a_(n-1) I
+    and its adjugate came as rows: every product through _mat_mul, and the
+    charpoly and the adjugate as IntPoly and IntMatrix."""
+    if b.rows != rep.degree or not b.is_square():
+        raise NotCommuting("matrix degree does not match the representation")
+    if any(
+        _mat_mul(b.entries, g.entries, None) != _mat_mul(g.entries, b.entries, None)
+        for g in rep.generators
+    ):
+        raise NotCommuting("matrix does not commute with all generators")
+    d = det(b)
+    if d == 0:
+        raise SingularMatrix("certificate requires a nonsingular matrix")
+    b_rows = b.entries
+    if not q_split(rep).irreducible:
+        raise NotIrreducible("the representation is not irreducible over Q")
+    k = exponent_k(rep)
+    cp, adj = charpoly(b), adjugate(b)
+    try:
+        f = poly_kth_root(cp, k)
+    except NotAPower as exc:
+        raise CertificateFailed(f"charpoly is not a k-th power: {exc}") from exc
+    n = f.degree
+    a0 = f(0)
+    x = a0 if n % 2 == 0 else -a0
+    ident = ea._identity(rep.degree)
+    m_rows = ident
+    for a in reversed(f.coeffs[1:-1]):
+        m_rows = _mat_mul(m_rows, b_rows, None)
+        for i, row in enumerate(m_rows):
+            row[i] += a
+    checks = []
+    checks.append(("det_is_x_pow_k", d == x**k))
+    checks.append(("b_times_m", _mat_mul(b_rows, m_rows, None) == _mat_scale(ident, -a0, None)))
+    if x**k % a0 != 0:
+        raise InexactDivision(f"x^k = {x**k} is not divisible by f(0) = {a0}")
+    adj_rows = [list(row) for row in adj.entries]
+    checks.append(("adjugate", adj_rows == _mat_scale(m_rows, -(x**k // a0), None)))
+    c0 = cp(0)
+    checks.append(("x_lattice_in_image", all(x * a % c0 == 0 for row in adj_rows for a in row)))
+    cert = rd.Certificate(k=k, n=n, f=f, x=x, det=d, checks=tuple(checks))
+    if not cert.passed:
+        failed = [name for name, ok in cert.checks if not ok]
+        raise CertificateFailed(f"certificate checks failed: {failed}", cert)
+    return cert
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+def test_certificate_equals_the_parent_routine(case):
+    rep, bs = CERTIFICATE_CASES[case]
+    for b in bs:
+        assert _outcome(commutant_certificate, rep, b) == _outcome(_parent_certificate, rep, b)
+
+
+@pytest.mark.parametrize("conjugated", (False, True))
+@pytest.mark.parametrize("name", ("quaternion_paper", "rot(4)", "std_sym(4)"))
+def test_lower_bound_draws_certify_as_with_the_parent_routine(monkeypatch, name, conjugated):
+    """Every distinct B that lower_bound_certificate certifies."""
+    rep = catalog_rep(name)
+    if conjugated:
+        q, q_inv = _unimodular_pair(rep.degree, random.Random(f"draws:{name}"), ops=6)
+        rep = close_group([q_inv * g * q for g in rep.generators])
+    drawn, real = [], rg.commutant_certificate
+    monkeypatch.setattr(rg, "commutant_certificate", lambda r, b: drawn.append(b) or real(r, b))
+    rg.lower_bound_certificate(rep, 1)
+    assert len(drawn) == len(set(drawn)) > 0
+    for b in drawn:
+        assert _outcome(commutant_certificate, rep, b) == _outcome(_parent_certificate, rep, b)
+
+
 @pytest.mark.parametrize("case", ("quaternion_paper", "std_sym(4)", "conjugate:rot(4)"))
 def test_one_faddeev_leverrier_run_per_certified_matrix(monkeypatch, case):
     """The charpoly and the adjugate of each B come from one run, and no
@@ -527,6 +599,7 @@ from fractions import Fraction
 import rfva.catalog as cat
 import rfva.exactalg as ea
 import rfva.repdecomp as rd
+import rfva.rfgrowth as rg
 from rfva.catalog import catalog_matrix, catalog_rep
 from rfva.errors import (
     InexactDivision,
@@ -676,6 +749,7 @@ def test_split_and_certificate_checks_run_under_python_O():
 NOT_INVARIANT_CHECKS = """
 import sys
 import rfva.repdecomp as rd
+import rfva.rfgrowth as rg
 from rfva.catalog import catalog_rep
 from rfva.errors import UnsoundSplit
 

@@ -25,7 +25,12 @@ from rfva.errors import (
 )
 from rfva.exactalg import IntMatrix, det, hnf, shortest_vectors
 from rfva.grouprep import close_group
-from rfva.lattice import FamilySpec, enumerate_family, upper_bound_witness
+from rfva.lattice import (
+    FamilySpec,
+    commutant_image_lattices,
+    enumerate_family,
+    upper_bound_witness,
+)
 from rfva.rfgrowth import (
     DEFAULT_INDEX_BUDGET,
     LowerBoundReport,
@@ -376,7 +381,7 @@ OPTIMIZED_CHECK = """
 import sys
 import rfva.rfgrowth as rg
 from rfva.catalog import catalog_rep
-from rfva.errors import UnsoundProfile
+from rfva.errors import UnsoundLattice, UnsoundProfile
 from rfva.lattice import FamilySpec
 
 print("optimize", sys.flags.optimize, __debug__)
@@ -386,6 +391,13 @@ try:
     rg.rf_profile(FamilySpec("inv", catalog_rep("d4_paper")), 4)
 except UnsoundProfile as exc:
     print("profile checked:", exc)
+# a Bareiss solve one off in its last entry
+real_bareiss = rg._bareiss
+rg._bareiss = lambda rows, rhs: (lambda d, y: (d, y[:-1] + [y[-1] + 1]))(*real_bareiss(rows, rhs))
+try:
+    rg.lower_bound_certificate(catalog_rep("rot(4)"), 2, samples=1)
+except UnsoundLattice as exc:
+    print("solve checked:", exc)
 """
 
 
@@ -401,6 +413,7 @@ def test_the_witness_check_runs_under_python_O():
     assert out.stdout.splitlines() == [
         "optimize 1 False",
         "profile checked: RF(1) = 2 has witness (0, 0, 1), whose divisibility is 3",
+        "solve checked: B y = det(B) e_1 fails for the Bareiss y of B = ((-2, 1), (-1, -2))",
     ]
 
 
@@ -665,6 +678,37 @@ def test_a_raised_certificate_failure_fails_each_of_its_draws(monkeypatch, with_
     assert failed == draws.count(bad) > 1
     assert passing.certificates_passed == 200
     assert dataclasses.replace(report, certificates_passed=200) == passing
+
+
+COM_ORACLE_REPS = (
+    "quaternion_paper", "rot(4)", "std_sym(3)", "std_sym(4)", "std_sym(5)", "std_sym(6)",
+    "trivial(1)",
+)
+LCMS = [math.lcm(*range(1, s + 1)) for s in range(1, 7)]
+
+
+def _hnf_least_omitting(rep, index_budget):
+    """Per l in LCMS, the least index of a commutant_image_lattices lattice
+    omitting l e_1 (None if there is none): the com check as first written."""
+    lats = commutant_image_lattices(rep, index_budget)
+    vectors = [(l,) + (0,) * (rep.degree - 1) for l in LCMS]
+    return [min((lat.index for lat in lats if not lat.contains(v)), default=None) for v in vectors]
+
+
+@pytest.mark.parametrize("name", COM_ORACLE_REPS)
+def test_com_verdicts_match_the_hnf_lattices(name):
+    """The least omitting indices, not only the verdicts: every catalog
+    verdict passes.  GL(1, Z) = {1, -1} is central, so trivial(1) has no
+    other conjugate."""
+    rep = catalog_rep(name)
+    reps = [rep] + ([_conjugate(rep, 40 + i) for i in range(3)] if rep.degree > 1 else [])
+    seen = set()
+    for r in reps:
+        for budget in (1, 4, 10, 100, 10_000):
+            least = rg._com_least_omitting(r, LCMS, budget)
+            assert least == _hnf_least_omitting(r, budget), (budget, least)
+            seen.update(least)
+    assert None in seen and seen - {None}
 
 
 def test_lower_bound_needs_irreducible():
